@@ -6,9 +6,9 @@ error-certificate families for twice-differentiable functions whose |f''|
 baselines, composite rules with per-subinterval remainder bounds, and
 numeric checkers for the special-means inequalities the certificates imply.
 
-The numeric hot paths (registry function evaluation and the adaptive
-Gauss-Kronrod oracle) run on a compiled extension when available, with a
-pure-Python fallback; see `backend_name`.
+Everything runs in pure Python on the standard library, including the
+numeric core (registry function evaluation and the adaptive Gauss-Kronrod
+oracle); `backend_name` reports it as "python".
 """
 
 from ._backend import backend_name

@@ -1,35 +1,185 @@
-"""Numeric backend selection.
-
-The compiled extension ``quadcert._core`` is used when it is importable,
-otherwise the pure-Python fallback ``quadcert._purepy``. Set
-``QUADCERT_BACKEND=python`` or ``QUADCERT_BACKEND=compiled`` to force a
-choice; forcing "compiled" without the extension installed raises
-ImportError at import time.
+"""Numeric core: registry function evaluation and the adaptive
+Gauss-Kronrod integrator, in pure Python.
 """
 
-import os
+import math
 
-from . import _purepy
+from .errors import DomainError, IntegrationError
 
-_FORCED = os.environ.get("QUADCERT_BACKEND")
+_MAX_DEPTH = 52
 
-if _FORCED == "python":
-    _impl = _purepy
-elif _FORCED not in (None, "", "compiled"):
-    raise ImportError(f"QUADCERT_BACKEND={_FORCED!r} is not one of 'python', 'compiled'")
-else:
-    try:
-        from . import _core as _impl
-    except ImportError:
-        if _FORCED == "compiled":
-            raise
-        _impl = _purepy
+# 7-point Gauss / 15-point Kronrod pair on [-1, 1]. Abscissae are symmetric,
+# so only the nonnegative half is stored; the Gauss weights belong to the
+# odd-indexed Kronrod nodes plus the centre.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
 
-BACKEND_NAME = _impl.BACKEND_NAME
-make_func = _impl.make_func
-adaptive_quad = _impl.adaptive_quad
+
+def _poly_derivative(coeffs):
+    """Differentiate a coefficient list (highest degree first)."""
+    n = len(coeffs) - 1
+    if n == 0:
+        return [0.0]
+    return [coeffs[i] * (n - i) for i in range(n)]
+
+
+def _powerlike(coef, expo, lo, hi):
+    def fn(x, _coef=coef, _expo=expo, _lo=lo, _hi=hi):
+        if not (_lo < x < _hi):
+            raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
+        if _coef == 0.0:
+            return 0.0
+        return _coef * math.pow(x, _expo)
+
+    return fn
+
+
+def make_func(kind, params, deriv, lo, hi):
+    """Build a scalar evaluator for one derivative of a registry function.
+
+    ``kind`` is one of "power", "reciprocal", "neglog", "exp", "poly";
+    ``deriv`` is 0, 1 or 2; ``(lo, hi)`` is the open domain. The returned
+    callable raises DomainError outside the domain rather than returning a
+    non-finite value.
+    """
+    if deriv not in (0, 1, 2):
+        raise ValueError("deriv must be 0, 1 or 2")
+    if kind == "power":
+        p = float(params[0])
+        coef, expo = ((1.0, p), (p, p - 1.0), (p * (p - 1.0), p - 2.0))[deriv]
+        return _powerlike(coef, expo, lo, hi)
+    if kind == "reciprocal":
+        coef, expo = ((1.0, -1.0), (-1.0, -2.0), (2.0, -3.0))[deriv]
+        return _powerlike(coef, expo, lo, hi)
+    if kind == "neglog":
+        if deriv == 0:
+
+            def fn(x, _lo=lo, _hi=hi):
+                if not (_lo < x < _hi):
+                    raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
+                return -math.log(x)
+
+            return fn
+        coef, expo = ((-1.0, -1.0), (1.0, -2.0))[deriv - 1]
+        return _powerlike(coef, expo, lo, hi)
+    if kind == "exp":
+
+        def fn(x, _lo=lo, _hi=hi):
+            if not (_lo < x < _hi):
+                raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
+            return math.exp(x)
+
+        return fn
+    if kind == "poly":
+        coeffs = [float(c) for c in params]
+        if not coeffs:
+            raise ValueError("poly needs at least one coefficient")
+        for _ in range(deriv):
+            coeffs = _poly_derivative(coeffs)
+        ctail = tuple(coeffs[1:])
+        chead = coeffs[0]
+
+        def fn(x, _head=chead, _tail=ctail, _lo=lo, _hi=hi):
+            if not (_lo < x < _hi):
+                raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
+            acc = _head
+            for c in _tail:
+                acc = acc * x + c
+            return acc
+
+        return fn
+    raise ValueError(f"unknown function kind {kind!r}")
+
+
+def _gk15(g, lo, hi):
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    fc = g(c)
+    resk = _WGK[7] * fc
+    resg = _WG[3] * fc
+    for j in range(7):
+        s = g(c - h * _XGK[j]) + g(c + h * _XGK[j])
+        resk += _WGK[j] * s
+        if j & 1:
+            resg += _WG[(j - 1) // 2] * s
+    return resk * h, abs((resk - resg) * h)
+
+
+def adaptive_quad(g, a, b, tol, limit):
+    """Adaptive bisection of [a, b] with a 7/15 Gauss-Kronrod estimate per
+    segment.
+
+    A segment is accepted once its Kronrod/Gauss difference fits the share
+    of ``tol`` proportional to its width, so the accepted estimates sum to
+    at most ``tol``. Segments are processed left to right and accumulated
+    with compensated summation, which makes the result deterministic.
+
+    Returns ``(value, error_estimate, segments)``. Raises IntegrationError
+    when more than ``limit`` segments would be needed, when bisection hits
+    the depth cap, or on a non-finite sample.
+    """
+    if not b > a:
+        raise ValueError("integration needs a < b")
+    span = b - a
+    stack = [(a, b, 0)]
+    total = 0.0
+    comp = 0.0
+    err_total = 0.0
+    nleaves = 1
+    accepted = 0
+    while stack:
+        lo, hi, depth = stack.pop()
+        value, err = _gk15(g, lo, hi)
+        if not math.isfinite(value):
+            raise IntegrationError(f"non-finite integrand sample in [{lo!r}, {hi!r}]")
+        if err <= tol * ((hi - lo) / span):
+            # Neumaier step: keep the exact residue of each addition.
+            t = total + value
+            if abs(total) >= abs(value):
+                comp += (total - t) + value
+            else:
+                comp += (value - t) + total
+            total = t
+            err_total += err
+            accepted += 1
+            continue
+        if depth >= _MAX_DEPTH:
+            raise IntegrationError(
+                f"segment [{lo!r}, {hi!r}] cannot be refined further at tol={tol!r}"
+            )
+        nleaves += 1
+        if nleaves > limit:
+            raise IntegrationError(f"needs more than {limit} segments for tol={tol!r}")
+        mid = 0.5 * (lo + hi)
+        stack.append((mid, hi, depth + 1))
+        stack.append((lo, mid, depth + 1))
+    return total + comp, err_total, accepted
 
 
 def backend_name():
-    """Name of the numeric backend in use: "compiled" or "python"."""
-    return BACKEND_NAME
+    """Name of the numeric core; always "python"."""
+    return "python"

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from . import oracle
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, grid_midpoint_convex, require_domain
+from .kernel import moment_factor
 from .rules import RuleValue, generalized_rule, perturbed_trapezoid_rule
 
 CD_CASES = ("inf", "lp", "l1")
@@ -58,11 +59,6 @@ class Certificate:
     hypothesis_flags: tuple = ()
 
 
-def _s3(iv: Interval, x: float) -> float:
-    # (b-x)^3 + (x - midpoint)^3: the third-moment factor behind each family
-    return (iv.b - x) ** 3 + (x - iv.midpoint) ** 3
-
-
 def _hypothesis_flags(ft, iv, x, q=None):
     """Sampled convexity of |f''| (or |f''|**q), plus the equal-endpoint-
     derivative hypothesis for certificates taken at x = b, where dropping
@@ -88,7 +84,7 @@ def bound_convex(ft: FunctionTriple, iv: Interval, x: float) -> Certificate:
     """
     rule = generalized_rule(ft, iv, x)
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
-    avg = _s3(iv, x) * (fa + fb) / (6.0 * iv.length)
+    avg = moment_factor(iv, x, 3) * (fa + fb) / (6.0 * iv.length)
     return Certificate(rule, avg, avg * iv.length, "convex",
                        {}, _hypothesis_flags(ft, iv, x))
 
@@ -104,7 +100,7 @@ def bound_holder(ft: FunctionTriple, iv: Interval, x: float, hp: HolderPair) -> 
     p, q = hp.p, hp.q
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
     e = 2.0 * p + 1.0
-    moment = (iv.b - x) ** e + (x - iv.midpoint) ** e
+    moment = moment_factor(iv, x, e)
     avg = (2.0 ** (1.0 / p - 1.0) / (e ** (1.0 / p) * iv.length ** (1.0 / p))
            * moment ** (1.0 / p)
            * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
@@ -123,7 +119,7 @@ def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Ce
         raise ParameterError(f"q={q!r} must be >= 1")
     rule = generalized_rule(ft, iv, x)
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
-    avg = _s3(iv, x) / (3.0 * iv.length) * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q)
+    avg = moment_factor(iv, x, 3) / (3.0 * iv.length) * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q)
     return Certificate(rule, avg, avg * iv.length, "power_mean",
                        {"q": q}, _hypothesis_flags(ft, iv, x, q=q))
 

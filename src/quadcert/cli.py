@@ -7,7 +7,8 @@ means and the chain check), props (one mean-inequality report), and sweep
 (cartesian proposition grid that aggregates violations instead of aborting).
 
 Exit codes: 0 when every requested inequality holds, 1 when a requested
-check finds a violation (details still printed), 2 on input/domain errors.
+check finds a violation (details still printed), 2 on input/domain errors,
+including inputs whose arithmetic overflows.
 
 Formats: "table" (human), "csv" (fixed per-subcommand columns, decimal
 point, 17 significant digits), "json" (stable layout; reruns with the same
@@ -387,7 +388,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (ParameterError, DomainError, IntegrationError) as exc:
+    except (ParameterError, DomainError, IntegrationError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

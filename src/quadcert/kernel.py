@@ -58,6 +58,12 @@ def kernel_eval(ks: KernelSpec, t: float) -> float:
     return (t - 1.0) ** 2
 
 
+def moment_factor(iv: Interval, x: float, e: float) -> float:
+    """(b-x)^e + (x - (a+b)/2)^e: the moment factor behind every bound
+    constant of the two-point rule at x in [midpoint, b]."""
+    return (iv.b - x) ** e + (x - iv.midpoint) ** e
+
+
 def kernel_abs_moment(ks: KernelSpec) -> float:
     """Integral of |weight| over [0, 1] in closed form.
 
@@ -65,7 +71,7 @@ def kernel_abs_moment(ks: KernelSpec) -> float:
     square on each piece, so |weight| = weight.
     """
     iv = ks.iv
-    return 2.0 / (3.0 * iv.length ** 3) * ((iv.b - ks.x) ** 3 + (ks.x - iv.midpoint) ** 3)
+    return 2.0 / (3.0 * iv.length ** 3) * moment_factor(iv, ks.x, 3)
 
 
 def kernel_lp_moment(ks: KernelSpec, p: float) -> float:
@@ -77,7 +83,7 @@ def kernel_lp_moment(ks: KernelSpec, p: float) -> float:
         raise ParameterError(f"p={p!r} must be >= 1")
     iv = ks.iv
     e = 2.0 * p + 1.0
-    return 2.0 / (e * iv.length ** e) * ((iv.b - ks.x) ** e + (ks.x - iv.midpoint) ** e)
+    return 2.0 / (e * iv.length ** e) * moment_factor(iv, ks.x, e)
 
 
 def identity_residual(ft: FunctionTriple, ks: KernelSpec, tol: float = oracle.DEFAULT_TOL) -> float:

@@ -8,8 +8,6 @@ consumes it, so oracle noise stays negligible against tested quantities.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _backend
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, require_domain
@@ -85,26 +83,37 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
                   p: float | None = None, samples: int = SUP_SAMPLES) -> NormEstimate:
     """Estimate a derivative norm over the interval.
 
-    sup_f1 / sup_f2: dense sampling plus golden-section refinement around
-    the sampled maximum. lp_f2 (requires p >= 1): adaptive integration of
-    |f''|**p, then the 1/p root. l1_f2: adaptive integration of |f''|.
+    sup_f1 / sup_f2: sampling at ``samples`` (>= 1) evenly spaced points
+    plus golden-section refinement around the sampled maximum. lp_f2
+    (requires p >= 1): adaptive integration of |f''|**p, then the 1/p root.
+    l1_f2: adaptive integration of |f''|.
     """
     require_domain(ft, iv)
     if kind not in NORM_KINDS:
         raise ParameterError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
     if kind in ("sup_f1", "sup_f2"):
+        if samples < 1:
+            raise ParameterError(f"samples={samples!r} must be >= 1")
         g = ft.f1 if kind == "sup_f1" else ft.f2
-        xs = np.linspace(iv.a, iv.b, samples)
-        vals = [abs(g(float(x))) for x in xs]
-        i = int(np.argmax(vals))
-        best = vals[i]
-        lo = float(xs[max(i - 1, 0)])
-        hi = float(xs[min(i + 1, samples - 1)])
+        # Evenly spaced nodes a + k*step, the last one exactly b (linspace arithmetic).
+        a, b, last = iv.a, iv.b, samples - 1
+        step = (b - a) / last if last else 0.0
+
+        def node(k):
+            return b if 0 < k == last else a + k * step
+
+        vals = [abs(g(a + k * step)) for k in range(last)]
+        vals.append(abs(g(node(last))))
+        best = max(vals)
+        i = vals.index(best)
+        lo, hi = node(max(i - 1, 0)), node(min(i + 1, last))
         if hi > lo:
             best = max(best, _golden_max(lambda x: abs(g(x)), lo, hi))
-        if not math.isfinite(best):
-            raise ParameterError(f"non-finite derivative sample for {ft.id} on [{iv.a}, {iv.b}]")
+        # max() passes over a NaN sample, but the sum of the samples (all >= 0)
+        # is NaN exactly when one of them is
+        if not math.isfinite(best) or math.isnan(sum(vals)):
+            raise ParameterError(f"non-finite derivative sample for {ft.id} on [{a}, {b}]")
         return NormEstimate(kind, best, samples=samples)
 
     if kind == "lp_f2":

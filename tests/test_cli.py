@@ -5,9 +5,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadcert
 from quadcert.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -167,6 +172,28 @@ def test_usage_errors(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err.strip().startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("means", "--a", "1", "--b", "1e10", "--p-values=400"),
+    ("props", "--prop", "1", "--a", "1", "--b", "1000", "--p", "400"),
+    ("certify", "--function", "power:400", "--a", "1", "--b", "10", "--x", "8",
+     "--family", "convex"),
+])
+def test_overflow_is_a_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(quadcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, quadcert.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_json_runs_reproduce_bit_identically(capsys):

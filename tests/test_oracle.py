@@ -3,11 +3,13 @@ exactness, failure modes, and the Holder ordering of the norm estimates."""
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import random_interval
 from quadcert.errors import IntegrationError, ParameterError
-from quadcert.functions import Interval, register_builtin
-from quadcert.oracle import estimate_norm, integrate
+from quadcert.functions import FunctionTriple, Interval, register_builtin
+from quadcert.oracle import _golden_max, estimate_norm, integrate
 
 CLOSED_FORMS = [
     (register_builtin("power", [2.0]).f, 0.0, 1.0, 1.0 / 3.0),
@@ -83,6 +85,49 @@ def test_sup_norms():
     assert est.value == pytest.approx(2.0, rel=1e-12)  # max of 2/x^3 at x=1
     est = estimate_norm(register_builtin("power", [2.0]), iv, "sup_f1")
     assert est.value == pytest.approx(2.0, rel=1e-12)  # |2x| at x=1
+
+
+def _numpy_sup(ft, iv, kind, samples):
+    """Reference sup estimate on a numpy.linspace grid with np.argmax."""
+    g = ft.f1 if kind == "sup_f1" else ft.f2
+    xs = np.linspace(iv.a, iv.b, samples)
+    vals = [abs(g(float(x))) for x in xs]
+    i = int(np.argmax(vals))
+    best = vals[i]
+    lo = float(xs[max(i - 1, 0)])
+    hi = float(xs[min(i + 1, samples - 1)])
+    if hi > lo:
+        best = max(best, _golden_max(lambda x: abs(g(x)), lo, hi))
+    return best
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 33, 4097])
+def test_sup_norms_match_numpy_grid(corpus, rng, samples):
+    for ft, lo, hi in corpus:
+        for _ in range(3):
+            iv = random_interval(rng, lo, hi)
+            for kind in ("sup_f1", "sup_f2"):
+                est = estimate_norm(ft, iv, kind, samples=samples)
+                assert est.value == _numpy_sup(ft, iv, kind, samples), (ft.id, iv, kind)
+
+
+def test_sup_norm_sample_count():
+    ft = register_builtin("power", [2.0])
+    iv = Interval(1.0, 2.0)
+    assert estimate_norm(ft, iv, "sup_f1", samples=1).value == 2.0  # |f'(a)| only
+    for bad in (0, -1):
+        with pytest.raises(ParameterError):
+            estimate_norm(ft, iv, "sup_f1", samples=bad)
+
+
+def test_sup_norm_rejects_nan_sample():
+    # the NaN sits away from the maximum at b, where max() alone would skip it
+    nan_f2 = lambda x: math.nan if 0.3 < x < 0.4 else 1.0 + x
+    ft = FunctionTriple("nan_f2", math.exp, math.exp, nan_f2, -math.inf, math.inf, False)
+    iv = Interval(0.0, 1.0)
+    assert math.isnan(_numpy_sup(ft, iv, "sup_f2", 33))  # np.argmax picks the NaN
+    with pytest.raises(ParameterError):
+        estimate_norm(ft, iv, "sup_f2", samples=33)
 
 
 def test_interior_maximum_is_refined():
