@@ -47,13 +47,23 @@ def _poly_derivative(coeffs):
     return [coeffs[i] * (n - i) for i in range(n)]
 
 
-def _powerlike(coef, expo, lo, hi):
+def spec_string(kind, params):
+    """Registry id of a function: "exp", "power:2.5", "poly:1,0,-3"."""
+    if not params:
+        return kind
+    return kind + ":" + ",".join(format(v, "g") for v in params)
+
+
+def _powerlike(coef, expo, lo, hi, overflow):
     def fn(x, _coef=coef, _expo=expo, _lo=lo, _hi=hi):
         if not (_lo < x < _hi):
             raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
         if _coef == 0.0:
             return 0.0
-        return _coef * math.pow(x, _expo)
+        try:
+            return _coef * math.pow(x, _expo)
+        except OverflowError:
+            raise overflow(x) from None
 
     return fn
 
@@ -63,18 +73,23 @@ def make_func(kind, params, deriv, lo, hi):
 
     ``kind`` is one of "power", "reciprocal", "neglog", "exp", "poly";
     ``deriv`` is 0, 1 or 2; ``(lo, hi)`` is the open domain. The returned
-    callable raises DomainError outside the domain rather than returning a
-    non-finite value.
+    callable raises DomainError outside the domain, and where the value
+    overflows the float range, rather than raising OverflowError.
     """
     if deriv not in (0, 1, 2):
         raise ValueError("deriv must be 0, 1 or 2")
+
+    def overflow(x):
+        name = ("f", "f'", "f''")[deriv] + " of " + spec_string(kind, params)
+        return DomainError(f"{name} overflows the float range at x={x!r}")
+
     if kind == "power":
         p = float(params[0])
         coef, expo = ((1.0, p), (p, p - 1.0), (p * (p - 1.0), p - 2.0))[deriv]
-        return _powerlike(coef, expo, lo, hi)
+        return _powerlike(coef, expo, lo, hi, overflow)
     if kind == "reciprocal":
         coef, expo = ((1.0, -1.0), (-1.0, -2.0), (2.0, -3.0))[deriv]
-        return _powerlike(coef, expo, lo, hi)
+        return _powerlike(coef, expo, lo, hi, overflow)
     if kind == "neglog":
         if deriv == 0:
 
@@ -85,13 +100,16 @@ def make_func(kind, params, deriv, lo, hi):
 
             return fn
         coef, expo = ((-1.0, -1.0), (1.0, -2.0))[deriv - 1]
-        return _powerlike(coef, expo, lo, hi)
+        return _powerlike(coef, expo, lo, hi, overflow)
     if kind == "exp":
 
         def fn(x, _lo=lo, _hi=hi):
             if not (_lo < x < _hi):
                 raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
-            return math.exp(x)
+            try:
+                return math.exp(x)
+            except OverflowError:
+                raise overflow(x) from None
 
         return fn
     if kind == "poly":

@@ -59,6 +59,12 @@ class Certificate:
     hypothesis_flags: tuple = ()
 
 
+def _overflow(family, iv, **exponents):
+    named = ", ".join(f"{k}={v!r}" for k, v in exponents.items())
+    return ParameterError(
+        f"{family} bound overflows the float range on [{iv.a!r}, {iv.b!r}] at {named}")
+
+
 def _hypothesis_flags(ft, iv, x, q=None):
     """Sampled convexity of |f''| (or |f''|**q), plus the equal-endpoint-
     derivative hypothesis for certificates taken at x = b, where dropping
@@ -100,12 +106,15 @@ def bound_holder(ft: FunctionTriple, iv: Interval, x: float, hp: HolderPair) -> 
     p, q = hp.p, hp.q
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
     e = 2.0 * p + 1.0
-    moment = moment_factor(iv, x, e)
-    avg = (2.0 ** (1.0 / p - 1.0) / (e ** (1.0 / p) * iv.length ** (1.0 / p))
-           * moment ** (1.0 / p)
-           * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
-    return Certificate(rule, avg, avg * iv.length, "holder",
-                       {"p": p, "q": q}, _hypothesis_flags(ft, iv, x, q=q))
+    try:
+        moment = moment_factor(iv, x, e)
+        avg = (2.0 ** (1.0 / p - 1.0) / (e ** (1.0 / p) * iv.length ** (1.0 / p))
+               * moment ** (1.0 / p)
+               * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
+        flags = _hypothesis_flags(ft, iv, x, q=q)
+    except OverflowError:
+        raise _overflow("holder", iv, p=p, q=q) from None
+    return Certificate(rule, avg, avg * iv.length, "holder", {"p": p, "q": q}, flags)
 
 
 def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Certificate:
@@ -119,9 +128,13 @@ def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Ce
         raise ParameterError(f"q={q!r} must be >= 1")
     rule = generalized_rule(ft, iv, x)
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
-    avg = moment_factor(iv, x, 3) / (3.0 * iv.length) * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q)
-    return Certificate(rule, avg, avg * iv.length, "power_mean",
-                       {"q": q}, _hypothesis_flags(ft, iv, x, q=q))
+    try:
+        avg = (moment_factor(iv, x, 3) / (3.0 * iv.length)
+               * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
+        flags = _hypothesis_flags(ft, iv, x, q=q)
+    except OverflowError:
+        raise _overflow("power_mean", iv, q=q) from None
+    return Certificate(rule, avg, avg * iv.length, "power_mean", {"q": q}, flags)
 
 
 def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,

@@ -9,13 +9,25 @@ placement.
 """
 
 import math
+import operator
 import random
 from dataclasses import dataclass
+from itertools import pairwise, repeat, tee
 
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, require_domain
 
 XI_POLICIES = ("midpoint", "right", "random")
+
+
+def _midpoints(nodes):
+    """Lazy 0.5 * (lo + hi) over consecutive nodes."""
+    return map(operator.mul, repeat(0.5), map(operator.add, nodes, nodes[1:]))
+
+
+def _mirrors(nodes, xi):
+    """Lazy reflection lo + hi - x of each intermediate point."""
+    return map(operator.sub, map(operator.add, nodes, nodes[1:]), xi)
 
 
 @dataclass(frozen=True)
@@ -26,26 +38,29 @@ class Partition:
     xi: tuple
 
     def __post_init__(self):
-        nodes = tuple(float(v) for v in self.nodes)
-        xi = tuple(float(v) for v in self.xi)
+        nodes = tuple(map(float, self.nodes))
+        xi = tuple(map(float, self.xi))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "xi", xi)
         if len(nodes) < 2:
             raise ParameterError("a partition needs at least two nodes")
-        if not all(math.isfinite(v) for v in nodes + xi):
+        if not (all(map(math.isfinite, nodes)) and all(map(math.isfinite, xi))):
             raise ParameterError("partition values must be finite")
-        for lo, hi in zip(nodes, nodes[1:]):
-            if not lo < hi:
-                raise ParameterError(f"nodes must be strictly increasing, got {lo!r} >= {hi!r}")
+        # Whole-column checks first; the offending entry is located only
+        # when one fails, so the messages name the first bad pair or point.
+        rights = nodes[1:]
+        if not all(map(operator.lt, nodes, rights)):
+            lo, hi = next((lo, hi) for lo, hi in zip(nodes, rights) if not lo < hi)
+            raise ParameterError(f"nodes must be strictly increasing, got {lo!r} >= {hi!r}")
         if len(xi) != len(nodes) - 1:
             raise ParameterError(
                 f"expected {len(nodes) - 1} intermediate points, got {len(xi)}")
-        for i, v in enumerate(xi):
-            lo, hi = nodes[i], nodes[i + 1]
-            mid = 0.5 * (lo + hi)
-            if not mid <= v <= hi:
-                raise ParameterError(
-                    f"xi[{i}]={v!r} outside the admissible right half [{mid!r}, {hi!r}]")
+        if not (all(map(operator.le, xi, rights)) and all(map(operator.le, _midpoints(nodes), xi))):
+            for i, (lo, hi, v) in enumerate(zip(nodes, rights, xi)):
+                mid = 0.5 * (lo + hi)
+                if not mid <= v <= hi:
+                    raise ParameterError(
+                        f"xi[{i}]={v!r} outside the admissible right half [{mid!r}, {hi!r}]")
 
     @property
     def widths(self) -> tuple:
@@ -61,18 +76,15 @@ class Partition:
             raise ParameterError(f"need n >= 1 subintervals, got {n!r}")
         if not a < b:
             raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
-        nodes = tuple(((n - i) * a + i * b) / n for i in range(n + 1))
+        nodes = [((n - i) * a + i * b) / n for i in range(n + 1)]
         if xi_policy == "midpoint":
-            xi = tuple(0.5 * (nodes[i] + nodes[i + 1]) for i in range(n))
+            xi = _midpoints(nodes)
         elif xi_policy == "right":
             xi = nodes[1:]
         elif xi_policy == "random":
             rng = random.Random(seed)
-            xi = tuple(
-                0.5 * (nodes[i] + nodes[i + 1])
-                + rng.random() * (nodes[i + 1] - 0.5 * (nodes[i] + nodes[i + 1]))
-                for i in range(n)
-            )
+            xi = [(mid := 0.5 * (lo + hi)) + rng.random() * (hi - mid)
+                  for lo, hi in pairwise(nodes)]
         else:
             raise ParameterError(f"unknown xi policy {xi_policy!r}; expected one of {XI_POLICIES}")
         return cls(nodes, xi)
@@ -82,14 +94,21 @@ class Partition:
 class CompositeResult:
     """Composite approximation with its summed remainder bound.
 
-    ``approx`` and ``remainder_bound`` are the fixed-order exact-rounded
-    sums of the per-interval entries, so results are deterministic
-    regardless of how the per-interval work is scheduled.
+    ``values`` and ``bounds`` hold the per-subinterval rule values and
+    remainder bounds, in partition order. ``approx`` and ``remainder_bound``
+    are their exact-rounded sums (``math.fsum``), so results do not depend
+    on how the per-subinterval work is scheduled.
     """
 
     approx: float
     remainder_bound: float
-    per_interval: tuple
+    values: tuple
+    bounds: tuple
+
+    @property
+    def per_interval(self) -> tuple:
+        """(value, bound) pairs, one per subinterval."""
+        return tuple(zip(self.values, self.bounds))
 
 
 def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResult:
@@ -99,23 +118,27 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
       value = h/2 * [f(xi) + f(lo+hi-xi)]
               - h/2 * (xi - (lo+3hi)/4) * [f'(xi) - f'(lo+hi-xi)]
       bound = [(hi-xi)^3 + (xi-mid)^3] * (|f''(lo)| + |f''(hi)|) / 6
+
+    f and f' are evaluated once per distinct point: when every mirror
+    lo+hi-xi equals its xi (the midpoint rule), one evaluation serves both.
+    f'' is evaluated once per node.
     """
-    nodes = part.nodes
+    nodes, xi = part.nodes, part.xi
     require_domain(ft, Interval(nodes[0], nodes[-1]))
-    per = []
-    for i in range(len(nodes) - 1):
-        lo, hi = nodes[i], nodes[i + 1]
-        h = hi - lo
-        xi = part.xi[i]
-        mirror = lo + hi - xi
-        value = 0.5 * h * (ft.f(xi) + ft.f(mirror)) \
-            - 0.5 * h * (xi - (lo + 3.0 * hi) / 4.0) * (ft.f1(xi) - ft.f1(mirror))
-        mid = 0.5 * (lo + hi)
-        bound = ((hi - xi) ** 3 + (xi - mid) ** 3) * (abs(ft.f2(lo)) + abs(ft.f2(hi))) / 6.0
-        per.append((value, bound))
-    approx = math.fsum(v for v, _ in per)
-    remainder = math.fsum(bnd for _, bnd in per)
-    return CompositeResult(approx, remainder, tuple(per))
+    if all(map(operator.eq, _mirrors(nodes, xi), xi)):
+        fx, fm = tee(map(ft.f, xi))
+        dx, dm = tee(map(ft.f1, xi))
+    else:
+        m0, m1 = tee(_mirrors(nodes, xi))
+        fx, fm = map(ft.f, xi), map(ft.f, m0)
+        dx, dm = map(ft.f1, xi), map(ft.f1, m1)
+    rights = nodes[1:]
+    values = [(hh := 0.5 * (hi - lo)) * (u + v) - hh * (x - (lo + 3.0 * hi) / 4.0) * (du - dv)
+              for lo, hi, x, u, v, du, dv in zip(nodes, rights, xi, fx, fm, dx, dm)]
+    bounds = [((hi - x) ** 3 + (x - 0.5 * (lo + hi)) ** 3) * (glo + ghi) / 6.0
+              for lo, hi, x, (glo, ghi)
+              in zip(nodes, rights, xi, pairwise(map(abs, map(ft.f2, nodes))))]
+    return CompositeResult(math.fsum(values), math.fsum(bounds), tuple(values), tuple(bounds))
 
 
 def composite_perturbed_trapezoid(ft: FunctionTriple, nodes) -> CompositeResult:
@@ -125,13 +148,12 @@ def composite_perturbed_trapezoid(ft: FunctionTriple, nodes) -> CompositeResult:
     h^2/8 times the first-derivative jump, with remainder bound
     h^3/48 * (|f''(lo)| + |f''(hi)|).
     """
-    nodes = tuple(float(v) for v in nodes)
+    nodes = tuple(map(float, nodes))
     return composite_generalized(ft, Partition(nodes, nodes[1:]))
 
 
 def composite_midpoint(ft: FunctionTriple, nodes) -> CompositeResult:
     """Composite midpoint rule: h * f(mid) per subinterval, remainder bound
     h^3/48 * (|f''(lo)| + |f''(hi)|)."""
-    nodes = tuple(float(v) for v in nodes)
-    xi = tuple(0.5 * (nodes[i] + nodes[i + 1]) for i in range(len(nodes) - 1))
-    return composite_generalized(ft, Partition(nodes, xi))
+    nodes = tuple(map(float, nodes))
+    return composite_generalized(ft, Partition(nodes, _midpoints(nodes)))

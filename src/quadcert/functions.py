@@ -61,12 +61,6 @@ class FunctionTriple:
     abs_f2_convex_hint: bool
 
 
-def _spec_string(kind, params):
-    if not params:
-        return kind
-    return kind + ":" + ",".join(format(v, "g") for v in params)
-
-
 def register_builtin(func_id: str, params=()) -> FunctionTriple:
     """Construct a registry FunctionTriple.
 
@@ -108,7 +102,7 @@ def register_builtin(func_id: str, params=()) -> FunctionTriple:
         hint = len(params) - 1 <= 3
 
     return FunctionTriple(
-        id=_spec_string(kind, params),
+        id=_backend.spec_string(kind, params),
         f=_backend.make_func(kind, params, 0, lo, hi),
         f1=_backend.make_func(kind, params, 1, lo, hi),
         f2=_backend.make_func(kind, params, 2, lo, hi),

@@ -76,8 +76,12 @@ def mean_value(kind: str, a: float, b: float, p: float | None = None) -> float:
         raise ParameterError("p_logarithmic mean is undefined at p = -1 and p = 0")
     if a == b:
         return a
-    base = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
-    return base ** (1.0 / p)
+    try:
+        base = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
+        return base ** (1.0 / p)
+    except OverflowError:
+        raise ParameterError(
+            f"p_logarithmic mean overflows the float range at a={a!r}, b={b!r}, p={p!r}") from None
 
 
 def means_chain_check(a: float, b: float) -> bool:
@@ -141,13 +145,22 @@ def check_proposition(prop_id: int, a: float, b: float,
     ``corrected=True`` evaluates the perturbed-trapezoid variant of
     propositions 1, 3 and 5 (the statement with the derivative-correction
     term restored); for 2, 4 and 6 it coincides with the printed statement.
+    A side that overflows the float range raises ParameterError.
     """
     if prop_id not in (1, 2, 3, 4, 5, 6):
         raise ParameterError(f"prop_id must be 1..6, got {prop_id!r}")
     if not 0.0 < a < b:
         raise ParameterError(
             f"need 0 < a < b (negative powers of a appear), got a={a!r}, b={b!r}")
+    try:
+        return _evaluate(prop_id, a, b, p, q, p_holder, corrected)
+    except OverflowError:
+        raise ParameterError(
+            f"proposition {prop_id} overflows the float range at a={a!r}, b={b!r}, "
+            f"p={p!r}, q={q!r}") from None
 
+
+def _evaluate(prop_id, a, b, p, q, p_holder, corrected):
     if prop_id == 1:
         pv = _require_p(p)
         lpp = (b ** (pv + 1.0) - a ** (pv + 1.0)) / ((pv + 1.0) * (b - a))

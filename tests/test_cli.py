@@ -141,6 +141,12 @@ def test_sweep_skips_invalid_grid_cells(capsys):
     assert payload["summary"]["violations"] == 0
     assert payload["summary"]["skipped_invalid"] > 0
     assert {r["prop_id"] for r in payload["rows"]} == {2, 4, 6}
+    # a cell whose sides overflow the float range is invalid too
+    code, out, _ = run_cli(capsys, "sweep", "--props", "1", "--a", "1", "--b", "2,1000",
+                           "--p", "400", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"] == {"total": 1, "holds": 1, "violations": 0,
+                                          "skipped_invalid": 1}
     # a grid with no valid cell at all is a usage error
     code, _, err = run_cli(capsys, "sweep", "--props", "3", "--a", "1", "--b", "2")
     assert code == EXIT_USAGE

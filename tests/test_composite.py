@@ -2,7 +2,9 @@
 the single-interval rule, validity sweeps, convergence order, and
 determinism."""
 
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -15,7 +17,7 @@ from quadcert.composite import (
     composite_perturbed_trapezoid,
 )
 from quadcert.errors import DomainError, ParameterError
-from quadcert.functions import register_builtin
+from quadcert.functions import FunctionTriple, register_builtin
 from quadcert.oracle import integrate
 from quadcert.rules import generalized_rule
 
@@ -23,16 +25,32 @@ POWER2 = register_builtin("power", [2.0])
 
 
 def test_partition_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="at least two nodes"):
         Partition((0.0,), ())
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="must be finite"):
+        Partition((0.0, math.inf), (0.5,))
+    with pytest.raises(ParameterError, match="must be finite"):
+        Partition((0.0, 1.0, 2.0), (0.75, math.nan))
+    with pytest.raises(ParameterError, match=r"strictly increasing, got 0\.0 >= 0\.0$"):
         Partition((0.0, 0.0, 1.0), (0.0, 0.75))
-    with pytest.raises(ParameterError):
-        Partition((0.0, 1.0), (0.25,))  # left of the subinterval midpoint
-    with pytest.raises(ParameterError):
-        Partition((0.0, 1.0), (1.25,))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"strictly increasing, got 2\.0 >= 1\.5$"):
+        Partition((0.0, 1.0, 2.0, 1.5, 1.0), (0.75, 1.75, 2.0, 1.5))
+    with pytest.raises(ParameterError, match=r"^expected 1 intermediate points, got 2$"):
         Partition((0.0, 1.0), (0.75, 0.9))
+    # left of the subinterval midpoint
+    with pytest.raises(ParameterError,
+                       match=r"^xi\[0\]=0\.25 outside the admissible right half \[0\.5, 1\.0\]$"):
+        Partition((0.0, 1.0), (0.25,))
+    with pytest.raises(ParameterError,
+                       match=r"^xi\[0\]=1\.25 outside the admissible right half \[0\.5, 1\.0\]$"):
+        Partition((0.0, 1.0), (1.25,))
+    # the first offender is named, whichever side of its half it falls
+    with pytest.raises(ParameterError,
+                       match=r"^xi\[2\]=2\.25 outside the admissible right half \[2\.5, 3\.0\]$"):
+        Partition((0.0, 1.0, 2.0, 3.0), (0.75, 1.75, 2.25))
+    with pytest.raises(ParameterError,
+                       match=r"^xi\[1\]=2\.5 outside the admissible right half \[1\.5, 2\.0\]$"):
+        Partition((0.0, 1.0, 2.0, 3.0), (0.75, 2.5, 2.25))
     part = Partition((0.0, 0.5, 1.0), (0.25, 0.75))
     assert part.widths == (0.5, 0.5)
 
@@ -126,9 +144,110 @@ def test_validity_sweep(corpus, rng):
 
 def test_per_interval_consistency():
     res = composite_midpoint(register_builtin("exp"), Partition.uniform(0.0, 1.0, 8).nodes)
-    assert res.approx == math.fsum(v for v, _ in res.per_interval)
-    assert res.remainder_bound == math.fsum(b for _, b in res.per_interval)
-    assert all(b >= 0.0 for _, b in res.per_interval)
+    assert len(res.values) == len(res.bounds) == 8
+    assert res.approx == math.fsum(res.values)
+    assert res.remainder_bound == math.fsum(res.bounds)
+    assert all(b >= 0.0 for b in res.bounds)
+    assert res.per_interval == tuple(zip(res.values, res.bounds))
+
+
+# f(x) = sin x as plain callables, outside the registry.
+SINE = FunctionTriple("sin", math.sin, math.cos, lambda x: -math.sin(x),
+                      -math.inf, math.inf, False)
+
+
+def _reference_uniform(a, b, n, xi_policy, seed):
+    """Partition.uniform's nodes and intermediate points by index arithmetic."""
+    nodes = tuple(((n - i) * a + i * b) / n for i in range(n + 1))
+    if xi_policy == "midpoint":
+        xi = tuple(0.5 * (nodes[i] + nodes[i + 1]) for i in range(n))
+    elif xi_policy == "right":
+        xi = nodes[1:]
+    else:
+        rng = random.Random(seed)
+        xi = tuple(0.5 * (nodes[i] + nodes[i + 1])
+                   + rng.random() * (nodes[i + 1] - 0.5 * (nodes[i] + nodes[i + 1]))
+                   for i in range(n))
+    return nodes, xi
+
+
+def _reference_kernel(ft, part):
+    """The rule as a per-subinterval loop with six scalar calls each:
+    (approx, remainder_bound, values, bounds)."""
+    nodes = part.nodes
+    values, bounds = [], []
+    for i in range(len(nodes) - 1):
+        lo, hi = nodes[i], nodes[i + 1]
+        h = hi - lo
+        xi = part.xi[i]
+        mirror = lo + hi - xi
+        values.append(0.5 * h * (ft.f(xi) + ft.f(mirror))
+                      - 0.5 * h * (xi - (lo + 3.0 * hi) / 4.0) * (ft.f1(xi) - ft.f1(mirror)))
+        mid = 0.5 * (lo + hi)
+        bounds.append(((hi - xi) ** 3 + (xi - mid) ** 3)
+                      * (abs(ft.f2(lo)) + abs(ft.f2(hi))) / 6.0)
+    return math.fsum(values), math.fsum(bounds), tuple(values), tuple(bounds)
+
+
+def _bits(values):
+    return tuple(map(float.hex, values))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+@pytest.mark.parametrize("xi_policy", ["midpoint", "right", "random"])
+def test_kernel_matches_per_subinterval_reference(corpus, rng, xi_policy, n):
+    """Column-wise partitions and sums are bit-identical to the loop."""
+    for ft, lo, hi in corpus + [(SINE, -3.0, 3.0)]:
+        iv = random_interval(rng, lo + 0.05, hi - 0.05)
+        seed = int(rng.integers(1 << 30))
+        part = Partition.uniform(iv.a, iv.b, n, xi_policy=xi_policy, seed=seed)
+        nodes, xi = _reference_uniform(iv.a, iv.b, n, xi_policy, seed)
+        assert _bits(part.nodes) == _bits(nodes)
+        assert _bits(part.xi) == _bits(xi)
+        results = [composite_generalized(ft, part)]
+        if xi_policy == "midpoint":
+            results.append(composite_midpoint(ft, part.nodes))
+        elif xi_policy == "right":
+            results.append(composite_perturbed_trapezoid(ft, part.nodes))
+        approx, bound, values, bounds = _reference_kernel(ft, part)
+        for res in results:
+            assert _bits((res.approx, res.remainder_bound)) == _bits((approx, bound))
+            assert _bits(res.values) == _bits(values)
+            assert _bits(res.bounds) == _bits(bounds)
+
+
+def _counted(ft):
+    """ft with each of f, f', f'' counting its calls into the returned dict."""
+    calls = dict.fromkeys(("f", "f1", "f2"), 0)
+
+    def counting(name):
+        g = getattr(ft, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return g(x)
+
+        return wrapper
+
+    return dataclasses.replace(ft, f=counting("f"), f1=counting("f1"), f2=counting("f2")), calls
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_each_point_evaluated_once(n):
+    """f'' runs once per node; f and f' once per distinct point: n times on
+    midpoint rows, where each mirror is its own xi, and 2n otherwise."""
+    ft, calls = _counted(register_builtin("exp"))
+    rows = [
+        (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n)), n),
+        (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes), 2 * n),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "right")), 2 * n),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)), 2 * n),
+    ]
+    for row, point_calls in rows:
+        calls.update(f=0, f1=0, f2=0)
+        row()
+        assert calls == {"f": point_calls, "f1": point_calls, "f2": n + 1}
 
 
 def test_convergence_order():

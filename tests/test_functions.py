@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from quadcert.bounds import HolderPair, bound_holder, bound_power_mean
+from quadcert.composite import Partition, composite_midpoint
 from quadcert.errors import DomainError, ParameterError
 from quadcert.functions import (
     Interval,
@@ -12,6 +14,7 @@ from quadcert.functions import (
     parse_function_spec,
     register_builtin,
 )
+from quadcert.means import check_proposition, mean_value
 
 
 @pytest.mark.parametrize(
@@ -49,6 +52,34 @@ def test_domain_rejection(spec, bad_x):
     for g in (ft.f, ft.f1, ft.f2):
         with pytest.raises(DomainError):
             g(bad_x)
+
+
+EXP = register_builtin("exp")
+POWER400 = register_builtin("power", [400.0])
+UNIT = Interval(0.0, 1.0)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: POWER400.f(10.0), DomainError,
+                 r"^f of power:400 overflows the float range at x=10\.0$", id="power-evaluator"),
+    pytest.param(lambda: EXP.f(800.0), DomainError,
+                 r"^f of exp overflows the float range at x=800\.0$", id="exp-evaluator"),
+    pytest.param(lambda: composite_midpoint(POWER400, Partition.uniform(1.0, 10.0, 8).nodes),
+                 DomainError, r"of power:400 overflows", id="composite-midpoint"),
+    pytest.param(lambda: mean_value("p_logarithmic", 1, 1e10, p=400), ParameterError,
+                 r"^p_logarithmic mean overflows", id="p-logarithmic-mean"),
+    pytest.param(lambda: check_proposition(1, 1, 1000, p=400), ParameterError,
+                 r"^proposition 1 overflows", id="proposition"),
+    pytest.param(lambda: bound_power_mean(EXP, UNIT, 1.0, 1e6), ParameterError,
+                 r"^power_mean bound overflows", id="power-mean-bound"),
+    pytest.param(lambda: bound_holder(EXP, UNIT, 1.0, HolderPair.conjugate(1.000001)),
+                 ParameterError, r"^holder bound overflows", id="holder-bound"),
+])
+def test_overflow_is_a_quadcert_error(call, error, match):
+    """Results beyond the float range raise the package's own errors, with a
+    message naming where, instead of a bare OverflowError."""
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_no_domain_restriction_for_integer_powers_and_poly():
