@@ -3,6 +3,8 @@ Gauss-Kronrod integrator, in pure Python.
 """
 
 import math
+import operator
+from itertools import repeat
 
 from .errors import DomainError, IntegrationError
 
@@ -65,7 +67,50 @@ def _powerlike(coef, expo, lo, hi, overflow):
         except OverflowError:
             raise overflow(x) from None
 
+    fn.batch = (_pow_column, (coef, expo), lo, hi)
     return fn
+
+
+def _pow_column(xs, coef, expo):
+    """coef * x**expo over a column: the formula of `_powerlike`."""
+    if coef == 0.0:
+        return [0.0] * len(xs)
+    col = list(map(math.pow, xs, repeat(expo)))
+    if coef == 1.0:
+        return col
+    return list(map(operator.mul, repeat(coef), col))
+
+
+def _neglog_column(xs):
+    return list(map(operator.neg, map(math.log, xs)))
+
+
+def _exp_column(xs):
+    return list(map(math.exp, xs))
+
+
+def column(fn, xs):
+    """Evaluate ``fn`` at every point of the sequence ``xs``: exactly
+    ``list(map(fn, xs))``, value for value and error for error.
+
+    Registry evaluators of power, reciprocal, neglog and exp carry a
+    ``batch`` attribute ``(fast, args, lo, hi)``; their column runs through
+    C-level math maps when every point lies inside the open domain (lo, hi)
+    and none is NaN. Otherwise, when the fast column overflows, and for any
+    callable without ``batch``, the scalar evaluator runs point by point and
+    raises its own DomainError.
+    """
+    batch = getattr(fn, "batch", None)
+    if batch is not None and xs:
+        fast, args, lo, hi = batch
+        total = sum(xs)
+        # min and max can skip a NaN that is not first; the sum cannot.
+        if lo < min(xs) and max(xs) < hi and total == total:
+            try:
+                return fast(xs, *args)
+            except OverflowError:
+                pass
+    return list(map(fn, xs))
 
 
 def make_func(kind, params, deriv, lo, hi):
@@ -74,7 +119,10 @@ def make_func(kind, params, deriv, lo, hi):
     ``kind`` is one of "power", "reciprocal", "neglog", "exp", "poly";
     ``deriv`` is 0, 1 or 2; ``(lo, hi)`` is the open domain. The returned
     callable raises DomainError outside the domain, and where the value
-    overflows the float range, rather than raising OverflowError.
+    overflows the float range, rather than raising OverflowError. For every
+    kind but poly it also carries the ``batch`` tuple that `column` runs;
+    the tuple holds no reference to the callable, so building one leaves no
+    reference cycle behind.
     """
     if deriv not in (0, 1, 2):
         raise ValueError("deriv must be 0, 1 or 2")
@@ -98,6 +146,7 @@ def make_func(kind, params, deriv, lo, hi):
                     raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
                 return -math.log(x)
 
+            fn.batch = (_neglog_column, (), lo, hi)
             return fn
         coef, expo = ((-1.0, -1.0), (1.0, -2.0))[deriv - 1]
         return _powerlike(coef, expo, lo, hi, overflow)
@@ -111,6 +160,7 @@ def make_func(kind, params, deriv, lo, hi):
             except OverflowError:
                 raise overflow(x) from None
 
+        fn.batch = (_exp_column, (), lo, hi)
         return fn
     if kind == "poly":
         coeffs = [float(c) for c in params]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from . import oracle
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, grid_midpoint_convex, require_domain
-from .kernel import moment_factor
+from .kernel import moment_factor, overflow_error
 from .rules import RuleValue, generalized_rule, perturbed_trapezoid_rule
 
 CD_CASES = ("inf", "lp", "l1")
@@ -59,12 +59,6 @@ class Certificate:
     hypothesis_flags: tuple = ()
 
 
-def _overflow(family, iv, **exponents):
-    named = ", ".join(f"{k}={v!r}" for k, v in exponents.items())
-    return ParameterError(
-        f"{family} bound overflows the float range on [{iv.a!r}, {iv.b!r}] at {named}")
-
-
 def _hypothesis_flags(ft, iv, x, q=None):
     """Sampled convexity of |f''| (or |f''|**q), plus the equal-endpoint-
     derivative hypothesis for certificates taken at x = b, where dropping
@@ -90,7 +84,10 @@ def bound_convex(ft: FunctionTriple, iv: Interval, x: float) -> Certificate:
     """
     rule = generalized_rule(ft, iv, x)
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
-    avg = moment_factor(iv, x, 3) * (fa + fb) / (6.0 * iv.length)
+    try:
+        avg = moment_factor(iv, x, 3) * (fa + fb) / (6.0 * iv.length)
+    except OverflowError:
+        raise overflow_error("convex bound", iv, x=x) from None
     return Certificate(rule, avg, avg * iv.length, "convex",
                        {}, _hypothesis_flags(ft, iv, x))
 
@@ -113,7 +110,7 @@ def bound_holder(ft: FunctionTriple, iv: Interval, x: float, hp: HolderPair) -> 
                * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
         flags = _hypothesis_flags(ft, iv, x, q=q)
     except OverflowError:
-        raise _overflow("holder", iv, p=p, q=q) from None
+        raise overflow_error("holder bound", iv, p=p, q=q) from None
     return Certificate(rule, avg, avg * iv.length, "holder", {"p": p, "q": q}, flags)
 
 
@@ -133,7 +130,7 @@ def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Ce
                * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
         flags = _hypothesis_flags(ft, iv, x, q=q)
     except OverflowError:
-        raise _overflow("power_mean", iv, q=q) from None
+        raise overflow_error("power_mean bound", iv, q=q) from None
     return Certificate(rule, avg, avg * iv.length, "power_mean", {"q": q}, flags)
 
 

@@ -60,8 +60,18 @@ def kernel_eval(ks: KernelSpec, t: float) -> float:
 
 def moment_factor(iv: Interval, x: float, e: float) -> float:
     """(b-x)^e + (x - (a+b)/2)^e: the moment factor behind every bound
-    constant of the two-point rule at x in [midpoint, b]."""
+    constant of the two-point rule at x in [midpoint, b]. Raises
+    OverflowError beyond the float range; callers map it with
+    `overflow_error`."""
     return (iv.b - x) ** e + (x - iv.midpoint) ** e
+
+
+def overflow_error(subject, iv, **named):
+    """ParameterError for a bound quantity that overflows the float range
+    on ``iv``, naming the arguments it was taken at."""
+    at = ", ".join(f"{k}={v!r}" for k, v in named.items())
+    return ParameterError(
+        f"{subject} overflows the float range on [{iv.a!r}, {iv.b!r}] at {at}")
 
 
 def kernel_abs_moment(ks: KernelSpec) -> float:
@@ -71,7 +81,10 @@ def kernel_abs_moment(ks: KernelSpec) -> float:
     square on each piece, so |weight| = weight.
     """
     iv = ks.iv
-    return 2.0 / (3.0 * iv.length ** 3) * moment_factor(iv, ks.x, 3)
+    try:
+        return 2.0 / (3.0 * iv.length ** 3) * moment_factor(iv, ks.x, 3)
+    except OverflowError:
+        raise overflow_error("kernel moment", iv, x=ks.x) from None
 
 
 def kernel_lp_moment(ks: KernelSpec, p: float) -> float:
@@ -83,7 +96,10 @@ def kernel_lp_moment(ks: KernelSpec, p: float) -> float:
         raise ParameterError(f"p={p!r} must be >= 1")
     iv = ks.iv
     e = 2.0 * p + 1.0
-    return 2.0 / (e * iv.length ** e) * moment_factor(iv, ks.x, e)
+    try:
+        return 2.0 / (e * iv.length ** e) * moment_factor(iv, ks.x, e)
+    except OverflowError:
+        raise overflow_error("kernel moment", iv, x=ks.x, p=p) from None
 
 
 def identity_residual(ft: FunctionTriple, ks: KernelSpec, tol: float = oracle.DEFAULT_TOL) -> float:

@@ -185,11 +185,18 @@ def test_usage_errors(capsys):
     ("props", "--prop", "1", "--a", "1", "--b", "1000", "--p", "400"),
     ("certify", "--function", "power:400", "--a", "1", "--b", "10", "--x", "8",
      "--family", "convex"),
+    ("certify", "--function", "poly:1", "--a", "0", "--b", "1e200", "--x", "1e200",
+     "--family", "convex"),
+    ("composite", "--function", "poly:1", "--a", "0", "--b", "1e200", "--n", "1"),
+    # the oracle tolerance is loose enough to reach the rule, whose last bound is inf
+    ("composite", "--function", "power:400", "--a", "1", "--b", "5.8", "--n", "4",
+     "--tol", "1e295"),
 ])
 def test_overflow_is_a_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "out of range" not in err and "math range error" not in err
 
 
 def test_cli_import_leaves_numpy_out():

@@ -9,8 +9,10 @@ import random
 import pytest
 
 from conftest import random_interval
+from quadcert import composite
 from quadcert.bounds import bound_convex
 from quadcert.composite import (
+    _BLOCK,
     Partition,
     composite_generalized,
     composite_midpoint,
@@ -193,10 +195,12 @@ def _bits(values):
     return tuple(map(float.hex, values))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000,
+                               _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 @pytest.mark.parametrize("xi_policy", ["midpoint", "right", "random"])
 def test_kernel_matches_per_subinterval_reference(corpus, rng, xi_policy, n):
-    """Column-wise partitions and sums are bit-identical to the loop."""
+    """Column-wise partitions and sums are bit-identical to the loop, also
+    across block boundaries."""
     for ft, lo, hi in corpus + [(SINE, -3.0, 3.0)]:
         iv = random_interval(rng, lo + 0.05, hi - 0.05)
         seed = int(rng.integers(1 << 30))
@@ -248,6 +252,50 @@ def test_each_point_evaluated_once(n):
         calls.update(f=0, f1=0, f2=0)
         row()
         assert calls == {"f": point_calls, "f1": point_calls, "f2": n + 1}
+
+
+@pytest.mark.parametrize("n", [1, 7, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_columns_cover_each_point_once(monkeypatch, n):
+    """The registry evaluators run as columns: f'' over the n+1 nodes, f and
+    f' over n points on midpoint rows and 2n otherwise."""
+    ft = register_builtin("exp")
+    names = {id(ft.f): "f", id(ft.f1): "f1", id(ft.f2): "f2"}
+    points = dict.fromkeys(names.values(), 0)
+    column = composite.column
+
+    def counting_column(fn, xs):
+        points[names[id(fn)]] += len(xs)
+        return column(fn, xs)
+
+    monkeypatch.setattr(composite, "column", counting_column)
+    rows = [
+        (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n),
+        (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes), 2 * n),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)), 2 * n),
+    ]
+    for row, point_calls in rows:
+        points.update(f=0, f1=0, f2=0)
+        row()
+        assert points == {"f": point_calls, "f1": point_calls, "f2": n + 1}
+
+
+@pytest.mark.parametrize("call,match", [
+    # f'' of power:400 is inf at 5.8 once the coefficient multiplies in
+    (lambda: composite_midpoint(register_builtin("power", [400.0]),
+                                Partition.uniform(1.0, 5.8, 4).nodes),
+     r"^composite rule of power:400 is not finite on subinterval 3, \[4\.6, 5\.8\]: "
+     r"value .*, bound inf$"),
+    # values of both signs overflow, so fsum meets -inf + inf
+    (lambda: composite_midpoint(register_builtin("poly", [1e300, 0.0]), (-2e10, 0.0, 2e10)),
+     r"^composite rule of poly:1e\+300,0 is not finite on subinterval 0, "),
+    # every value is finite but their sum is not
+    (lambda: composite_midpoint(register_builtin("poly", [8e307]), (0.0, 1.0, 2.0, 3.0)),
+     r"^composite sum of poly:8e\+307 overflows the float range on \[0\.0, 3\.0\]$"),
+])
+def test_non_finite_composite_is_a_domain_error(call, match):
+    """A composite result never carries a non-finite approx or bound."""
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 def test_convergence_order():

@@ -1,11 +1,14 @@
 """Registry functions: exact derivative values, domain enforcement, and the
 sampled |f''| convexity check."""
 
+import gc
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadcert.bounds import HolderPair, bound_holder, bound_power_mean
+from quadcert import _backend
+from quadcert.bounds import HolderPair, bound_convex, bound_holder, bound_power_mean
 from quadcert.composite import Partition, composite_midpoint
 from quadcert.errors import DomainError, ParameterError
 from quadcert.functions import (
@@ -14,6 +17,7 @@ from quadcert.functions import (
     parse_function_spec,
     register_builtin,
 )
+from quadcert.kernel import KernelSpec, kernel_abs_moment, kernel_lp_moment
 from quadcert.means import check_proposition, mean_value
 
 
@@ -57,6 +61,8 @@ def test_domain_rejection(spec, bad_x):
 EXP = register_builtin("exp")
 POWER400 = register_builtin("power", [400.0])
 UNIT = Interval(0.0, 1.0)
+CONST = register_builtin("poly", [1.0])
+WIDE = Interval(0.0, 1e200)
 
 
 @pytest.mark.parametrize("call,error,match", [
@@ -74,12 +80,74 @@ UNIT = Interval(0.0, 1.0)
                  r"^power_mean bound overflows", id="power-mean-bound"),
     pytest.param(lambda: bound_holder(EXP, UNIT, 1.0, HolderPair.conjugate(1.000001)),
                  ParameterError, r"^holder bound overflows", id="holder-bound"),
+    pytest.param(lambda: bound_convex(CONST, WIDE, 1e200), ParameterError,
+                 r"^convex bound overflows the float range on \[0\.0, 1e\+200\] at x=1e\+200$",
+                 id="convex-bound"),
+    pytest.param(lambda: composite_midpoint(CONST, (0.0, 1e200)), ParameterError,
+                 r"^composite bound overflows the float range on \[0\.0, 1e\+200\] at n=1$",
+                 id="composite-bound"),
+    pytest.param(lambda: kernel_abs_moment(KernelSpec(WIDE, 1e200)), ParameterError,
+                 r"^kernel moment overflows", id="kernel-abs-moment"),
+    pytest.param(lambda: kernel_lp_moment(KernelSpec(WIDE, 1e200), 2.0), ParameterError,
+                 r"^kernel moment overflows .* at x=1e\+200, p=2\.0$", id="kernel-lp-moment"),
 ])
 def test_overflow_is_a_quadcert_error(call, error, match):
     """Results beyond the float range raise the package's own errors, with a
     message naming where, instead of a bare OverflowError."""
     with pytest.raises(error, match=match):
         call()
+
+
+# Every registry kind, with exponents whose f'' coefficient is 0 (power:1,
+# power:0), overflows (power:400 at 10, exp at 710) and a bounded domain.
+COLUMN_SPECS = ("power:2", "power:2.5", "power:-2", "power:1", "power:0", "power:3",
+                "power:400", "reciprocal", "neglog", "exp", "poly:1,0,-3")
+SPECIAL_X = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 10.0, 710.0, 5e-324)
+
+
+def _outcome(call):
+    """The values by float.hex, or the type and message of the error."""
+    try:
+        return tuple(map(float.hex, call()))
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _assert_column_is_scalar_map(fn, xs):
+    assert _outcome(lambda: _backend.column(fn, xs)) == _outcome(lambda: list(map(fn, xs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from(COLUMN_SPECS), deriv=st.sampled_from(("f", "f1", "f2")),
+       xs=st.lists(st.one_of(st.sampled_from(SPECIAL_X),
+                             st.floats(allow_nan=True, allow_infinity=True),
+                             st.floats(0.01, 20.0)), max_size=12))
+def test_column_is_the_scalar_map(spec, deriv, xs):
+    """`_backend.column` gives list(map(fn, xs)) bit for bit, or the same
+    error with the same message."""
+    _assert_column_is_scalar_map(getattr(parse_function_spec(spec), deriv), xs)
+
+
+@pytest.mark.parametrize("spec", COLUMN_SPECS)
+def test_column_special_points_at_every_position(spec):
+    ft = parse_function_spec(spec)
+    base = [0.5, 1.5, 2.5, 3.5]
+    for fn in (ft.f, ft.f1, ft.f2):
+        _assert_column_is_scalar_map(fn, [])
+        _assert_column_is_scalar_map(fn, base)
+        for special in SPECIAL_X:
+            for i in range(len(base) + 1):
+                _assert_column_is_scalar_map(fn, base[:i] + [special] + base[i:])
+    assert parse_function_spec("power:1").f2.batch[1][0] == 0.0
+    assert not hasattr(parse_function_spec("poly:1,0,-3").f, "batch")
+
+
+def test_parse_leaves_no_reference_cycles():
+    """Evaluators and their column form are freed by reference counting:
+    parsing leaves nothing for the cyclic collector."""
+    gc.collect()
+    parse_function_spec("power:2.5")
+    assert gc.collect() == 0
 
 
 def test_no_domain_restriction_for_integer_powers_and_poly():
