@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from . import oracle
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, grid_midpoint_convex, require_domain
-from .kernel import moment_factor, overflow_error
+from .kernel import convex_bounds, overflow_error
 from .rules import RuleValue, generalized_rule, perturbed_trapezoid_rule
 
 CD_CASES = ("inf", "lp", "l1")
@@ -46,9 +46,10 @@ class Certificate:
     """A rule value with an a-priori bound on its deviation from the integral.
 
     ``bound_avg`` bounds |average integral - rule.value_avg| and
-    ``bound_total`` the same in total form. ``hypothesis_flags`` records
-    sampled checks of the assumptions behind the bound; a False flag means
-    the certificate is advisory, not that the arithmetic is wrong.
+    ``bound_total`` the same in total form; a convex certificate is the n = 1
+    composite. ``hypothesis_flags`` records sampled checks of the assumptions
+    behind the bound; a False flag means the certificate is advisory, not
+    that the arithmetic is wrong.
     """
 
     rule: RuleValue
@@ -83,12 +84,12 @@ def bound_convex(ft: FunctionTriple, iv: Interval, x: float) -> Certificate:
     recorded in hypothesis_flags, not enforced.
     """
     rule = generalized_rule(ft, iv, x)
-    fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
+    g = (abs(ft.f2(iv.a)), abs(ft.f2(iv.b)))
     try:
-        avg = moment_factor(iv, x, 3) * (fa + fb) / (6.0 * iv.length)
+        (total,) = convex_bounds((iv.a,), (iv.b,), (x,), g)
     except OverflowError:
         raise overflow_error("convex bound", iv, x=x) from None
-    return Certificate(rule, avg, avg * iv.length, "convex",
+    return Certificate(rule, total / iv.length, total, "convex",
                        {}, _hypothesis_flags(ft, iv, x))
 
 
@@ -104,7 +105,7 @@ def bound_holder(ft: FunctionTriple, iv: Interval, x: float, hp: HolderPair) -> 
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
     e = 2.0 * p + 1.0
     try:
-        moment = moment_factor(iv, x, e)
+        moment = (iv.b - x) ** e + (x - iv.midpoint) ** e
         avg = (2.0 ** (1.0 / p - 1.0) / (e ** (1.0 / p) * iv.length ** (1.0 / p))
                * moment ** (1.0 / p)
                * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
@@ -119,19 +120,19 @@ def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Ce
 
     bound_avg = [(b-x)^3 + (x-mid)^3] / (3(b-a))
                 * ((|f''(a)|^q + |f''(b)|^q)/2)^(1/q).
-    At q = 1 this reduces algebraically to `bound_convex`.
+    At q = 1 this equals `bound_convex` bit for bit: M_1 + M_1 = |f''(a)| + |f''(b)|.
     """
     if q < 1.0:
         raise ParameterError(f"q={q!r} must be >= 1")
     rule = generalized_rule(ft, iv, x)
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
     try:
-        avg = (moment_factor(iv, x, 3) / (3.0 * iv.length)
-               * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
+        mq = ((fa ** q + fb ** q) / 2.0) ** (1.0 / q)
+        (total,) = convex_bounds((iv.a,), (iv.b,), (x,), (mq, mq))
         flags = _hypothesis_flags(ft, iv, x, q=q)
     except OverflowError:
         raise overflow_error("power_mean bound", iv, q=q) from None
-    return Certificate(rule, avg, avg * iv.length, "power_mean", {"q": q}, flags)
+    return Certificate(rule, total / iv.length, total, "power_mean", {"q": q}, flags)
 
 
 def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,

@@ -17,7 +17,8 @@ from itertools import pairwise, repeat
 from ._backend import column
 from .errors import DomainError, ParameterError
 from .functions import FunctionTriple, Interval, require_domain
-from .kernel import overflow_error
+from .kernel import convex_bounds, overflow_error
+from .rules import two_point_totals
 
 XI_POLICIES = ("midpoint", "right", "random")
 
@@ -68,10 +69,6 @@ class Partition:
                 if not mid <= v <= hi:
                     raise ParameterError(
                         f"xi[{i}]={v!r} outside the admissible right half [{mid!r}, {hi!r}]")
-
-    @property
-    def widths(self) -> tuple:
-        return tuple(hi - lo for lo, hi in zip(self.nodes, self.nodes[1:]))
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int, xi_policy: str = "midpoint",
@@ -155,11 +152,9 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
             g = [g_last]
             g += map(abs, column(ft.f2, highs))
         g_last = g[-1]
-        values += [(hh := 0.5 * (hi - lo)) * (u + v) - hh * (x - (lo + 3.0 * hi) / 4.0) * (du - dv)
-                   for lo, hi, x, u, v, du, dv in zip(lows, highs, xs, fx, fm, dx, dm)]
+        values += two_point_totals(lows, highs, xs, fx, fm, dx, dm)
         try:
-            bounds += [((hi - x) ** 3 + (x - 0.5 * (lo + hi)) ** 3) * (glo + ghi) / 6.0
-                       for lo, hi, x, glo, ghi in zip(lows, highs, xs, g, g[1:])]
+            bounds += convex_bounds(lows, highs, xs, g)
         except OverflowError:
             raise overflow_error("composite bound", span, n=len(xi)) from None
     try:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from . import oracle
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, require_domain
-from .rules import generalized_rule
+from .rules import _check_x_range, generalized_rule
+
+_CENTRES = (0.0, 0.5, 1.0)  # c of each piece (t - c)^2 of the weight
 
 
 @dataclass(frozen=True)
@@ -28,10 +30,7 @@ class KernelSpec:
     x: float
 
     def __post_init__(self):
-        if not (self.iv.midpoint <= self.x <= self.iv.b):
-            raise ParameterError(
-                f"x={self.x!r} outside [midpoint, b] = [{self.iv.midpoint!r}, {self.iv.b!r}]"
-            )
+        _check_x_range(self.iv, self.x)
 
     @property
     def t1(self) -> float:
@@ -51,19 +50,15 @@ def kernel_eval(ks: KernelSpec, t: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t={t!r} outside [0, 1]")
-    if t < ks.t1:
-        return t * t
-    if t < ks.t2:
-        return (t - 0.5) ** 2
-    return (t - 1.0) ** 2
+    piece = 0 if t < ks.t1 else 1 if t < ks.t2 else 2
+    return (t - _CENTRES[piece]) ** 2
 
 
-def moment_factor(iv: Interval, x: float, e: float) -> float:
-    """(b-x)^e + (x - (a+b)/2)^e: the moment factor behind every bound
-    constant of the two-point rule at x in [midpoint, b]. Raises
-    OverflowError beyond the float range; callers map it with
-    `overflow_error`."""
-    return (iv.b - x) ** e + (x - iv.midpoint) ** e
+def convex_bounds(lows, highs, xs, g):
+    """Convex-|f''| bounds in total form from |f''| at the nodes (g[i] at lows[i]);
+    run per block by the composite rules, on one-element columns by the certificates."""
+    return [((hi - x) ** 3 + (x - 0.5 * (lo + hi)) ** 3) * (glo + ghi) / 6.0
+            for lo, hi, x, glo, ghi in zip(lows, highs, xs, g, g[1:])]
 
 
 def overflow_error(subject, iv, **named):
@@ -80,26 +75,20 @@ def kernel_abs_moment(ks: KernelSpec) -> float:
     Equals 2/(3(b-a)^3) * [(b-x)^3 + (x - (a+b)/2)^3]; the weight is a
     square on each piece, so |weight| = weight.
     """
-    iv = ks.iv
-    try:
-        return 2.0 / (3.0 * iv.length ** 3) * moment_factor(iv, ks.x, 3)
-    except OverflowError:
-        raise overflow_error("kernel moment", iv, x=ks.x) from None
+    return kernel_lp_moment(ks, 1.0)
 
 
 def kernel_lp_moment(ks: KernelSpec, p: float) -> float:
     """Integral of |weight|**p over [0, 1] in closed form, for p >= 1.
 
-    Equals 2/((2p+1)(b-a)^(2p+1)) * [(b-x)^(2p+1) + (x - (a+b)/2)^(2p+1)].
+    Equals 2/((2p+1)(b-a)^(2p+1)) * [(b-x)^(2p+1) + (x - (a+b)/2)^(2p+1)],
+    computed scale-free as 2/e * [t1^e + (t2 - 1/2)^e], e = 2p+1. At
+    x = midpoint t2 - 1/2 can round below 0, which is taken as 0.
     """
     if p < 1.0:
         raise ParameterError(f"p={p!r} must be >= 1")
-    iv = ks.iv
     e = 2.0 * p + 1.0
-    try:
-        return 2.0 / (e * iv.length ** e) * moment_factor(iv, ks.x, e)
-    except OverflowError:
-        raise overflow_error("kernel moment", iv, x=ks.x, p=p) from None
+    return 2.0 / e * (ks.t1 ** e + max(ks.t2 - 0.5, 0.0) ** e)
 
 
 def identity_residual(ft: FunctionTriple, ks: KernelSpec, tol: float = oracle.DEFAULT_TOL) -> float:
@@ -119,15 +108,11 @@ def identity_residual(ft: FunctionTriple, ks: KernelSpec, tol: float = oracle.DE
     avg = oracle.integrate(ft.f, a, b, tol).value / iv.length
     lhs = avg - generalized_rule(ft, iv, ks.x).value_avg
 
-    pieces = (
-        (0.0, ks.t1, lambda t: t * t),
-        (ks.t1, ks.t2, lambda t: (t - 0.5) ** 2),
-        (ks.t2, 1.0, lambda t: (t - 1.0) ** 2),
-    )
+    breaks = (0.0, ks.t1, ks.t2, 1.0)
     rhs = 0.0
-    for lo, hi, weight in pieces:
+    for lo, hi, c in zip(breaks, breaks[1:], _CENTRES):
         if hi > lo:
-            integrand = lambda t, w=weight: w(t) * ft.f2(t * a + (1.0 - t) * b)
+            integrand = lambda t, c=c: (t - c) ** 2 * ft.f2(t * a + (1.0 - t) * b)
             rhs += oracle.integrate(integrand, lo, hi, tol).value
     rhs *= 0.5 * iv.length ** 2
     return lhs - rhs

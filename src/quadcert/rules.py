@@ -8,17 +8,15 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, require_domain
 
-RULE_KINDS = ("generalized", "midpoint", "trapezoid", "perturbed_trapezoid", "point")
-
 
 @dataclass(frozen=True)
 class RuleValue:
     """Approximation in both average ((1/(b-a)) * integral) and total form.
 
-    Carrying both eliminates off-by-(b-a) rescaling mistakes: the two-point
-    bounds are naturally stated in average form while the perturbed
-    trapezoid rule is conventionally stated in total form. ``x`` is the evaluation point for
-    kinds that have one (b for the perturbed trapezoid).
+    Carrying both eliminates off-by-(b-a) rescaling mistakes. The two-point
+    rules compute the total, as the composite rules do, and divide it by
+    b-a; the midpoint and trapezoid rules scale the average. ``x`` is the
+    evaluation point for kinds that have one (b for the perturbed trapezoid).
     """
 
     value_avg: float
@@ -34,6 +32,13 @@ def _check_x_range(iv: Interval, x: float) -> None:
         )
 
 
+def two_point_totals(lows, highs, xs, fx, fm, dx, dm):
+    """Two-point rule values in total form from f and f' at x (fx, dx) and at lo+hi-x
+    (fm, dm); run per block by the composite rules, on one-element columns by the rules."""
+    return [(hh := 0.5 * (hi - lo)) * (u + v) - hh * (x - (lo + 3.0 * hi) / 4.0) * (du - dv)
+            for lo, hi, x, u, v, du, dv in zip(lows, highs, xs, fx, fm, dx, dm)]
+
+
 def generalized_rule(ft: FunctionTriple, iv: Interval, x: float) -> RuleValue:
     """Two-point rule with a free evaluation point x in [midpoint, b].
 
@@ -44,9 +49,9 @@ def generalized_rule(ft: FunctionTriple, iv: Interval, x: float) -> RuleValue:
     require_domain(ft, iv)
     _check_x_range(iv, x)
     mirror = iv.a + iv.b - x
-    avg = 0.5 * (ft.f(x) + ft.f(mirror)) \
-        - 0.5 * (x - (iv.a + 3.0 * iv.b) / 4.0) * (ft.f1(x) - ft.f1(mirror))
-    return RuleValue(avg, avg * iv.length, "generalized", x)
+    (total,) = two_point_totals((iv.a,), (iv.b,), (x,), (ft.f(x),), (ft.f(mirror),),
+                                (ft.f1(x),), (ft.f1(mirror),))
+    return RuleValue(total / iv.length, total, "generalized", x)
 
 
 def midpoint_rule(ft: FunctionTriple, iv: Interval) -> RuleValue:
@@ -71,10 +76,10 @@ def trapezoid_rule(ft: FunctionTriple, iv: Interval) -> RuleValue:
 def perturbed_trapezoid_rule(ft: FunctionTriple, iv: Interval) -> RuleValue:
     """Trapezoid rule corrected by the first-derivative jump.
 
-    value_total = (b-a)/2 * (f(a)+f(b)) - (b-a)^2/8 * (f'(b)-f'(a)); equal
-    to the generalized rule at x = b scaled by (b-a).
+    value_total = (b-a)/2 * (f(a)+f(b)) - (b-a)^2/8 * (f'(b)-f'(a)): the
+    generalized rule at x = b, with its mirror taken as a itself.
     """
     require_domain(ft, iv)
-    avg = 0.5 * (ft.f(iv.a) + ft.f(iv.b)) \
-        - iv.length / 8.0 * (ft.f1(iv.b) - ft.f1(iv.a))
-    return RuleValue(avg, avg * iv.length, "perturbed_trapezoid", iv.b)
+    a, b = iv.a, iv.b
+    (total,) = two_point_totals((a,), (b,), (b,), (ft.f(b),), (ft.f(a),), (ft.f1(b),), (ft.f1(a),))
+    return RuleValue(total / iv.length, total, "perturbed_trapezoid", b)

@@ -1,10 +1,11 @@
-"""Shared fixtures: the registry corpus with convex |f''| and seeded
-random-interval helpers."""
+"""Shared fixtures: the registry corpus with convex |f''|, seeded
+random-interval helpers and a hypothesis strategy of single intervals."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from quadcert.functions import Interval, register_builtin
+from quadcert.functions import Interval, parse_function_spec, register_builtin
 
 
 def convex_corpus():
@@ -28,6 +29,26 @@ def random_interval(rng, lo, hi, min_len=0.2):
 
 def random_x(rng, iv):
     return float(rng.uniform(iv.midpoint, iv.b))
+
+
+# Registry functions for single-interval draws, with the range intervals
+# are drawn from: every registry kind, a concave |f''| (power:2.5) and a
+# cubic poly.
+SINGLE_SPECS = {"exp": (-3.0, 3.0), "reciprocal": (0.1, 5.0), "neglog": (0.1, 5.0),
+                "power:2": (-3.0, 3.0), "power:2.5": (0.1, 5.0), "power:3": (-3.0, 3.0),
+                "poly:1,-2,0.5,3": (-3.0, 3.0)}
+
+
+@st.composite
+def single_cases(draw):
+    """(FunctionTriple, Interval, x) with x in the right half, x = midpoint
+    and x = b included."""
+    spec = draw(st.sampled_from(sorted(SINGLE_SPECS)))
+    lo, hi = SINGLE_SPECS[spec]
+    a = draw(st.floats(lo, hi - 1e-3))
+    iv = Interval(a, draw(st.floats(a + 1e-3, hi)))
+    u = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    return parse_function_spec(spec), iv, min(iv.midpoint + u * (iv.b - iv.midpoint), iv.b)
 
 
 @pytest.fixture(scope="session")

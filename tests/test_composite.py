@@ -7,10 +7,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_interval
+from conftest import random_interval, single_cases
 from quadcert import composite
-from quadcert.bounds import bound_convex
+from quadcert.bounds import bound_convex, bound_power_mean
 from quadcert.composite import (
     _BLOCK,
     Partition,
@@ -21,7 +22,7 @@ from quadcert.composite import (
 from quadcert.errors import DomainError, ParameterError
 from quadcert.functions import FunctionTriple, register_builtin
 from quadcert.oracle import integrate
-from quadcert.rules import generalized_rule
+from quadcert.rules import perturbed_trapezoid_rule
 
 POWER2 = register_builtin("power", [2.0])
 
@@ -53,8 +54,19 @@ def test_partition_validation():
     with pytest.raises(ParameterError,
                        match=r"^xi\[1\]=2\.5 outside the admissible right half \[1\.5, 2\.0\]$"):
         Partition((0.0, 1.0, 2.0, 3.0), (0.75, 2.5, 2.25))
-    part = Partition((0.0, 0.5, 1.0), (0.25, 0.75))
-    assert part.widths == (0.5, 0.5)
+    assert Partition((0, 0.5, 1), (0.25, 0.75)).nodes == (0.0, 0.5, 1.0)
+
+
+CONST = register_builtin("poly", [1.0])
+
+
+def test_wrapper_errors_when_a_midpoint_overflows():
+    """Where lo + hi overflows, the wrappers fail on the derived xi."""
+    with pytest.raises(ParameterError, match=r"^partition values must be finite$"):
+        composite_midpoint(CONST, (0.0, 1e308, 1.5e308))
+    with pytest.raises(ParameterError, match=r"^xi\[1\]=1\.5e\+308 outside the admissible "
+                                              r"right half \[inf, 1\.5e\+308\]$"):
+        composite_perturbed_trapezoid(CONST, (0.0, 1e308, 1.5e308))
 
 
 def test_uniform_constructor():
@@ -120,15 +132,24 @@ def test_midpoint_examples():
     assert abs(12.0 - res.approx) <= res.remainder_bound + 1e-13
 
 
-def test_single_interval_telescopes_to_rule(corpus, rng):
-    for ft, lo, hi in corpus:
-        iv = random_interval(rng, lo + 0.05, hi - 0.05)
-        xi = float(rng.uniform(iv.midpoint, iv.b))
-        res = composite_generalized(ft, Partition((iv.a, iv.b), (xi,)))
-        rule = generalized_rule(ft, iv, xi)
-        cert = bound_convex(ft, iv, xi)
-        assert res.approx == pytest.approx(rule.value_total, rel=1e-13, abs=1e-15)
-        assert res.remainder_bound == pytest.approx(cert.bound_total, rel=1e-13, abs=1e-15)
+@settings(max_examples=300, deadline=None)
+@given(case=single_cases())
+def test_single_interval_telescopes_to_rule(case):
+    """A single-interval rule and certificate are the n = 1 composite, bit
+    for bit, and the power-mean certificate at q = 1 is the convex one. The
+    perturbed trapezoid rule takes f at a, and the composite at the mirror
+    lo + hi - hi, so the two agree where that mirror is lo exactly."""
+    ft, iv, x = case
+    cert = bound_convex(ft, iv, x)
+    res = composite_generalized(ft, Partition((iv.a, iv.b), (x,)))
+    assert _bits((cert.rule.value_total, cert.bound_total)) == \
+        _bits((res.approx, res.remainder_bound))
+    if iv.a + iv.b - iv.b == iv.a:  # the composite's mirror of hi is lo itself
+        trapezoid = composite_perturbed_trapezoid(ft, (iv.a, iv.b))
+        assert _bits((perturbed_trapezoid_rule(ft, iv).value_total,)) == _bits((trapezoid.approx,))
+    power_mean = bound_power_mean(ft, iv, x, 1.0)
+    assert _bits((power_mean.rule.value_total, power_mean.bound_total)) == \
+        _bits((cert.rule.value_total, cert.bound_total))
 
 
 def test_validity_sweep(corpus, rng):

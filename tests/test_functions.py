@@ -17,7 +17,6 @@ from quadcert.functions import (
     parse_function_spec,
     register_builtin,
 )
-from quadcert.kernel import KernelSpec, kernel_abs_moment, kernel_lp_moment
 from quadcert.means import check_proposition, mean_value
 
 
@@ -86,10 +85,6 @@ WIDE = Interval(0.0, 1e200)
     pytest.param(lambda: composite_midpoint(CONST, (0.0, 1e200)), ParameterError,
                  r"^composite bound overflows the float range on \[0\.0, 1e\+200\] at n=1$",
                  id="composite-bound"),
-    pytest.param(lambda: kernel_abs_moment(KernelSpec(WIDE, 1e200)), ParameterError,
-                 r"^kernel moment overflows", id="kernel-abs-moment"),
-    pytest.param(lambda: kernel_lp_moment(KernelSpec(WIDE, 1e200), 2.0), ParameterError,
-                 r"^kernel moment overflows .* at x=1e\+200, p=2\.0$", id="kernel-lp-moment"),
 ])
 def test_overflow_is_a_quadcert_error(call, error, match):
     """Results beyond the float range raise the package's own errors, with a

@@ -1,6 +1,9 @@
 """Kernel weight: branch structure, closed-form moments against numeric
 integration, and the integral identity residual."""
 
+import math
+
+import mpmath
 import pytest
 
 from conftest import random_interval, random_x
@@ -100,6 +103,33 @@ def test_moments_match_numeric_integration(rng):
         assert kernel_abs_moment(ks) == pytest.approx(numeric_moment(ks), abs=1e-12)
         for p in (1.5, 2.0, 3.0):
             assert kernel_lp_moment(ks, p) == pytest.approx(numeric_moment(ks, p), abs=1e-12)
+
+
+def test_moments_match_mpmath(rng):
+    """The scale-free moments stay within a few ulps of the exact moment,
+    also on short intervals far from 0, where b - x and x - mid lose bits,
+    and stay real at x = midpoint, where t2 - 1/2 can round below 0."""
+    with mpmath.workdps(50):
+        for _ in range(200):
+            a = float(rng.uniform(-3.0, 3.0))
+            iv = Interval(a, a + 10.0 ** float(rng.uniform(-3.0, math.log10(5.0))))
+            for ks in (KernelSpec(iv, random_x(rng, iv)), KernelSpec(iv, iv.midpoint)):
+                a, b, x = map(mpmath.mpf, (iv.a, iv.b, ks.x))
+                for p in (1.0, 1.25, 2.0, 3.0):
+                    e = 2 * mpmath.mpf(p) + 1
+                    exact = 2 / (e * (b - a) ** e) * ((b - x) ** e + abs(x - (a + b) / 2) ** e)
+                    got = kernel_abs_moment(ks) if p == 1.0 else kernel_lp_moment(ks, p)
+                    assert isinstance(got, float)
+                    assert abs(got - exact) <= 64 * math.ulp(float(exact)), (iv, ks.x, p)
+
+
+@pytest.mark.parametrize("moment,expected", [
+    pytest.param(kernel_abs_moment, 1.0 / 12.0, id="kernel-abs-moment"),
+    pytest.param(lambda ks: kernel_lp_moment(ks, 2.0), 0.0125, id="kernel-lp-moment"),
+])
+def test_moments_are_scale_free(moment, expected):
+    """A moment is finite where (b-a)^3 is not: on [0, 1e200] at x = b."""
+    assert moment(KernelSpec(Interval(0.0, 1e200), 1e200)) == expected
 
 
 def test_lp_moment_reduces_to_abs_moment(rng):

@@ -4,8 +4,10 @@ exactness on degree <= 1 polynomials."""
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_interval, random_x
+from conftest import random_interval, random_x, single_cases
+from quadcert.bounds import bound_convex, bound_power_mean
 from quadcert.errors import ParameterError
 from quadcert.functions import Interval, parse_function_spec, register_builtin
 from quadcert.oracle import integrate
@@ -109,3 +111,47 @@ def test_x_out_of_range():
         generalized_rule(ft, iv, 0.25)
     with pytest.raises(ParameterError):
         generalized_rule(ft, iv, 1.5)
+
+
+def _scalar_reference(ft, iv, x, q):
+    """The scalar formulas the single-interval rules and certificates used
+    before they ran the composite's column formulas, each as (total, the
+    shift allowed from it): generalized rule, perturbed trapezoid rule,
+    convex bound, power-mean bound. The allowed shift is 1e-14 of the
+    magnitude of the terms."""
+    a, b, h = iv.a, iv.b, iv.length
+    mirror = a + b - x
+    u, v, du, dv = ft.f(x), ft.f(mirror), ft.f1(x), ft.f1(mirror)
+    slope = 0.5 * (x - (a + 3.0 * b) / 4.0)
+    generalized = ((0.5 * (u + v) - slope * (du - dv)) * h,
+                   1e-14 * (0.5 * (abs(u) + abs(v)) + abs(slope) * (abs(du) + abs(dv))) * h)
+    fa, fb, da, db = ft.f(a), ft.f(b), ft.f1(a), ft.f1(b)
+    trapezoid = ((0.5 * (fa + fb) - h / 8.0 * (db - da)) * h,
+                 1e-14 * (0.5 * (abs(fa) + abs(fb)) + h / 8.0 * (abs(db) + abs(da))) * h)
+    moment = (b - x) ** 3 + (x - iv.midpoint) ** 3
+    ga, gb = abs(ft.f2(a)), abs(ft.f2(b))
+    convex = moment * (ga + gb) / (6.0 * h) * h
+    power_mean = moment / (3.0 * h) * ((ga ** q + gb ** q) / 2.0) ** (1.0 / q) * h
+    return generalized, trapezoid, (convex, 1e-14 * convex), (power_mean, 1e-14 * power_mean)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=single_cases(), q=st.floats(1.0, 4.0))
+def test_column_formulas_move_only_last_bits(case, q):
+    """Running the composite's column formulas moves single-interval values
+    and bounds by at most 1e-14 of the magnitude of their terms."""
+    ft, iv, x = case
+    cert = bound_convex(ft, iv, x)
+    got = (cert.rule.value_total, perturbed_trapezoid_rule(ft, iv).value_total,
+           cert.bound_total, bound_power_mean(ft, iv, x, q).bound_total)
+    for new, (old, allowed) in zip(got, _scalar_reference(ft, iv, x, q)):
+        assert abs(new - old) <= allowed
+
+
+@pytest.mark.parametrize("a", [1e-10, 1e-20])
+def test_perturbed_trapezoid_takes_f_at_a(a):
+    """Near 0, a + b - b is far from a relative to a (0.0 at a = 1e-20);
+    the perturbed trapezoid rule still takes f and f' at a itself."""
+    ft, iv = register_builtin("reciprocal"), Interval(a, 1.0)
+    old = (0.5 * (ft.f(a) + ft.f(1.0)) - iv.length / 8.0 * (ft.f1(1.0) - ft.f1(a))) * iv.length
+    assert abs(perturbed_trapezoid_rule(ft, iv).value_total - old) <= 4 * math.ulp(old)
