@@ -4,7 +4,7 @@ Gauss-Kronrod integrator, in pure Python.
 
 import math
 import operator
-from itertools import repeat
+from itertools import pairwise, repeat
 
 from .errors import DomainError, IntegrationError
 
@@ -63,22 +63,31 @@ def _powerlike(coef, expo, lo, hi, overflow):
         if _coef == 0.0:
             return 0.0
         try:
-            return _coef * math.pow(x, _expo)
+            r = _coef * math.pow(x, _expo)
         except OverflowError:
             raise overflow(x) from None
+        if r - r:  # inf: the product overflowed after math.pow did not
+            raise overflow(x)
+        return r
 
     fn.batch = (_pow_column, (coef, expo), lo, hi)
+    fn.sup_points = (_endpoints, ())
     return fn
 
 
 def _pow_column(xs, coef, expo):
-    """coef * x**expo over a column: the formula of `_powerlike`."""
+    """coef * x**expo over a column: the formula of `_powerlike`. Raises
+    OverflowError, so that `column` runs the scalar map, where the product
+    may have overflowed."""
     if coef == 0.0:
         return [0.0] * len(xs)
     col = list(map(math.pow, xs, repeat(expo)))
     if coef == 1.0:
         return col
-    return list(map(operator.mul, repeat(coef), col))
+    col = list(map(operator.mul, repeat(coef), col))
+    if abs(coef) > 1.0 and (total := sum(col)) - total:
+        raise OverflowError
+    return col
 
 
 def _neglog_column(xs):
@@ -87,6 +96,58 @@ def _neglog_column(xs):
 
 def _exp_column(xs):
     return list(map(math.exp, xs))
+
+
+def _endpoints(a, b):
+    """Where |g| peaks on [a, b] when g is monotone on each side of 0."""
+    return [a, b]
+
+
+def _horner(coeffs, x):
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _monotone_cuts(a, b, coeffs):
+    """Sorted points of [a, b], a and b included, between consecutive ones of
+    which the polynomial ``coeffs`` (highest degree first) is monotone.
+
+    The cuts of the derivative split [a, b] into pieces on which the
+    derivative is monotone, so it changes sign at most once on each. Such a
+    change is bisected until its bracket holds two adjacent floats, and both
+    ends join the cuts. The derivative is evaluated in floats, so
+    "monotone" holds up to its rounding inside a bracket.
+    """
+    if len(coeffs) < 3:
+        return [a, b]
+    deriv = _poly_derivative(coeffs)
+    cuts = [a]
+    for lo, hi in pairwise(_monotone_cuts(a, b, deriv)):
+        dlo, dhi = _horner(deriv, lo), _horner(deriv, hi)
+        if dlo < 0.0 < dhi or dhi < 0.0 < dlo:
+            cuts += _bisect_sign_change(deriv, lo, hi, dlo < 0.0)
+        cuts.append(hi)
+    return cuts
+
+
+def _bisect_sign_change(coeffs, lo, hi, neg_lo):
+    """Shrink [lo, hi], over which the polynomial changes sign (negative at
+    lo when ``neg_lo``), to two adjacent floats, or to one point where it is
+    exactly 0. A bracket across 0 is split at 0 first: halving towards a
+    root at 0 would take some 1075 steps, one per binade."""
+    mid = 0.0 if lo < 0.0 < hi else lo + 0.5 * (hi - lo)
+    while lo < mid < hi:
+        v = _horner(coeffs, mid)
+        if v == 0.0:
+            return mid, mid
+        if (v < 0.0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+        mid = lo + 0.5 * (hi - lo)
+    return lo, hi
 
 
 def column(fn, xs):
@@ -119,10 +180,15 @@ def make_func(kind, params, deriv, lo, hi):
     ``kind`` is one of "power", "reciprocal", "neglog", "exp", "poly";
     ``deriv`` is 0, 1 or 2; ``(lo, hi)`` is the open domain. The returned
     callable raises DomainError outside the domain, and where the value
-    overflows the float range, rather than raising OverflowError. For every
-    kind but poly it also carries the ``batch`` tuple that `column` runs;
-    the tuple holds no reference to the callable, so building one leaves no
-    reference cycle behind.
+    overflows the float range, rather than raising OverflowError or
+    returning a non-finite value. For every kind but poly it also carries
+    the ``batch`` tuple that `column` runs. Every kind carries
+    ``sup_points = (points, args)``: ``points(a, b, *args)`` returns points
+    of [a, b] among which |value| takes its maximum over [a, b]. They are a
+    and b for power, reciprocal, neglog and exp, each monotone on each side
+    of 0, and the cuts of `_monotone_cuts` for poly.
+    Neither tuple holds a reference to the callable, so building one leaves
+    no reference cycle behind.
     """
     if deriv not in (0, 1, 2):
         raise ValueError("deriv must be 0, 1 or 2")
@@ -161,6 +227,7 @@ def make_func(kind, params, deriv, lo, hi):
                 raise overflow(x) from None
 
         fn.batch = (_exp_column, (), lo, hi)
+        fn.sup_points = (_endpoints, ())
         return fn
     if kind == "poly":
         coeffs = [float(c) for c in params]
@@ -177,8 +244,11 @@ def make_func(kind, params, deriv, lo, hi):
             acc = _head
             for c in _tail:
                 acc = acc * x + c
+            if acc - acc:  # inf or NaN: a Horner step overflowed
+                raise overflow(x)
             return acc
 
+        fn.sup_points = (_monotone_cuts, (tuple(coeffs),))
         return fn
     raise ValueError(f"unknown function kind {kind!r}")
 

@@ -76,6 +76,13 @@ def _hypothesis_flags(ft, iv, x, q=None):
     return tuple(flags)
 
 
+def _record_method(params, est):
+    """How an estimated norm was obtained, and its density if sampled."""
+    params["norm_method"] = est.method
+    if est.samples is not None:
+        params["norm_samples"] = est.samples
+
+
 def bound_convex(ft: FunctionTriple, iv: Interval, x: float) -> Certificate:
     """Certificate from convexity of |f''|.
 
@@ -141,7 +148,9 @@ def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,
 
     bound_avg = [1/4 + (x - mid)^2/(b-a)^2] * (b-a) * f1_sup, valid for any
     x in [a, b] (no half-interval restriction). When f1_sup is omitted it
-    is estimated by `oracle.estimate_norm`; a supplied value is sanity-
+    comes from `oracle.estimate_norm`: exact for registry functions,
+    sampled for plain callables. The params record its ``norm_method``,
+    plus ``norm_samples`` for a sampled one. A supplied value is sanity-
     checked against sampled |f'| and rejected when it is below any sample.
     """
     require_domain(ft, iv)
@@ -151,7 +160,7 @@ def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,
     if f1_sup is None:
         est = oracle.estimate_norm(ft, iv, "sup_f1")
         f1_sup = est.value
-        params["norm_samples"] = est.samples
+        _record_method(params, est)
     else:
         step = iv.length / 32.0
         observed = max(abs(ft.f1(iv.a + i * step)) for i in range(33))
@@ -176,8 +185,10 @@ def bound_cerone_dragomir(ft: FunctionTriple, iv: Interval, case: str,
       lp:  bound_total = (b-a)^(2+1/q) / (8(2q+1)^(1/q)) * ||f''||_p,
            with p > 1 and 1/p + 1/q = 1
       l1:  bound_total = (b-a)^2/8 * integral of |f''|
-    Omitted norms are estimated by `oracle.estimate_norm` and recorded in
-    the certificate params for auditability.
+    Omitted norms come from `oracle.estimate_norm` and are recorded in the
+    certificate params for auditability, with their ``norm_method``: sup|f''|
+    is exact for registry functions and sampled for plain callables (then
+    ``norm_samples`` records the density); the p-norms come from quadrature.
     """
     require_domain(ft, iv)
     if case not in CD_CASES:
@@ -198,12 +209,12 @@ def bound_cerone_dragomir(ft: FunctionTriple, iv: Interval, case: str,
     if norm is None:
         if case == "inf":
             est = oracle.estimate_norm(ft, iv, "sup_f2")
-            params["norm_samples"] = est.samples
         elif case == "lp":
             est = oracle.estimate_norm(ft, iv, "lp_f2", p=hp.p)
         else:
             est = oracle.estimate_norm(ft, iv, "l1_f2")
         norm = est.value
+        _record_method(params, est)
     elif norm <= 0.0:
         step = iv.length / 8.0
         if any(abs(ft.f2(iv.a + i * step)) > 0.0 for i in range(9)):

@@ -126,7 +126,8 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
     The partition is processed in blocks of subintervals, each evaluator
     running as one column per block (`_backend.column`). f and f' are
     evaluated once per distinct point: in a block where every mirror
-    lo+hi-xi equals its xi (the midpoint rule), one column serves both.
+    lo+hi-xi equals its xi (the midpoint rule), one column of f serves both,
+    and f' is not evaluated, since its difference is 0.
     f'' is evaluated once per node. Raises DomainError when a value or bound
     is not finite, and ParameterError when a bound overflows.
     """
@@ -141,8 +142,9 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
         xs = xi[start:start + _BLOCK]
         mirrors = list(_mirrors(lows, xs))
         if all(map(operator.eq, mirrors, xs)):
+            # f'(x) - f'(x) is +0.0 wherever f' is finite: skip f'.
             fx = fm = column(ft.f, xs)
-            dx = dm = column(ft.f1, xs)
+            dx = dm = repeat(0.0)
         else:
             fx, fm = column(ft.f, xs), column(ft.f, mirrors)
             dx, dm = column(ft.f1, xs), column(ft.f1, mirrors)

@@ -30,15 +30,19 @@ class QuadratureEstimate:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Estimated norm of a derivative over an interval.
+    """Norm of a derivative over an interval, with how it was obtained.
 
-    Sup norms are sampling-based and therefore lower-bound estimators;
-    ``samples`` records the density used. p-norms come from adaptive
-    integration and have ``samples`` = None.
+    ``method`` is "exact" for the sup norms of registry evaluators: the
+    largest |value| at the endpoints and at the interior critical points.
+    It is "sampled" for the sup norms of other callables, a lower-bound
+    estimate whose density ``samples`` records, and "quadrature" for the
+    p-norms, which come from adaptive integration. ``samples`` is None
+    unless the method is "sampled".
     """
 
     kind: str
     value: float
+    method: str
     p: float | None = None
     samples: int | None = None
 
@@ -79,14 +83,38 @@ def _golden_max(g, lo, hi, iters=80):
     return max(gc, gd)
 
 
+def _sampled_sup(g, a, b, samples):
+    """|g| at ``samples`` evenly spaced points of [a, b], and their maximum
+    after golden-section refinement around the largest sample."""
+    # Evenly spaced nodes a + k*step, the last one exactly b (linspace arithmetic).
+    last = samples - 1
+    step = (b - a) / last if last else 0.0
+
+    def node(k):
+        return b if 0 < k == last else a + k * step
+
+    vals = [abs(g(a + k * step)) for k in range(last)]
+    vals.append(abs(g(node(last))))
+    best = max(vals)
+    i = vals.index(best)
+    lo, hi = node(max(i - 1, 0)), node(min(i + 1, last))
+    if hi > lo:
+        best = max(best, _golden_max(lambda x: abs(g(x)), lo, hi))
+    return vals, best
+
+
 def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
                   p: float | None = None, samples: int = SUP_SAMPLES) -> NormEstimate:
     """Estimate a derivative norm over the interval.
 
-    sup_f1 / sup_f2: sampling at ``samples`` (>= 1) evenly spaced points
-    plus golden-section refinement around the sampled maximum. lp_f2
-    (requires p >= 1): adaptive integration of |f''|**p, then the 1/p root.
-    l1_f2: adaptive integration of |f''|.
+    sup_f1 / sup_f2: for an evaluator carrying ``sup_points`` (every
+    registry evaluator, see `_backend.make_func`), exact: the largest |g|
+    at the endpoints and at the interior critical points. For any other
+    callable, sampling at ``samples`` (>= 1, validated on both paths)
+    evenly spaced points plus golden-section refinement around the sampled
+    maximum, a lower-bound estimate. lp_f2 (requires p >= 1): adaptive
+    integration of |f''|**p, then the 1/p root. l1_f2: adaptive
+    integration of |f''|.
     """
     require_domain(ft, iv)
     if kind not in NORM_KINDS:
@@ -96,31 +124,27 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
         if samples < 1:
             raise ParameterError(f"samples={samples!r} must be >= 1")
         g = ft.f1 if kind == "sup_f1" else ft.f2
-        # Evenly spaced nodes a + k*step, the last one exactly b (linspace arithmetic).
-        a, b, last = iv.a, iv.b, samples - 1
-        step = (b - a) / last if last else 0.0
-
-        def node(k):
-            return b if 0 < k == last else a + k * step
-
-        vals = [abs(g(a + k * step)) for k in range(last)]
-        vals.append(abs(g(node(last))))
-        best = max(vals)
-        i = vals.index(best)
-        lo, hi = node(max(i - 1, 0)), node(min(i + 1, last))
-        if hi > lo:
-            best = max(best, _golden_max(lambda x: abs(g(x)), lo, hi))
-        # max() passes over a NaN sample, but the sum of the samples (all >= 0)
+        a, b = iv.a, iv.b
+        sup_points = getattr(g, "sup_points", None)
+        if sup_points is None:
+            vals, best = _sampled_sup(g, a, b, samples)
+            method = "sampled"
+        else:
+            points, args = sup_points
+            vals = [abs(g(x)) for x in points(a, b, *args)]
+            best = max(vals)
+            method, samples = "exact", None
+        # max() passes over a NaN value, but the sum of the values (all >= 0)
         # is NaN exactly when one of them is
         if not math.isfinite(best) or math.isnan(sum(vals)):
             raise ParameterError(f"non-finite derivative sample for {ft.id} on [{a}, {b}]")
-        return NormEstimate(kind, best, samples=samples)
+        return NormEstimate(kind, best, method, samples=samples)
 
     if kind == "lp_f2":
         if p is None or p < 1.0:
             raise ParameterError("lp_f2 needs p >= 1")
         est = integrate(lambda x: abs(ft.f2(x)) ** p, iv.a, iv.b)
-        return NormEstimate(kind, est.value ** (1.0 / p), p=p)
+        return NormEstimate(kind, est.value ** (1.0 / p), "quadrature", p=p)
 
     est = integrate(lambda x: abs(ft.f2(x)), iv.a, iv.b)
-    return NormEstimate(kind, est.value)
+    return NormEstimate(kind, est.value, "quadrature")

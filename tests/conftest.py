@@ -1,5 +1,8 @@
 """Shared fixtures: the registry corpus with convex |f''|, seeded
-random-interval helpers and a hypothesis strategy of single intervals."""
+random-interval helpers, a hypothesis strategy of single intervals and
+plain-callable copies of registry functions."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +22,13 @@ def convex_corpus():
         (register_builtin("reciprocal"), 0.25, 3.0),
         (register_builtin("neglog"), 0.25, 3.0),
     ]
+
+
+def plain_callables(ft):
+    """ft with f, f' and f'' wrapped as plain callables: the same values,
+    but none of the registry evaluators' attributes, so sup norms sample."""
+    return dataclasses.replace(ft, f=lambda x, g=ft.f: g(x), f1=lambda x, g=ft.f1: g(x),
+                               f2=lambda x, g=ft.f2: g(x))
 
 
 def random_interval(rng, lo, hi, min_len=0.2):

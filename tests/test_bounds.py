@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from conftest import random_interval, random_x
+from conftest import plain_callables, random_interval, random_x
 from quadcert.bounds import (
     HolderPair,
     bound_cerone_dragomir,
@@ -218,9 +218,21 @@ def test_ostrowski_sharpness_witness():
 def test_ostrowski_full_interval_and_estimation():
     cert = bound_ostrowski(POWER2, UNIT, 0.1)  # left half: allowed here
     assert cert.params["f1_sup"] == pytest.approx(2.0, rel=1e-9)
-    assert cert.params["norm_samples"] > 0
+    assert cert.params["norm_method"] == "exact"
+    assert "norm_samples" not in cert.params
     with pytest.raises(ParameterError):
         bound_ostrowski(POWER2, UNIT, 1.5)
+
+
+def test_plain_callables_record_sampled_norms():
+    """Plain callables carry no exact sup: their certificates record the
+    sampled estimate and its density."""
+    plain = plain_callables(POWER2)
+    cert = bound_ostrowski(plain, UNIT, 0.1)
+    assert cert.params == {"norm_method": "sampled", "norm_samples": 4097, "f1_sup": 2.0}
+    cert = bound_cerone_dragomir(plain, UNIT, "inf")
+    assert cert.params == {"case": "inf", "norm_method": "sampled", "norm_samples": 4097,
+                           "norm": 2.0}
 
 
 def test_ostrowski_inconsistent_sup_rejected():
@@ -254,6 +266,8 @@ def test_cerone_dragomir_oracle_norms(corpus, rng):
             cert = bound_cerone_dragomir(ft, iv, case, **kwargs)
             assert holds(actual, cert.bound_total), (ft.id, case)
             assert cert.params["norm"] > 0.0
+            assert cert.params["norm_method"] == ("exact" if case == "inf" else "quadrature")
+            assert "norm_samples" not in cert.params
 
 
 def test_cerone_dragomir_validation():

@@ -200,13 +200,16 @@ def test_overflow_is_a_usage_error(capsys, argv):
 
 
 def test_cli_import_leaves_numpy_out():
+    """numpy is test-only; the exact sup norms need neither fractions nor
+    decimal."""
     src = str(Path(quadcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, quadcert.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, quadcert.cli; "
+         "print([m in sys.modules for m in ('numpy', 'fractions', 'decimal')])"],
         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False, False]"
 
 
 def test_json_runs_reproduce_bit_identically(capsys):

@@ -259,26 +259,30 @@ def _counted(ft):
 
 @pytest.mark.parametrize("n", [1, 7, 64])
 def test_each_point_evaluated_once(n):
-    """f'' runs once per node; f and f' once per distinct point: n times on
-    midpoint rows, where each mirror is its own xi, and 2n otherwise."""
+    """f'' runs once per node; f once per distinct point: n times on
+    midpoint rows, where each mirror is its own xi, and 2n otherwise. f'
+    runs 2n times, but not on midpoint rows, where its difference is 0."""
     ft, calls = _counted(register_builtin("exp"))
     rows = [
-        (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n),
-        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n)), n),
-        (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes), 2 * n),
-        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "right")), 2 * n),
-        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)), 2 * n),
+        (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n, 0),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n)), n, 0),
+        (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes),
+         2 * n, 2 * n),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "right")), 2 * n, 2 * n),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)),
+         2 * n, 2 * n),
     ]
-    for row, point_calls in rows:
+    for row, f_calls, f1_calls in rows:
         calls.update(f=0, f1=0, f2=0)
         row()
-        assert calls == {"f": point_calls, "f1": point_calls, "f2": n + 1}
+        assert calls == {"f": f_calls, "f1": f1_calls, "f2": n + 1}
 
 
 @pytest.mark.parametrize("n", [1, 7, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_columns_cover_each_point_once(monkeypatch, n):
-    """The registry evaluators run as columns: f'' over the n+1 nodes, f and
-    f' over n points on midpoint rows and 2n otherwise."""
+    """The registry evaluators run as columns: f'' over the n+1 nodes, f
+    over n points on midpoint rows and 2n otherwise, f' over none on
+    midpoint rows and 2n otherwise."""
     ft = register_builtin("exp")
     names = {id(ft.f): "f", id(ft.f1): "f1", id(ft.f2): "f2"}
     points = dict.fromkeys(names.values(), 0)
@@ -290,25 +294,55 @@ def test_columns_cover_each_point_once(monkeypatch, n):
 
     monkeypatch.setattr(composite, "column", counting_column)
     rows = [
-        (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n),
-        (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes), 2 * n),
-        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)), 2 * n),
+        (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n, 0),
+        (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes),
+         2 * n, 2 * n),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)),
+         2 * n, 2 * n),
     ]
-    for row, point_calls in rows:
+    for row, f_points, f1_points in rows:
         points.update(f=0, f1=0, f2=0)
         row()
-        assert points == {"f": point_calls, "f1": point_calls, "f2": n + 1}
+        assert points == {"f": f_points, "f1": f1_points, "f2": n + 1}
+
+
+def _f1_fails(x):
+    raise DomainError(f"f' fails at x={x!r}")
+
+
+def test_midpoint_rows_do_not_need_f1():
+    """Midpoint rows neither evaluate f' nor fail where only f' does; other
+    rows still raise its error."""
+    ft = dataclasses.replace(SINE, f1=_f1_fails)
+    nodes = Partition.uniform(0.0, 1.0, 8).nodes
+    assert _bits(composite_midpoint(ft, nodes).values) == _bits(
+        composite_midpoint(SINE, nodes).values)
+    with pytest.raises(DomainError, match=r"^f' fails at x=0\.125$"):
+        composite_perturbed_trapezoid(ft, nodes)
+
+
+def test_midpoint_zero_values_keep_their_sign():
+    """A zero value has the sign the per-subinterval loop gives it: f and f'
+    returning -0.0 give +0.0, as f'(x) - f'(x) did before f' was skipped."""
+    ft = FunctionTriple("negzero", lambda x: -0.0, lambda x: -0.0, lambda x: 0.0,
+                        -math.inf, math.inf, False)
+    part = Partition.uniform(-1.0, 1.0, 4)
+    res = composite_midpoint(ft, part.nodes)
+    assert _bits(res.values) == _bits(_reference_kernel(ft, part)[2]) == _bits((0.0,) * 4)
 
 
 @pytest.mark.parametrize("call,match", [
-    # f'' of power:400 is inf at 5.8 once the coefficient multiplies in
+    # f'' of power:400 overflows at 5.8 once the coefficient multiplies in
     (lambda: composite_midpoint(register_builtin("power", [400.0]),
                                 Partition.uniform(1.0, 5.8, 4).nodes),
-     r"^composite rule of power:400 is not finite on subinterval 3, \[4\.6, 5\.8\]: "
-     r"value .*, bound inf$"),
-    # values of both signs overflow, so fsum meets -inf + inf
+     r"^f'' of power:400 overflows the float range at x=5\.8$"),
+    # f overflows at both midpoints; the first one raises
     (lambda: composite_midpoint(register_builtin("poly", [1e300, 0.0]), (-2e10, 0.0, 2e10)),
-     r"^composite rule of poly:1e\+300,0 is not finite on subinterval 0, "),
+     r"^f of poly:1e\+300,0 overflows the float range at x=-10000000000\.0$"),
+    # every evaluation is finite but the value of each subinterval is not
+    (lambda: composite_midpoint(register_builtin("poly", [1.7e308]), (0.0, 1.0, 2.0)),
+     r"^composite rule of poly:1\.7e\+308 is not finite on subinterval 0, \[0\.0, 1\.0\]: "
+     r"value inf, bound 0\.0$"),
     # every value is finite but their sum is not
     (lambda: composite_midpoint(register_builtin("poly", [8e307]), (0.0, 1.0, 2.0, 3.0)),
      r"^composite sum of poly:8e\+307 overflows the float range on \[0\.0, 3\.0\]$"),

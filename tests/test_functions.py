@@ -5,7 +5,7 @@ import gc
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadcert import _backend
 from quadcert.bounds import HolderPair, bound_convex, bound_holder, bound_power_mean
@@ -69,6 +69,12 @@ WIDE = Interval(0.0, 1e200)
                  r"^f of power:400 overflows the float range at x=10\.0$", id="power-evaluator"),
     pytest.param(lambda: EXP.f(800.0), DomainError,
                  r"^f of exp overflows the float range at x=800\.0$", id="exp-evaluator"),
+    # math.pow is finite here; the product with the coefficient 400 * 399 is not
+    pytest.param(lambda: POWER400.f2(5.8), DomainError,
+                 r"^f'' of power:400 overflows the float range at x=5\.8$", id="power-product"),
+    pytest.param(lambda: register_builtin("poly", [1e300, 0.0, 0.0]).f(1e10), DomainError,
+                 r"^f of poly:1e\+300,0,0 overflows the float range at x=10000000000\.0$",
+                 id="poly-evaluator"),
     pytest.param(lambda: composite_midpoint(POWER400, Partition.uniform(1.0, 10.0, 8).nodes),
                  DomainError, r"of power:400 overflows", id="composite-midpoint"),
     pytest.param(lambda: mean_value("p_logarithmic", 1, 1e10, p=400), ParameterError,
@@ -116,7 +122,11 @@ def _assert_column_is_scalar_map(fn, xs):
 @given(spec=st.sampled_from(COLUMN_SPECS), deriv=st.sampled_from(("f", "f1", "f2")),
        xs=st.lists(st.one_of(st.sampled_from(SPECIAL_X),
                              st.floats(allow_nan=True, allow_infinity=True),
-                             st.floats(0.01, 20.0)), max_size=12))
+                             st.floats(0.01, 20.0), st.floats(5.7, 5.9)), max_size=12))
+# f'' of power:400 overflows in the product with its coefficient from x = 5.78;
+# at 5.77 it is finite, but two such values sum to inf
+@example(spec="power:400", deriv="f2", xs=[5.7, 5.77, 5.8, 5.75])
+@example(spec="power:400", deriv="f2", xs=[5.77, 5.77, 5.75])
 def test_column_is_the_scalar_map(spec, deriv, xs):
     """`_backend.column` gives list(map(fn, xs)) bit for bit, or the same
     error with the same message."""

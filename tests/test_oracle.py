@@ -3,12 +3,15 @@ exactness, failure modes, and the Holder ordering of the norm estimates."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_interval
+from conftest import convex_corpus, plain_callables, random_interval
 from quadcert.errors import IntegrationError, ParameterError
-from quadcert.functions import FunctionTriple, Interval, register_builtin
+from quadcert.functions import FunctionTriple, Interval, parse_function_spec, register_builtin
 from quadcert.oracle import _golden_max, estimate_norm, integrate
 
 CLOSED_FORMS = [
@@ -80,7 +83,7 @@ def test_sup_norms():
     iv = Interval(0.0, 1.0)
     est = estimate_norm(register_builtin("power", [2.0]), iv, "sup_f2")
     assert est.value == 2.0
-    assert est.samples is not None
+    assert est.method == "exact" and est.samples is None
     est = estimate_norm(register_builtin("reciprocal"), Interval(1.0, 2.0), "sup_f2")
     assert est.value == pytest.approx(2.0, rel=1e-12)  # max of 2/x^3 at x=1
     est = estimate_norm(register_builtin("power", [2.0]), iv, "sup_f1")
@@ -104,20 +107,23 @@ def _numpy_sup(ft, iv, kind, samples):
 @pytest.mark.parametrize("samples", [1, 2, 3, 33, 4097])
 def test_sup_norms_match_numpy_grid(corpus, rng, samples):
     for ft, lo, hi in corpus:
+        plain = plain_callables(ft)
         for _ in range(3):
             iv = random_interval(rng, lo, hi)
             for kind in ("sup_f1", "sup_f2"):
-                est = estimate_norm(ft, iv, kind, samples=samples)
+                est = estimate_norm(plain, iv, kind, samples=samples)
                 assert est.value == _numpy_sup(ft, iv, kind, samples), (ft.id, iv, kind)
+                assert (est.method, est.samples) == ("sampled", samples)
 
 
 def test_sup_norm_sample_count():
     ft = register_builtin("power", [2.0])
     iv = Interval(1.0, 2.0)
-    assert estimate_norm(ft, iv, "sup_f1", samples=1).value == 2.0  # |f'(a)| only
+    assert estimate_norm(plain_callables(ft), iv, "sup_f1", samples=1).value == 2.0  # |f'(a)| only
     for bad in (0, -1):
-        with pytest.raises(ParameterError):
-            estimate_norm(ft, iv, "sup_f1", samples=bad)
+        for f in (ft, plain_callables(ft)):
+            with pytest.raises(ParameterError):
+                estimate_norm(f, iv, "sup_f1", samples=bad)
 
 
 def test_sup_norm_rejects_nan_sample():
@@ -134,8 +140,82 @@ def test_interior_maximum_is_refined():
     # f'' of x^4 - x^2 is 12x^2 - 2; on [-0.51, 0.5] the maximum of |f''|
     # sits strictly inside, at x = 0, off the sampling grid
     ft = register_builtin("poly", [1.0, 0.0, -1.0, 0.0, 0.0])
-    est = estimate_norm(ft, Interval(-0.51, 0.5), "sup_f2")
+    est = estimate_norm(plain_callables(ft), Interval(-0.51, 0.5), "sup_f2")
     assert est.value == pytest.approx(2.0, rel=1e-9)
+    assert estimate_norm(ft, Interval(-0.51, 0.5), "sup_f2").value == 2.0
+
+
+# Registry functions for the exact sup norms, with the ranges intervals are
+# drawn from: the conftest corpus, |f''| concave (power:2.5) and unbounded
+# at 0 (power:1.5), and polys whose |f'| or |f''| peak inside the interval.
+# x^5 - 5x^3 + 4x has two interior bumps in f' and one in f''.
+SUP_SPECS = {ft.id: (lo, hi) for ft, lo, hi in convex_corpus()} | {
+    "power:2.5": (0.1, 5.0), "power:1.5": (0.1, 5.0),
+    "poly:3,-2,1,0,5,-1": (-3.0, 3.0), "poly:1,0,-1,0,0": (-1.5, 1.5),
+    "poly:1,0,-5,0,4,0": (-2.5, 2.5)}
+
+
+def _mp_sup(spec, deriv, a, b):
+    """(sup |g| on [a, b], scale) at 50 digits, g the deriv-th derivative:
+    the max at a, b and, for poly, the real roots of g' in (a, b). The scale
+    is that max for every kind but poly; for poly it is the max of
+    sum |c_i| |x|^i over the same points: the size of the Horner terms,
+    whose rounding stays in the value where they cancel."""
+    kind, _, tail = spec.partition(":")
+    params = [mpmath.mpf(float(t)) for t in tail.split(",")] if tail else []
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        points = [a, b]
+        if kind == "poly":
+            coeffs = params
+            for _ in range(deriv):
+                coeffs = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
+            slope = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
+            if len(slope) > 1:
+                points += [r.real for r in mpmath.polyroots(slope, maxsteps=200, extraprec=200)
+                           if abs(r.imag) < 1e-30 and a < r.real < b]
+            g = lambda x: mpmath.polyval(coeffs, x)
+            size = lambda x: mpmath.polyval([abs(c) for c in coeffs], abs(x))
+        else:
+            if kind == "power":
+                p = params[0]
+                coef = p if deriv == 1 else p * (p - 1)
+                g = lambda x: coef * x ** (p - deriv)
+            else:
+                g = {("exp", 1): mpmath.exp, ("exp", 2): mpmath.exp,
+                     ("reciprocal", 1): lambda x: -1 / x ** 2,
+                     ("reciprocal", 2): lambda x: 2 / x ** 3,
+                     ("neglog", 1): lambda x: -1 / x,
+                     ("neglog", 2): lambda x: 1 / x ** 2}[kind, deriv]
+            size = lambda x: abs(g(x))
+        return float(max(abs(g(x)) for x in points)), float(max(map(size, points)))
+
+
+@st.composite
+def sup_cases(draw):
+    spec = draw(st.sampled_from(sorted(SUP_SPECS)))
+    lo, hi = SUP_SPECS[spec]
+    a = draw(st.floats(lo, hi - 1e-3))
+    return spec, Interval(a, draw(st.floats(a + 1e-3, hi)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sup_cases())
+def test_exact_sup_norms(case):
+    """Registry sup norms are exact: never below the sampled estimate by
+    more than 4 ulp, and within 8 ulp of the 50-digit maximum over the
+    endpoints and the interior critical points. For poly the ulp is that of
+    the terms' scale: near a root of g, as in 12x^2 - 2 at x = 0.386, the
+    evaluator's own rounding is some 20 ulp of the value."""
+    spec, iv = case
+    ft = parse_function_spec(spec)
+    for deriv, kind in ((1, "sup_f1"), (2, "sup_f2")):
+        est = estimate_norm(ft, iv, kind)
+        assert (est.method, est.samples) == ("exact", None)
+        ref, scale = _mp_sup(spec, deriv, iv.a, iv.b)
+        sampled = estimate_norm(plain_callables(ft), iv, kind).value
+        assert est.value >= sampled - 4 * math.ulp(scale), (spec, iv, kind, est.value, sampled)
+        assert abs(est.value - ref) <= 8 * math.ulp(scale), (spec, iv, kind, est.value, ref)
 
 
 def test_lp_norms():
@@ -143,6 +223,7 @@ def test_lp_norms():
     ft = register_builtin("power", [2.0])
     assert estimate_norm(ft, iv, "lp_f2", p=2.0).value == pytest.approx(2.0, rel=1e-12)
     assert estimate_norm(ft, iv, "l1_f2").value == pytest.approx(2.0, rel=1e-12)
+    assert estimate_norm(ft, iv, "l1_f2").method == "quadrature"
     with pytest.raises(ParameterError):
         estimate_norm(ft, iv, "lp_f2", p=0.5)
     with pytest.raises(ParameterError):
