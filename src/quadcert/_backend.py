@@ -71,7 +71,11 @@ def _powerlike(coef, expo, lo, hi, overflow):
         return r
 
     fn.batch = (_pow_column, (coef, expo), lo, hi)
-    fn.sup_points = (_endpoints, ())
+    # x**e for e > 1 (an integer where x < 0 is in the domain) turns at 0
+    # when e is even and has a root of its derivative there when e is odd:
+    # the cut keeps every root of f'' among the cuts of f'.
+    fn.cuts = (_zero_cut if expo > 1.0 else _ends, ())
+    fn.abs_pow_convex = (_power_convex, (0.0 if coef == 0.0 else expo,))
     return fn
 
 
@@ -98,9 +102,58 @@ def _exp_column(xs):
     return list(map(math.exp, xs))
 
 
-def _endpoints(a, b):
-    """Where |g| peaks on [a, b] when g is monotone on each side of 0."""
+def _ends(a, b):
+    """Monotone cuts of a monotone g."""
     return [a, b]
+
+
+def _zero_cut(a, b):
+    """Monotone cuts of a g that is monotone on each side of 0."""
+    return [a, 0.0, b] if a < 0.0 < b else [a, b]
+
+
+def _power_convex(a, b, q, expo):
+    """|c x**e|**q = |c|**q |x|**(q e), c != 0, is convex on any interval of
+    the domain iff k = q e has k (k - 1) >= 0 (e is 0 for c = 0)."""
+    k = q * expo
+    return k * (k - 1.0) >= 0.0
+
+
+def _always_convex(a, b, q):
+    return True
+
+
+def _poly_mul(p, r):
+    out = [0.0] * (len(p) + len(r) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(r):
+            out[i + j] += u * v
+    return out
+
+
+def _poly_convex(a, b, q, h):
+    """|h|**q (q >= 1) is convex on [a, b] iff P = (q-1) h'**2 + h h'' >= 0
+    there: (|h|**q)'' = q |h|**(q-2) P off the roots of h, where |h|**q has
+    its minimum 0. P is checked at its own monotone cuts, with an allowance
+    for the rounding of its evaluation. None when a value is not finite."""
+    if len(h) < 3:  # h'' = 0, so P = (q-1) h'**2 >= 0
+        return True
+    h1 = _poly_derivative(h)
+    h2 = _poly_derivative(h1)
+    poly = [(q - 1.0) * s + c for s, c in zip(_poly_mul(h1, h1), _poly_mul(h, h2))]
+    for x in _monotone_cuts(a, b, poly):
+        u, v, w = _horner(h, x), _horner(h1, x), _horner(h2, x)
+        value = (q - 1.0) * v * v + u * w
+        if value - value:
+            return None
+        if value < 0.0:
+            u, v, w = (_horner(list(map(abs, c)), abs(x)) for c in (h, h1, h2))
+            slack = len(h) * 2.0 ** -49 * ((q - 1.0) * v * v + u * w)
+            if slack - slack:
+                return None
+            if value < -slack:
+                return False
+    return True
 
 
 def _horner(coeffs, x):
@@ -141,7 +194,7 @@ def _bisect_sign_change(coeffs, lo, hi, neg_lo):
     while lo < mid < hi:
         v = _horner(coeffs, mid)
         if v == 0.0:
-            return mid, mid
+            return (mid,)
         if (v < 0.0) == neg_lo:
             lo = mid
         else:
@@ -182,11 +235,20 @@ def make_func(kind, params, deriv, lo, hi):
     callable raises DomainError outside the domain, and where the value
     overflows the float range, rather than raising OverflowError or
     returning a non-finite value. For every kind but poly it also carries
-    the ``batch`` tuple that `column` runs. Every kind carries
-    ``sup_points = (points, args)``: ``points(a, b, *args)`` returns points
-    of [a, b] among which |value| takes its maximum over [a, b]. They are a
-    and b for power, reciprocal, neglog and exp, each monotone on each side
-    of 0, and the cuts of `_monotone_cuts` for poly.
+    the ``batch`` tuple that `column` runs. Every evaluator g but neglog's
+    f carries two exact answers about g on a concrete [a, b]:
+
+    - ``cuts = (points, args)``: ``points(a, b, *args)`` returns sorted
+      points of [a, b], a and b included, between consecutive ones of which
+      g is monotone, so |g| peaks at one of them. They are a and b for exp
+      and c*x**e, plus 0 when a < 0 < b and e > 1, and the cuts of
+      `_monotone_cuts` for poly. The cuts of f' contain those of f'', and
+      so every root of f''.
+    - ``abs_pow_convex = (test, args)``: ``test(a, b, q, *args)`` says
+      whether |g|**q, q >= 1, is convex on [a, b]: for g = c*x**e iff c = 0
+      or k(k-1) >= 0 with k = q*e, always for exp, and by `_poly_convex`
+      for poly, which returns None where its floats overflow.
+
     Neither tuple holds a reference to the callable, so building one leaves
     no reference cycle behind.
     """
@@ -227,7 +289,8 @@ def make_func(kind, params, deriv, lo, hi):
                 raise overflow(x) from None
 
         fn.batch = (_exp_column, (), lo, hi)
-        fn.sup_points = (_endpoints, ())
+        fn.cuts = (_ends, ())
+        fn.abs_pow_convex = (_always_convex, ())
         return fn
     if kind == "poly":
         coeffs = [float(c) for c in params]
@@ -248,7 +311,8 @@ def make_func(kind, params, deriv, lo, hi):
                 raise overflow(x)
             return acc
 
-        fn.sup_points = (_monotone_cuts, (tuple(coeffs),))
+        fn.cuts = (_monotone_cuts, (tuple(coeffs),))
+        fn.abs_pow_convex = (_poly_convex, (tuple(coeffs),))
         return fn
     raise ValueError(f"unknown function kind {kind!r}")
 
@@ -267,9 +331,11 @@ def _gk15(g, lo, hi):
     return resk * h, abs((resk - resg) * h)
 
 
-def adaptive_quad(g, a, b, tol, limit):
+def adaptive_quad(g, a, b, tol, limit, points=None):
     """Adaptive bisection of [a, b] with a 7/15 Gauss-Kronrod estimate per
-    segment.
+    segment. ``points``, sorted with a first and b last, are breakpoints
+    (QUADPACK's QAGP): the pieces between them are the first segments, so
+    a kink of g at one of them is never straddled.
 
     A segment is accepted once its Kronrod/Gauss difference fits the share
     of ``tol`` proportional to its width, so the accepted estimates sum to
@@ -283,11 +349,11 @@ def adaptive_quad(g, a, b, tol, limit):
     if not b > a:
         raise ValueError("integration needs a < b")
     span = b - a
-    stack = [(a, b, 0)]
+    stack = [(lo, hi, 0) for lo, hi in pairwise(points or (a, b))][::-1]
     total = 0.0
     comp = 0.0
     err_total = 0.0
-    nleaves = 1
+    nleaves = len(stack)
     accepted = 0
     while stack:
         lo, hi, depth = stack.pop()

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 from . import oracle
 from .errors import ParameterError
-from .functions import FunctionTriple, Interval, grid_midpoint_convex, require_domain
+from .functions import (  # noqa: F401  (grid_midpoint_convex stays importable from here)
+    FunctionTriple, Interval, abs_f2_convexity, grid_midpoint_convex, require_domain)
 from .kernel import convex_bounds, overflow_error
 from .rules import RuleValue, generalized_rule, perturbed_trapezoid_rule
 
@@ -47,9 +48,11 @@ class Certificate:
 
     ``bound_avg`` bounds |average integral - rule.value_avg| and
     ``bound_total`` the same in total form; a convex certificate is the n = 1
-    composite. ``hypothesis_flags`` records sampled checks of the assumptions
-    behind the bound; a False flag means the certificate is advisory, not
-    that the arithmetic is wrong.
+    composite. ``hypothesis_flags`` holds ``(name, satisfied)`` pairs for the
+    assumptions behind the bound; a False flag means the certificate is
+    advisory, not that the arithmetic is wrong. Certificates with flags
+    record in ``params`` how the convexity flag was found: ``flag_method``
+    "exact" (registry functions) or "sampled", with ``flag_samples``.
     """
 
     rule: RuleValue
@@ -60,16 +63,17 @@ class Certificate:
     hypothesis_flags: tuple = ()
 
 
-def _hypothesis_flags(ft, iv, x, q=None):
-    """Sampled convexity of |f''| (or |f''|**q), plus the equal-endpoint-
-    derivative hypothesis for certificates taken at x = b, where dropping
-    the derivative correction turns the rule into the plain trapezoid."""
-    if q is None:
-        flags = [("abs_f2_convex", grid_midpoint_convex(
-            lambda u: abs(ft.f2(u)), iv.a, iv.b, _FLAG_GRID))]
-    else:
-        flags = [("abs_f2_pow_q_convex", grid_midpoint_convex(
-            lambda u: abs(ft.f2(u)) ** q, iv.a, iv.b, _FLAG_GRID))]
+def _hypothesis_flags(ft, iv, x, params, q=None):
+    """Convexity of |f''| (or |f''|**q), exact for registry functions and
+    sampled on a grid otherwise, plus the equal-endpoint-derivative
+    hypothesis for certificates taken at x = b, where dropping the
+    derivative correction turns the rule into the plain trapezoid. Records
+    ``flag_method`` (and ``flag_samples``) in ``params``."""
+    convex, samples = abs_f2_convexity(ft, iv, 1.0 if q is None else q, _FLAG_GRID)
+    flags = [("abs_f2_convex" if q is None else "abs_f2_pow_q_convex", convex)]
+    params["flag_method"] = "exact" if samples is None else "sampled"
+    if samples is not None:
+        params["flag_samples"] = samples
     if abs(iv.b - x) <= 1e-12 * iv.length:
         flags.append(("f1_endpoints_equal",
                       abs(ft.f1(iv.a) - ft.f1(iv.b)) <= _ENDPOINT_DERIV_TOL))
@@ -87,7 +91,7 @@ def bound_convex(ft: FunctionTriple, iv: Interval, x: float) -> Certificate:
     """Certificate from convexity of |f''|.
 
     bound_avg = [(b-x)^3 + (x-mid)^3] * (|f''(a)| + |f''(b)|) / (6(b-a)).
-    Sharp whenever f'' is constant. The convexity hypothesis is sampled and
+    Sharp whenever f'' is constant. The convexity hypothesis is checked and
     recorded in hypothesis_flags, not enforced.
     """
     rule = generalized_rule(ft, iv, x)
@@ -96,8 +100,9 @@ def bound_convex(ft: FunctionTriple, iv: Interval, x: float) -> Certificate:
         (total,) = convex_bounds((iv.a,), (iv.b,), (x,), g)
     except OverflowError:
         raise overflow_error("convex bound", iv, x=x) from None
-    return Certificate(rule, total / iv.length, total, "convex",
-                       {}, _hypothesis_flags(ft, iv, x))
+    params: dict = {}
+    flags = _hypothesis_flags(ft, iv, x, params)
+    return Certificate(rule, total / iv.length, total, "convex", params, flags)
 
 
 def bound_holder(ft: FunctionTriple, iv: Interval, x: float, hp: HolderPair) -> Certificate:
@@ -116,10 +121,11 @@ def bound_holder(ft: FunctionTriple, iv: Interval, x: float, hp: HolderPair) -> 
         avg = (2.0 ** (1.0 / p - 1.0) / (e ** (1.0 / p) * iv.length ** (1.0 / p))
                * moment ** (1.0 / p)
                * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
-        flags = _hypothesis_flags(ft, iv, x, q=q)
+        params = {"p": p, "q": q}
+        flags = _hypothesis_flags(ft, iv, x, params, q=q)
     except OverflowError:
         raise overflow_error("holder bound", iv, p=p, q=q) from None
-    return Certificate(rule, avg, avg * iv.length, "holder", {"p": p, "q": q}, flags)
+    return Certificate(rule, avg, avg * iv.length, "holder", params, flags)
 
 
 def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Certificate:
@@ -136,10 +142,11 @@ def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Ce
     try:
         mq = ((fa ** q + fb ** q) / 2.0) ** (1.0 / q)
         (total,) = convex_bounds((iv.a,), (iv.b,), (x,), (mq, mq))
-        flags = _hypothesis_flags(ft, iv, x, q=q)
+        params = {"q": q}
+        flags = _hypothesis_flags(ft, iv, x, params, q=q)
     except OverflowError:
         raise overflow_error("power_mean bound", iv, q=q) from None
-    return Certificate(rule, total / iv.length, total, "power_mean", {"q": q}, flags)
+    return Certificate(rule, total / iv.length, total, "power_mean", params, flags)
 
 
 def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,
@@ -169,7 +176,7 @@ def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,
                 f"f1_sup={f1_sup!r} is below the sampled |f'| maximum {observed!r}")
     params["f1_sup"] = f1_sup
     fx = ft.f(x)
-    avg = (0.25 + (x - iv.midpoint) ** 2 / iv.length ** 2) * iv.length * f1_sup
+    avg = (0.25 + ((x - iv.midpoint) / iv.length) ** 2) * iv.length * f1_sup
     rule = RuleValue(fx, fx * iv.length, "point", x)
     return Certificate(rule, avg, avg * iv.length, "ostrowski", params)
 
@@ -187,8 +194,9 @@ def bound_cerone_dragomir(ft: FunctionTriple, iv: Interval, case: str,
       l1:  bound_total = (b-a)^2/8 * integral of |f''|
     Omitted norms come from `oracle.estimate_norm` and are recorded in the
     certificate params for auditability, with their ``norm_method``: sup|f''|
-    is exact for registry functions and sampled for plain callables (then
-    ``norm_samples`` records the density); the p-norms come from quadrature.
+    and the L1 norm are exact for registry functions; sup|f''| is sampled
+    for plain callables (then ``norm_samples`` records the density); the
+    other p-norms come from quadrature.
     """
     require_domain(ft, iv)
     if case not in CD_CASES:

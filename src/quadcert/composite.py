@@ -18,7 +18,7 @@ from ._backend import column
 from .errors import DomainError, ParameterError
 from .functions import FunctionTriple, Interval, require_domain
 from .kernel import convex_bounds, overflow_error
-from .rules import two_point_totals
+from .rules import mirror_points, two_point_totals
 
 XI_POLICIES = ("midpoint", "right", "random")
 
@@ -31,11 +31,6 @@ _BLOCK = 4096
 def _midpoints(nodes):
     """Lazy 0.5 * (lo + hi) over consecutive nodes."""
     return map(operator.mul, repeat(0.5), map(operator.add, nodes, nodes[1:]))
-
-
-def _mirrors(nodes, xi):
-    """Lazy reflection lo + hi - x of each intermediate point."""
-    return map(operator.sub, map(operator.add, nodes, nodes[1:]), xi)
 
 
 @dataclass(frozen=True)
@@ -122,6 +117,7 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
       value = h/2 * [f(xi) + f(lo+hi-xi)]
               - h/2 * (xi - (lo+3hi)/4) * [f'(xi) - f'(lo+hi-xi)]
       bound = [(hi-xi)^3 + (xi-mid)^3] * (|f''(lo)| + |f''(hi)|) / 6
+    where the mirror lo+hi-xi of xi = hi is lo itself (`rules.mirror_points`).
 
     The partition is processed in blocks of subintervals, each evaluator
     running as one column per block (`_backend.column`). f and f' are
@@ -140,7 +136,7 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
         lows = nodes[start:start + _BLOCK + 1]
         highs = lows[1:]
         xs = xi[start:start + _BLOCK]
-        mirrors = list(_mirrors(lows, xs))
+        mirrors = mirror_points(lows, highs, xs)
         if all(map(operator.eq, mirrors, xs)):
             # f'(x) - f'(x) is +0.0 wherever f' is finite: skip f'.
             fx = fm = column(ft.f, xs)

@@ -47,9 +47,6 @@ class FunctionTriple:
 
     The three callables share the open domain (domain_lo, domain_hi) and
     raise DomainError outside it instead of returning non-finite values.
-    ``abs_f2_convex_hint`` is a static classification of whether |f''| is
-    convex on the whole domain; `check_abs_f2_convexity` samples a concrete
-    interval.
     """
 
     id: str
@@ -58,7 +55,6 @@ class FunctionTriple:
     f2: Callable[[float], float]
     domain_lo: float
     domain_hi: float
-    abs_f2_convex_hint: bool
 
 
 def register_builtin(func_id: str, params=()) -> FunctionTriple:
@@ -83,23 +79,16 @@ def register_builtin(func_id: str, params=()) -> FunctionTriple:
         p = params[0]
         if not (p.is_integer() and p >= 0):
             lo = 0.0
-        # |f''| ~ x**(p-2) is convex exactly when (p-2)(p-3) >= 0
-        hint = p <= 2.0 or p >= 3.0
     elif kind in ("reciprocal", "neglog"):
         if params:
             raise ParameterError(f"{kind} takes no parameters")
         lo = 0.0
-        hint = True
     elif kind == "exp":
         if params:
             raise ParameterError("exp takes no parameters")
-        hint = True
     else:  # poly
         if not params:
             raise ParameterError("poly needs at least one coefficient")
-        # f'' is linear up to degree 3, so |f''| is convex; higher degrees
-        # depend on the coefficients and must be checked per interval.
-        hint = len(params) - 1 <= 3
 
     return FunctionTriple(
         id=_backend.spec_string(kind, params),
@@ -108,7 +97,6 @@ def register_builtin(func_id: str, params=()) -> FunctionTriple:
         f2=_backend.make_func(kind, params, 2, lo, hi),
         domain_lo=lo,
         domain_hi=hi,
-        abs_f2_convex_hint=hint,
     )
 
 
@@ -150,7 +138,26 @@ def grid_midpoint_convex(g, a, b, grid_n, tol=_CONVEXITY_TOL):
     return True
 
 
+def abs_f2_convexity(ft: FunctionTriple, iv: Interval, q: float = 1.0,
+                     grid_n: int = 101) -> tuple:
+    """Whether |f''|**q (q >= 1) is convex on the interval, and how that was
+    found: ``(convex, samples)``. For a registry f'' the answer is exact
+    (its ``abs_pow_convex`` test, see `_backend.make_func`) and samples is
+    None; otherwise `grid_midpoint_convex` samples ``grid_n`` (>= 3,
+    validated on both paths) points, a heuristic.
+    """
+    if grid_n < 3:
+        raise ParameterError("grid_n must be at least 3")
+    test = getattr(ft.f2, "abs_pow_convex", None)
+    if test is not None:
+        convex = test[0](iv.a, iv.b, q, *test[1])
+        if convex is not None:
+            return convex, None
+    return grid_midpoint_convex(lambda x: abs(ft.f2(x)) ** q, iv.a, iv.b, grid_n), grid_n
+
+
 def check_abs_f2_convexity(ft: FunctionTriple, iv: Interval, grid_n: int = 101) -> bool:
-    """Grid check that |f''| is midpoint-convex on the interval (heuristic)."""
+    """Whether |f''| is convex on the interval: exact for registry
+    functions, a ``grid_n``-point midpoint-convexity sample otherwise."""
     require_domain(ft, iv)
-    return grid_midpoint_convex(lambda x: abs(ft.f2(x)), iv.a, iv.b, grid_n)
+    return abs_f2_convexity(ft, iv, 1.0, grid_n)[0]

@@ -5,11 +5,13 @@ its default tolerance (1e-12) is two orders tighter than any assertion that
 consumes it, so oracle noise stays negligible against tested quantities.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 from . import _backend
-from .errors import ParameterError
+from .errors import IntegrationError, ParameterError
 from .functions import FunctionTriple, Interval, require_domain
 
 DEFAULT_TOL = 1e-12
@@ -32,12 +34,13 @@ class QuadratureEstimate:
 class NormEstimate:
     """Norm of a derivative over an interval, with how it was obtained.
 
-    ``method`` is "exact" for the sup norms of registry evaluators: the
-    largest |value| at the endpoints and at the interior critical points.
-    It is "sampled" for the sup norms of other callables, a lower-bound
-    estimate whose density ``samples`` records, and "quadrature" for the
-    p-norms, which come from adaptive integration. ``samples`` is None
-    unless the method is "sampled".
+    ``method`` is "exact" for the sup norms of registry evaluators, the
+    largest |value| at their monotone cuts, and for the L1 norm of a
+    registry f'', the total variation of f' over its cuts. It is "sampled"
+    for the sup norms of other callables, a lower-bound estimate whose
+    density ``samples`` records, and "quadrature" for the Lp norms and
+    for the L1 norm of other callables, which come from adaptive
+    integration. ``samples`` is None unless the method is "sampled".
     """
 
     kind: str
@@ -48,19 +51,20 @@ class NormEstimate:
 
 
 def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL,
-              limit: int = DEFAULT_LIMIT) -> QuadratureEstimate:
+              limit: int = DEFAULT_LIMIT, points=None) -> QuadratureEstimate:
     """Adaptive bisection integral of g over [a, b].
 
     The per-segment error estimate is the nested Gauss/Kronrod rule
     difference; segments subdivide until their estimates fit within tol.
-    Raises IntegrationError when the subdivision cap is hit or a sample is
-    non-finite, ParameterError on bad arguments.
+    ``points``, sorted with a first and b last, are breakpoints that no
+    segment straddles. Raises IntegrationError when the subdivision cap is
+    hit or a sample is non-finite, ParameterError on bad arguments.
     """
     if not a < b:
         raise ParameterError(f"integration needs a < b, got [{a!r}, {b!r}]")
     if tol < 1e-14:
         raise ParameterError("tolerances below 1e-14 are not resolvable in double precision")
-    value, err, nseg = _backend.adaptive_quad(g, a, b, tol, limit)
+    value, err, nseg = _backend.adaptive_quad(g, a, b, tol, limit, points)
     return QuadratureEstimate(value, err, nseg)
 
 
@@ -103,35 +107,88 @@ def _sampled_sup(g, a, b, samples):
     return vals, best
 
 
+def _cuts(g, a, b):
+    """Monotone cuts of g on [a, b] for a registry evaluator, else None."""
+    cuts = getattr(g, "cuts", None)
+    return None if cuts is None else cuts[0](a, b, *cuts[1])
+
+
+def _graded_at_roots(g, f2, cuts):
+    """``(h, points)``, h with the integral of g over [cuts[0], cuts[-1]] and
+    ``points`` its breakpoints, for a g ~ |x - r|**p at each root r of f''
+    among the cuts, as |f''|**p is. ``points`` is ``cuts`` when no cut is a
+    root, and h is g.
+
+    f'' keeps one sign between cuts, so its roots are the cuts where it is
+    0 and the two ends of a bracket across which its sign flips (see
+    `_backend._bisect_sign_change`). On the quarter [r, r + L] of a piece
+    next to a root r, h is g at x = r + w**2 / L, w = t - r, times
+    dx/dt = 2 w / L, mirrored for a root at the piece's right end. There
+    h ~ w**(2p + 1), which GK15 resolves in a segment or two instead of
+    halving towards r, and h stays within twice the largest g on the
+    piece. Elsewhere h is g.
+    """
+    vals = [f2(c) for c in cuts]
+    last = len(vals) - 1
+    roots = [v == 0.0 or vals[max(i - 1, 0)] * v < 0.0 or v * vals[min(i + 1, last)] < 0.0
+             for i, v in enumerate(vals)]
+    if not any(roots):
+        return g, cuts
+    points, pieces = [cuts[0]], []  # pieces[j] = (r, L, side) on [points[j], points[j + 1]]
+    for (c, d), (root_c, root_d) in zip(pairwise(cuts), pairwise(roots)):
+        quarter = 0.25 * (d - c)
+        if root_c:
+            points.append(c + quarter)
+            pieces.append((c, quarter, 1))
+        pieces.append((0.0, 0.0, 0))
+        if root_d:
+            points.append(d - quarter)
+            pieces.append((d, quarter, -1))
+        points.append(d)
+
+    def h(t):
+        r, span, side = pieces[min(bisect.bisect_right(points, t), len(pieces)) - 1]
+        if not side:
+            return g(t)
+        w = (t - r) * side
+        w_span = w / span
+        return g(r + side * (w * w_span)) * (2.0 * w_span)
+
+    return h, points
+
+
 def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
                   p: float | None = None, samples: int = SUP_SAMPLES) -> NormEstimate:
     """Estimate a derivative norm over the interval.
 
-    sup_f1 / sup_f2: for an evaluator carrying ``sup_points`` (every
-    registry evaluator, see `_backend.make_func`), exact: the largest |g|
-    at the endpoints and at the interior critical points. For any other
-    callable, sampling at ``samples`` (>= 1, validated on both paths)
-    evenly spaced points plus golden-section refinement around the sampled
-    maximum, a lower-bound estimate. lp_f2 (requires p >= 1): adaptive
-    integration of |f''|**p, then the 1/p root. l1_f2: adaptive
-    integration of |f''|.
+    For registry evaluators, which carry monotone ``cuts`` (see
+    `_backend.make_func`):
+      sup_f1 / sup_f2: exact, the largest |g| at the cuts of g.
+      l1_f2: exact, the total variation of f' over its cuts,
+        sum |f'(c_{i+1}) - f'(c_i)|.
+      lp_f2 (p >= 1): adaptive integration of |f''|**p between the cuts of
+        f', which include every root of f'', graded towards each root (see
+        `_graded_at_roots`), then the 1/p root.
+    For any other callable, sup norms sample ``samples`` (>= 1, validated
+    on both paths) evenly spaced points plus golden-section refinement
+    around the sampled maximum, a lower-bound estimate, and the p-norms
+    integrate |f''|**p straight across [a, b].
     """
     require_domain(ft, iv)
     if kind not in NORM_KINDS:
         raise ParameterError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+    a, b = iv.a, iv.b
 
     if kind in ("sup_f1", "sup_f2"):
         if samples < 1:
             raise ParameterError(f"samples={samples!r} must be >= 1")
         g = ft.f1 if kind == "sup_f1" else ft.f2
-        a, b = iv.a, iv.b
-        sup_points = getattr(g, "sup_points", None)
-        if sup_points is None:
+        cuts = _cuts(g, a, b)
+        if cuts is None:
             vals, best = _sampled_sup(g, a, b, samples)
             method = "sampled"
         else:
-            points, args = sup_points
-            vals = [abs(g(x)) for x in points(a, b, *args)]
+            vals = [abs(g(x)) for x in cuts]
             best = max(vals)
             method, samples = "exact", None
         # max() passes over a NaN value, but the sum of the values (all >= 0)
@@ -143,8 +200,28 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
     if kind == "lp_f2":
         if p is None or p < 1.0:
             raise ParameterError("lp_f2 needs p >= 1")
-        est = integrate(lambda x: abs(ft.f2(x)) ** p, iv.a, iv.b)
+        g = lambda x: abs(ft.f2(x)) ** p  # noqa: E731
+        cuts = _cuts(ft.f1, a, b)
+        est = None
+        # |f''|**p is smooth up to a root of f'' unless p is fractional.
+        if cuts is not None and not float(p).is_integer():
+            h, points = _graded_at_roots(g, ft.f2, cuts)
+            if points is not cuts:
+                try:
+                    est = integrate(h, a, b, points=points)
+                except IntegrationError:
+                    pass  # rounding against the absolute tolerance: try the cuts alone
+        if est is None:
+            est = integrate(g, a, b, points=cuts)
         return NormEstimate(kind, est.value ** (1.0 / p), "quadrature", p=p)
 
-    est = integrate(lambda x: abs(ft.f2(x)), iv.a, iv.b)
-    return NormEstimate(kind, est.value, "quadrature")
+    cuts = _cuts(ft.f1, a, b)
+    if cuts is None:
+        return NormEstimate(kind, integrate(lambda x: abs(ft.f2(x)), a, b).value, "quadrature")
+    try:
+        value = math.fsum(abs(v - u) for u, v in pairwise(map(ft.f1, cuts)))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"non-finite derivative sample for {ft.id} on [{a}, {b}]")
+    return NormEstimate(kind, value, "exact")

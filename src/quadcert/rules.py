@@ -3,7 +3,9 @@ specializations. Rules only evaluate f and f'; the error certificates for
 them live in `quadcert.bounds`.
 """
 
+import operator
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, require_domain
@@ -32,9 +34,24 @@ def _check_x_range(iv: Interval, x: float) -> None:
         )
 
 
+def mirror_points(lows, highs, xs):
+    """The reflection lo + hi - x of each point, lo itself where x is hi:
+    (lo + hi) - hi rounds away from lo, to 0 when lo < ulp(hi)/2. A column
+    with every x at hi is ``lows`` sliced; other columns patch only the
+    entries where x is hi."""
+    if xs == highs:
+        return lows[:len(xs)]
+    out = list(map(operator.sub, map(operator.add, lows, highs), xs))
+    if any(map(operator.eq, xs, highs)):
+        for i in compress(count(), map(operator.eq, xs, highs)):
+            out[i] = lows[i]
+    return out
+
+
 def two_point_totals(lows, highs, xs, fx, fm, dx, dm):
-    """Two-point rule values in total form from f and f' at x (fx, dx) and at lo+hi-x
-    (fm, dm); run per block by the composite rules, on one-element columns by the rules."""
+    """Two-point rule values in total form from f and f' at x (fx, dx) and at its
+    mirror (fm, dm, see `mirror_points`); run per block by the composite rules, on
+    one-element columns by the rules."""
     return [(hh := 0.5 * (hi - lo)) * (u + v) - hh * (x - (lo + 3.0 * hi) / 4.0) * (du - dv)
             for lo, hi, x, u, v, du, dv in zip(lows, highs, xs, fx, fm, dx, dm)]
 
@@ -42,13 +59,14 @@ def two_point_totals(lows, highs, xs, fx, fm, dx, dm):
 def generalized_rule(ft: FunctionTriple, iv: Interval, x: float) -> RuleValue:
     """Two-point rule with a free evaluation point x in [midpoint, b].
 
-    value_avg = (f(x) + f(a+b-x))/2 - (x - (a+3b)/4)/2 * (f'(x) - f'(a+b-x)).
-    At x = midpoint this collapses to the midpoint rule; at x = b it is the
-    perturbed trapezoid rule (in average form).
+    value_avg = (f(x) + f(a+b-x))/2 - (x - (a+3b)/4)/2 * (f'(x) - f'(a+b-x)),
+    with the mirror a+b-x taken as a itself at x = b. At x = midpoint this
+    collapses to the midpoint rule; at x = b it is the perturbed trapezoid
+    rule (in average form).
     """
     require_domain(ft, iv)
     _check_x_range(iv, x)
-    mirror = iv.a + iv.b - x
+    (mirror,) = mirror_points((iv.a,), (iv.b,), (x,))
     (total,) = two_point_totals((iv.a,), (iv.b,), (x,), (ft.f(x),), (ft.f(mirror),),
                                 (ft.f1(x),), (ft.f1(mirror),))
     return RuleValue(total / iv.length, total, "generalized", x)
@@ -77,9 +95,7 @@ def perturbed_trapezoid_rule(ft: FunctionTriple, iv: Interval) -> RuleValue:
     """Trapezoid rule corrected by the first-derivative jump.
 
     value_total = (b-a)/2 * (f(a)+f(b)) - (b-a)^2/8 * (f'(b)-f'(a)): the
-    generalized rule at x = b, with its mirror taken as a itself.
+    generalized rule at x = b.
     """
-    require_domain(ft, iv)
-    a, b = iv.a, iv.b
-    (total,) = two_point_totals((a,), (b,), (b,), (ft.f(b),), (ft.f(a),), (ft.f1(b),), (ft.f1(a),))
-    return RuleValue(total / iv.length, total, "perturbed_trapezoid", b)
+    rule = generalized_rule(ft, iv, iv.b)
+    return RuleValue(rule.value_avg, rule.value_total, "perturbed_trapezoid", iv.b)

@@ -5,8 +5,9 @@ hypothesis flags."""
 import math
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import plain_callables, random_interval, random_x
+from conftest import plain_callables, random_interval, random_x, single_cases
 from quadcert.bounds import (
     HolderPair,
     bound_cerone_dragomir,
@@ -16,7 +17,7 @@ from quadcert.bounds import (
     bound_power_mean,
 )
 from quadcert.errors import ParameterError
-from quadcert.functions import Interval, register_builtin
+from quadcert.functions import Interval, parse_function_spec, register_builtin
 from quadcert.oracle import integrate
 from quadcert.rules import perturbed_trapezoid_rule
 
@@ -240,6 +241,26 @@ def test_ostrowski_inconsistent_sup_rejected():
         bound_ostrowski(POWER2, UNIT, 0.5, f1_sup=0.5)
 
 
+def test_ostrowski_tiny_interval():
+    """length**2 underflows to 0.0 on [0, 1e-300]; the scale-free factor
+    ((x - mid) / length)**2 does not divide by it."""
+    iv = Interval(0.0, 1e-300)
+    cert = bound_ostrowski(parse_function_spec("exp"), iv, 9e-301)
+    assert cert.bound_avg == pytest.approx((0.25 + 0.4 ** 2) * 1e-300 * math.exp(1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=single_cases())
+def test_ostrowski_scale_free_factor_moves_only_last_bits(case):
+    """((x - mid) / length)**2 rounds differently from (x - mid)**2 / length**2:
+    the bound moves by at most 2 ulp."""
+    ft, iv, x = case
+    cert = bound_ostrowski(ft, iv, x)
+    sup = cert.params["f1_sup"]
+    old = (0.25 + (x - iv.midpoint) ** 2 / iv.length ** 2) * iv.length * sup
+    assert abs(cert.bound_avg - old) <= 2 * math.ulp(old)
+
+
 # --------------------------------------------------------- cerone-dragomir
 
 def test_cerone_dragomir_cases():
@@ -266,7 +287,7 @@ def test_cerone_dragomir_oracle_norms(corpus, rng):
             cert = bound_cerone_dragomir(ft, iv, case, **kwargs)
             assert holds(actual, cert.bound_total), (ft.id, case)
             assert cert.params["norm"] > 0.0
-            assert cert.params["norm_method"] == ("exact" if case == "inf" else "quadrature")
+            assert cert.params["norm_method"] == ("quadrature" if case == "lp" else "exact")
             assert "norm_samples" not in cert.params
 
 

@@ -8,12 +8,15 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quadcert
-from quadcert.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from quadcert.bounds import CD_CASES
+from quadcert.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, FAMILIES, main
 
 
 def run_cli(capsys, *argv):
@@ -229,3 +232,39 @@ def test_csv_float_formatting_round_trips(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     b_field = rows[1][2]
     assert float(b_field) == 0.30000000000000004  # 17 significant digits survive
+
+
+# ------------------------------------------------------- exit-code contract
+
+EDGE_FLOATS = (0.0, -0.0, 1e-300, -1e-300, 9e-301, 1e300, -1e300, 1.0, 2.0,
+               math.nan, math.inf, -math.inf)
+CLI_SPECS = ("exp", "reciprocal", "neglog", "power:2", "power:2.5", "power:3", "power:400",
+             "poly:3,-2,1,0,5,-1", "poly:1,0,-1,0,0")
+
+
+def _cli_floats():
+    return st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(CLI_SPECS), a=_cli_floats(), b=_cli_floats(), x=_cli_floats(),
+       family=st.sampled_from(FAMILIES), p=st.none() | st.floats(0.5, 5.0) | st.just(math.nan),
+       q=st.none() | st.floats(0.5, 5.0), case=st.none() | st.sampled_from(CD_CASES))
+@example(spec="exp", a=0.0, b=1e-300, x=9e-301, family="ostrowski", p=None, q=None, case=None)
+def test_certify_exit_code_contract(spec, a, b, x, family, p, q, case):
+    """Every certify input exits 0, 1 or 2 without a traceback, and exits 1
+    exactly when the JSON row says the bound does not hold."""
+    argv = ["certify", f"--function={spec}", f"--a={a!r}", f"--b={b!r}", f"--x={x!r}",
+            f"--family={family}", "--format=json"]
+    argv += [f"--{name}={value!r}" for name, value in (("p", p), ("q", q)) if value is not None]
+    if case is not None:
+        argv.append(f"--case={case}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    else:
+        assert json.loads(out.getvalue())["holds"] is (code == EXIT_OK)

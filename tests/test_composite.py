@@ -20,9 +20,9 @@ from quadcert.composite import (
     composite_perturbed_trapezoid,
 )
 from quadcert.errors import DomainError, ParameterError
-from quadcert.functions import FunctionTriple, register_builtin
+from quadcert.functions import FunctionTriple, Interval, register_builtin
 from quadcert.oracle import integrate
-from quadcert.rules import perturbed_trapezoid_rule
+from quadcert.rules import generalized_rule, perturbed_trapezoid_rule
 
 POWER2 = register_builtin("power", [2.0])
 
@@ -137,19 +137,31 @@ def test_midpoint_examples():
 def test_single_interval_telescopes_to_rule(case):
     """A single-interval rule and certificate are the n = 1 composite, bit
     for bit, and the power-mean certificate at q = 1 is the convex one. The
-    perturbed trapezoid rule takes f at a, and the composite at the mirror
-    lo + hi - hi, so the two agree where that mirror is lo exactly."""
+    perturbed trapezoid rule is the n = 1 composite too: both take the
+    mirror of hi as lo itself."""
     ft, iv, x = case
     cert = bound_convex(ft, iv, x)
     res = composite_generalized(ft, Partition((iv.a, iv.b), (x,)))
     assert _bits((cert.rule.value_total, cert.bound_total)) == \
         _bits((res.approx, res.remainder_bound))
-    if iv.a + iv.b - iv.b == iv.a:  # the composite's mirror of hi is lo itself
-        trapezoid = composite_perturbed_trapezoid(ft, (iv.a, iv.b))
-        assert _bits((perturbed_trapezoid_rule(ft, iv).value_total,)) == _bits((trapezoid.approx,))
+    trapezoid = composite_perturbed_trapezoid(ft, (iv.a, iv.b))
+    assert _bits((perturbed_trapezoid_rule(ft, iv).value_total,)) == _bits((trapezoid.approx,))
     power_mean = bound_power_mean(ft, iv, x, 1.0)
     assert _bits((power_mean.rule.value_total, power_mean.bound_total)) == \
         _bits((cert.rule.value_total, cert.bound_total))
+
+
+@pytest.mark.parametrize("a", [1e-10, 1e-20])
+def test_mirror_of_the_right_node_is_the_left_node(a):
+    """(a + b) - b is 0.0 at a = 1e-20, outside the domain of 1/x, and off
+    by ~1e-7 relative at 1e-10; at x = b every rule takes the mirror as a."""
+    ft, iv = register_builtin("reciprocal"), Interval(a, 1.0)
+    total = perturbed_trapezoid_rule(ft, iv).value_total
+    assert _bits((generalized_rule(ft, iv, 1.0).value_total,)) == _bits((total,))
+    assert _bits((composite_perturbed_trapezoid(ft, (a, 1.0)).approx,)) == _bits((total,))
+    part = Partition((a, 0.5, 1.0), (0.5, 0.75))  # xi = hi in the first subinterval only
+    assert _bits(composite_generalized(ft, part).values[:1]) == _bits(
+        (perturbed_trapezoid_rule(ft, Interval(a, 0.5)).value_total,))
 
 
 def test_validity_sweep(corpus, rng):
@@ -176,7 +188,7 @@ def test_per_interval_consistency():
 
 # f(x) = sin x as plain callables, outside the registry.
 SINE = FunctionTriple("sin", math.sin, math.cos, lambda x: -math.sin(x),
-                      -math.inf, math.inf, False)
+                      -math.inf, math.inf)
 
 
 def _reference_uniform(a, b, n, xi_policy, seed):
@@ -203,7 +215,7 @@ def _reference_kernel(ft, part):
         lo, hi = nodes[i], nodes[i + 1]
         h = hi - lo
         xi = part.xi[i]
-        mirror = lo + hi - xi
+        mirror = lo if xi == hi else lo + hi - xi
         values.append(0.5 * h * (ft.f(xi) + ft.f(mirror))
                       - 0.5 * h * (xi - (lo + 3.0 * hi) / 4.0) * (ft.f1(xi) - ft.f1(mirror)))
         mid = 0.5 * (lo + hi)
@@ -325,7 +337,7 @@ def test_midpoint_zero_values_keep_their_sign():
     """A zero value has the sign the per-subinterval loop gives it: f and f'
     returning -0.0 give +0.0, as f'(x) - f'(x) did before f' was skipped."""
     ft = FunctionTriple("negzero", lambda x: -0.0, lambda x: -0.0, lambda x: 0.0,
-                        -math.inf, math.inf, False)
+                        -math.inf, math.inf)
     part = Partition.uniform(-1.0, 1.0, 4)
     res = composite_midpoint(ft, part.nodes)
     assert _bits(res.values) == _bits(_reference_kernel(ft, part)[2]) == _bits((0.0,) * 4)

@@ -1,5 +1,5 @@
 """Registry functions: exact derivative values, domain enforcement, and the
-sampled |f''| convexity check."""
+|f''| convexity check, exact for the registry and sampled otherwise."""
 
 import gc
 import math
@@ -13,7 +13,9 @@ from quadcert.composite import Partition, composite_midpoint
 from quadcert.errors import DomainError, ParameterError
 from quadcert.functions import (
     Interval,
+    abs_f2_convexity,
     check_abs_f2_convexity,
+    grid_midpoint_convex,
     parse_function_spec,
     register_builtin,
 )
@@ -211,21 +213,26 @@ def test_convexity_check_validation():
 
 
 def test_convexity_hints():
-    assert register_builtin("power", [2.0]).abs_f2_convex_hint
-    assert register_builtin("power", [3.0]).abs_f2_convex_hint
-    assert not register_builtin("power", [2.5]).abs_f2_convex_hint
-    assert register_builtin("exp").abs_f2_convex_hint
-    assert register_builtin("poly", [1.0, 0.0, 0.0, 0.0]).abs_f2_convex_hint
-    assert not register_builtin("poly", [1.0, 0.0, -1.0, 0.0, 0.0]).abs_f2_convex_hint
+    """The exact classification of registry |f''| that replaced the static
+    per-function hint, which could not depend on the interval."""
+    cases = [("power:2", -1.0, 1.0, True), ("power:3", -1.0, 1.0, True),
+             ("power:2.5", 0.1, 1.0, False), ("exp", -1.0, 1.0, True),
+             ("poly:1,0,0,0", -1.0, 1.0, True),
+             # f'' = 12x^2 - 2: -f'' is concave between its roots +-0.408
+             ("poly:1,0,-1,0,0", -1.0, 1.0, False), ("poly:1,0,-1,0,0", 1.0, 2.0, True)]
+    for spec, a, b, convex in cases:
+        assert abs_f2_convexity(parse_function_spec(spec), Interval(a, b)) == (convex, None)
 
 
 def test_hint_implies_grid_convexity(corpus):
-    """A True hint must survive the sampled check on in-domain intervals."""
+    """A True exact classification must survive the sampled check on
+    in-domain intervals."""
     extra = [(register_builtin("power", [-2.0]), 0.25, 3.0),
              (register_builtin("power", [0.5]), 0.25, 3.0)]
     for ft, lo, hi in list(corpus) + extra:
-        if ft.abs_f2_convex_hint:
-            assert check_abs_f2_convexity(ft, Interval(lo, hi))
+        iv = Interval(lo, hi)
+        if abs_f2_convexity(ft, iv)[0]:
+            assert grid_midpoint_convex(lambda x, g=ft.f2: abs(g(x)), lo, hi, 101)
 
 
 def test_interval_validation():

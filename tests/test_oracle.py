@@ -129,7 +129,7 @@ def test_sup_norm_sample_count():
 def test_sup_norm_rejects_nan_sample():
     # the NaN sits away from the maximum at b, where max() alone would skip it
     nan_f2 = lambda x: math.nan if 0.3 < x < 0.4 else 1.0 + x
-    ft = FunctionTriple("nan_f2", math.exp, math.exp, nan_f2, -math.inf, math.inf, False)
+    ft = FunctionTriple("nan_f2", math.exp, math.exp, nan_f2, -math.inf, math.inf)
     iv = Interval(0.0, 1.0)
     assert math.isnan(_numpy_sup(ft, iv, "sup_f2", 33))  # np.argmax picks the NaN
     with pytest.raises(ParameterError):
@@ -223,7 +223,7 @@ def test_lp_norms():
     ft = register_builtin("power", [2.0])
     assert estimate_norm(ft, iv, "lp_f2", p=2.0).value == pytest.approx(2.0, rel=1e-12)
     assert estimate_norm(ft, iv, "l1_f2").value == pytest.approx(2.0, rel=1e-12)
-    assert estimate_norm(ft, iv, "l1_f2").method == "quadrature"
+    assert estimate_norm(ft, iv, "l1_f2").method == "exact"
     with pytest.raises(ParameterError):
         estimate_norm(ft, iv, "lp_f2", p=0.5)
     with pytest.raises(ParameterError):

@@ -120,7 +120,7 @@ def _scalar_reference(ft, iv, x, q):
     convex bound, power-mean bound. The allowed shift is 1e-14 of the
     magnitude of the terms."""
     a, b, h = iv.a, iv.b, iv.length
-    mirror = a + b - x
+    mirror = a if x == b else a + b - x
     u, v, du, dv = ft.f(x), ft.f(mirror), ft.f1(x), ft.f1(mirror)
     slope = 0.5 * (x - (a + 3.0 * b) / 4.0)
     generalized = ((0.5 * (u + v) - slope * (du - dv)) * h,
