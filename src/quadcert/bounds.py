@@ -7,12 +7,11 @@ Each certificate pairs a rule value with a bound computable from f'/f''
 data alone -- no knowledge of the true integral is needed.
 """
 
-from dataclasses import dataclass, field
-
 from . import oracle
 from .errors import ParameterError
 from .functions import (  # noqa: F401  (grid_midpoint_convex stays importable from here)
-    FunctionTriple, Interval, abs_f2_convexity, grid_midpoint_convex, require_domain)
+    FunctionTriple, Interval, abs_f2_convexity, grid_midpoint_convex, record_base,
+    require_domain)
 from .kernel import convex_bounds, overflow_error
 from .rules import RuleValue, generalized_rule, perturbed_trapezoid_rule
 
@@ -22,18 +21,17 @@ _ENDPOINT_DERIV_TOL = 1e-12
 _FLAG_GRID = 101
 
 
-@dataclass(frozen=True)
-class HolderPair:
+class HolderPair(record_base("HolderPair", [("p", float), ("q", float)])):
     """Conjugate exponents p, q > 1 with 1/p + 1/q = 1."""
 
-    p: float
-    q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.p > 1.0 and self.q > 1.0):
-            raise ParameterError(f"need p > 1 and q > 1, got p={self.p!r}, q={self.q!r}")
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
-            raise ParameterError(f"p={self.p!r}, q={self.q!r} are not conjugate exponents")
+    def __new__(cls, p, q):
+        if not (p > 1.0 and q > 1.0):
+            raise ParameterError(f"need p > 1 and q > 1, got p={p!r}, q={q!r}")
+        if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
+            raise ParameterError(f"p={p!r}, q={q!r} are not conjugate exponents")
+        return tuple.__new__(cls, (p, q))
 
     @classmethod
     def conjugate(cls, p: float) -> "HolderPair":
@@ -42,8 +40,9 @@ class HolderPair:
         return cls(p, p / (p - 1.0))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(record_base("Certificate", [
+        ("rule", RuleValue), ("bound_avg", float), ("bound_total", float), ("family", str),
+        ("params", dict), ("hypothesis_flags", tuple)])):
     """A rule value with an a-priori bound on its deviation from the integral.
 
     ``bound_avg`` bounds |average integral - rule.value_avg| and
@@ -53,14 +52,14 @@ class Certificate:
     advisory, not that the arithmetic is wrong. Certificates with flags
     record in ``params`` how the convexity flag was found: ``flag_method``
     "exact" (registry functions) or "sampled", with ``flag_samples``.
+    ``params`` defaults to a new dict and ``hypothesis_flags`` to ().
     """
 
-    rule: RuleValue
-    bound_avg: float
-    bound_total: float
-    family: str
-    params: dict = field(default_factory=dict)
-    hypothesis_flags: tuple = ()
+    __slots__ = ()
+
+    def __new__(cls, rule, bound_avg, bound_total, family, params=None, hypothesis_flags=()):
+        return tuple.__new__(cls, (rule, bound_avg, bound_total, family,
+                                   {} if params is None else params, hypothesis_flags))
 
 
 def _hypothesis_flags(ft, iv, x, params, q=None):

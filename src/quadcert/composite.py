@@ -11,12 +11,12 @@ placement.
 import math
 import operator
 import random
-from dataclasses import dataclass
 from itertools import pairwise, repeat
+from typing import NamedTuple
 
 from ._backend import column
 from .errors import DomainError, ParameterError
-from .functions import FunctionTriple, Interval, require_domain
+from .functions import FunctionTriple, Interval, record_base, require_domain
 from .kernel import convex_bounds, overflow_error
 from .rules import mirror_points, two_point_totals
 
@@ -33,18 +33,21 @@ def _midpoints(nodes):
     return map(operator.mul, repeat(0.5), map(operator.add, nodes, nodes[1:]))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Division nodes x_0 < ... < x_n with intermediate points xi_i."""
+class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
+    """Division nodes x_0 < ... < x_n with intermediate points xi_i, stored
+    as tuples of floats."""
 
-    nodes: tuple
-    xi: tuple
+    __slots__ = ()
+
+    def __new__(cls, nodes, xi):
+        self = tuple.__new__(cls, (tuple(map(float, nodes)), tuple(map(float, xi))))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        nodes = tuple(map(float, self.nodes))
-        xi = tuple(map(float, self.xi))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "xi", xi)
+        """Validation, run by ``__new__`` on the float tuples. perfbench's
+        tracer wraps it by this name as ``composite.Partition.init``."""
+        nodes, xi = self
         if len(nodes) < 2:
             raise ParameterError("a partition needs at least two nodes")
         if not (all(map(math.isfinite, nodes)) and all(map(math.isfinite, xi))):
@@ -89,8 +92,7 @@ class Partition:
         return cls(nodes, xi)
 
 
-@dataclass(frozen=True)
-class CompositeResult:
+class CompositeResult(NamedTuple):
     """Composite approximation with its summed remainder bound.
 
     ``values`` and ``bounds`` hold the per-subinterval rule values and

@@ -6,8 +6,7 @@ differences would contaminate the bounds with truncation error.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import _backend
 from .errors import DomainError, ParameterError
@@ -17,20 +16,28 @@ BUILTIN_IDS = ("power", "reciprocal", "neglog", "exp", "poly")
 _CONVEXITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Interval:
+def record_base(name, fields):
+    """NamedTuple base for a record whose subclass defines ``__new__`` to
+    validate or to fill a default, which a NamedTuple class body cannot.
+    ``_make``, and so ``_replace``, builds through that ``__new__`` too."""
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class Interval(record_base("Interval", [("a", float), ("b", float)])):
     """Ordered pair a < b with derived length and midpoint."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __new__(cls, a, b):
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ParameterError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise ParameterError(f"interval needs a < b, got [{self.a!r}, {self.b!r}]")
-        if not (math.isfinite(self.b - self.a) and math.isfinite(self.midpoint)):
+        if not a < b:
+            raise ParameterError(f"interval needs a < b, got [{a!r}, {b!r}]")
+        if not (math.isfinite(b - a) and math.isfinite(0.5 * (a + b))):
             raise ParameterError("interval length/midpoint overflow")
+        return tuple.__new__(cls, (a, b))
 
     @property
     def length(self) -> float:
@@ -41,8 +48,7 @@ class Interval:
         return 0.5 * (self.a + self.b)
 
 
-@dataclass(frozen=True)
-class FunctionTriple:
+class FunctionTriple(NamedTuple):
     """A function together with its exact first and second derivatives.
 
     The three callables share the open domain (domain_lo, domain_hi) and

@@ -7,18 +7,15 @@ numerically that the weighted integral of f'' reproduces the rule's
 deviation from the average integral.
 """
 
-from dataclasses import dataclass
-
 from . import oracle
 from .errors import ParameterError
-from .functions import FunctionTriple, Interval, require_domain
+from .functions import FunctionTriple, Interval, record_base, require_domain
 from .rules import _check_x_range, generalized_rule
 
 _CENTRES = (0.0, 0.5, 1.0)  # c of each piece (t - c)^2 of the weight
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(record_base("KernelSpec", [("iv", Interval), ("x", float)])):
     """Weight configuration for interval ``iv`` and evaluation point ``x``.
 
     x ranges over the right half [midpoint, b]; degenerate placements
@@ -26,11 +23,11 @@ class KernelSpec:
     breakpoints satisfy 0 <= t1 <= 1/2 <= t2 <= 1 and t1 + t2 = 1.
     """
 
-    iv: Interval
-    x: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_x_range(self.iv, self.x)
+    def __new__(cls, iv, x):
+        _check_x_range(iv, x)
+        return tuple.__new__(cls, (iv, x))
 
     @property
     def t1(self) -> float:

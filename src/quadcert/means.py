@@ -10,7 +10,7 @@ and can additionally evaluate the always-valid perturbed-trapezoid variant
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -45,12 +45,29 @@ def mean_value(kind: str, a: float, b: float, p: float | None = None) -> float:
     (b-a)/(ln b - ln a), identric exp((b ln b - a ln a)/(b-a) - 1), and the
     p-logarithmic mean [(b^(p+1)-a^(p+1))/((p+1)(b-a))]^(1/p) for p outside
     {-1, 0}. a = b returns the common value. Arithmetic allows a = 0; all
-    others need a > 0.
+    others need a > 0. Arithmetic that overflows, or divides by a 0 that
+    underflow or rounding produced, raises ParameterError.
     """
     if kind not in MEAN_KINDS:
         raise ParameterError(f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}")
     if not a <= b:
         raise ParameterError(f"need a <= b, got a={a!r}, b={b!r}")
+    try:
+        return _mean(kind, a, b, p)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ParameterError(
+            f"{kind} mean {_float_failure(exc)} at a={a!r}, b={b!r}, p={p!r}") from None
+
+
+def _float_failure(exc):
+    """What an arithmetic error means, for ParameterError messages: an
+    overflow, or a division by a 0 that underflow or rounding produced."""
+    if isinstance(exc, OverflowError):
+        return "overflows the float range"
+    return "divides by zero in float arithmetic"
+
+
+def _mean(kind, a, b, p):
     if kind == "arithmetic":
         if a < 0.0:
             raise ParameterError("arithmetic mean needs a, b >= 0")
@@ -76,12 +93,8 @@ def mean_value(kind: str, a: float, b: float, p: float | None = None) -> float:
         raise ParameterError("p_logarithmic mean is undefined at p = -1 and p = 0")
     if a == b:
         return a
-    try:
-        base = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
-        return base ** (1.0 / p)
-    except OverflowError:
-        raise ParameterError(
-            f"p_logarithmic mean overflows the float range at a={a!r}, b={b!r}, p={p!r}") from None
+    base = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
+    return base ** (1.0 / p)
 
 
 def means_chain_check(a: float, b: float) -> bool:
@@ -94,8 +107,7 @@ def means_chain_check(a: float, b: float) -> bool:
     return all(lo <= hi + _CHAIN_TOL for lo, hi in zip(chain, chain[1:]))
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(NamedTuple):
     """Numeric evaluation of one mean inequality: left side, right side,
     whether lhs <= rhs + 1e-12, and the slack rhs - lhs."""
 
@@ -125,7 +137,7 @@ def _require_p(p):
 def _resolve_q(p_holder, q):
     if q is None:
         return p_holder / (p_holder - 1.0)
-    if abs(1.0 / p_holder + 1.0 / q - 1.0) > 1e-12:
+    if q == 0.0 or abs(1.0 / p_holder + 1.0 / q - 1.0) > 1e-12:
         raise ParameterError(f"p={p_holder!r} and q={q!r} are not conjugate exponents")
     return float(q)
 
@@ -145,7 +157,8 @@ def check_proposition(prop_id: int, a: float, b: float,
     ``corrected=True`` evaluates the perturbed-trapezoid variant of
     propositions 1, 3 and 5 (the statement with the derivative-correction
     term restored); for 2, 4 and 6 it coincides with the printed statement.
-    A side that overflows the float range raises ParameterError.
+    A side that overflows the float range, or divides by an underflowed 0,
+    raises ParameterError.
     """
     if prop_id not in (1, 2, 3, 4, 5, 6):
         raise ParameterError(f"prop_id must be 1..6, got {prop_id!r}")
@@ -154,9 +167,9 @@ def check_proposition(prop_id: int, a: float, b: float,
             f"need 0 < a < b (negative powers of a appear), got a={a!r}, b={b!r}")
     try:
         return _evaluate(prop_id, a, b, p, q, p_holder, corrected)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError) as exc:
         raise ParameterError(
-            f"proposition {prop_id} overflows the float range at a={a!r}, b={b!r}, "
+            f"proposition {prop_id} {_float_failure(exc)} at a={a!r}, b={b!r}, "
             f"p={p!r}, q={q!r}") from None
 
 

@@ -7,8 +7,8 @@ consumes it, so oracle noise stays negligible against tested quantities.
 
 import bisect
 import math
-from dataclasses import dataclass
 from itertools import pairwise
+from typing import NamedTuple
 
 from . import _backend
 from .errors import IntegrationError, ParameterError
@@ -23,15 +23,13 @@ NORM_KINDS = ("sup_f1", "sup_f2", "lp_f2", "l1_f2")
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class QuadratureEstimate:
+class QuadratureEstimate(NamedTuple):
     value: float
     abs_error_estimate: float
     subdivisions: int
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(NamedTuple):
     """Norm of a derivative over an interval, with how it was obtained.
 
     ``method`` is "exact" for the sup norms of registry evaluators, the

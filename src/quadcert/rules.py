@@ -4,15 +4,14 @@ them live in `quadcert.bounds`.
 """
 
 import operator
-from dataclasses import dataclass
 from itertools import compress, count
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, require_domain
 
 
-@dataclass(frozen=True)
-class RuleValue:
+class RuleValue(NamedTuple):
     """Approximation in both average ((1/(b-a)) * integral) and total form.
 
     Carrying both eliminates off-by-(b-a) rescaling mistakes. The two-point

@@ -2,8 +2,6 @@
 random-interval helpers, a hypothesis strategy of single intervals and
 plain-callable copies of registry functions."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -27,8 +25,8 @@ def convex_corpus():
 def plain_callables(ft):
     """ft with f, f' and f'' wrapped as plain callables: the same values,
     but none of the registry evaluators' attributes, so sup norms sample."""
-    return dataclasses.replace(ft, f=lambda x, g=ft.f: g(x), f1=lambda x, g=ft.f1: g(x),
-                               f2=lambda x, g=ft.f2: g(x))
+    return ft._replace(f=lambda x, g=ft.f: g(x), f1=lambda x, g=ft.f1: g(x),
+                       f2=lambda x, g=ft.f2: g(x))
 
 
 def random_interval(rng, lo, hi, min_len=0.2):

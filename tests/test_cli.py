@@ -16,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import quadcert
 from quadcert.bounds import CD_CASES
-from quadcert.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, FAMILIES, main
+from quadcert.cli import (COMPOSITE_RULES, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, FAMILIES,
+                          _holds, main)
+from quadcert.composite import XI_POLICIES
 
 
 def run_cli(capsys, *argv):
@@ -204,15 +206,17 @@ def test_overflow_is_a_usage_error(capsys, argv):
 
 def test_cli_import_leaves_numpy_out():
     """numpy is test-only; the exact sup norms need neither fractions nor
-    decimal."""
+    decimal. The records are named tuples, so start-up skips dataclasses
+    and the inspect module it pulls in; csv loads only for csv output."""
     src = str(Path(quadcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    modules = ("numpy", "fractions", "decimal", "dataclasses", "inspect", "csv")
     out = subprocess.run(
         [sys.executable, "-c", "import sys, quadcert.cli; "
-         "print([m in sys.modules for m in ('numpy', 'fractions', 'decimal')])"],
+         f"print([m for m in {modules!r} if m in sys.modules])"],
         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[False, False, False]"
+    assert out.stdout.strip() == "[]"
 
 
 def test_json_runs_reproduce_bit_identically(capsys):
@@ -268,3 +272,104 @@ def test_certify_exit_code_contract(spec, a, b, x, family, p, q, case):
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
     else:
         assert json.loads(out.getvalue())["holds"] is (code == EXIT_OK)
+
+
+def _run_contract(argv):
+    """Run one CLI call and hold it to the exit-code contract; returns the
+    exit code and the parsed JSON (None on exit 2)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+        return code, None
+    return code, json.loads(out.getvalue())
+
+
+MEAN_FLOATS = (5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.0, 1e10, 1e300, 1.7976931348623157e308,
+               -1.0, 0.0, math.nan, math.inf)
+
+
+def _mean_floats():
+    return st.one_of(st.sampled_from(MEAN_FLOATS), st.floats(0.0, 10.0))
+
+
+def _exponents():
+    return st.one_of(st.sampled_from((-1.0, 0.0, 1.0, 2.0, 400.0, -400.0, math.nan)),
+                     st.floats(-5.0, 5.0))
+
+
+def _float_arg(values):
+    return ",".join(repr(v) for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_mean_floats(), b=_mean_floats(), ps=st.lists(_exponents(), max_size=3))
+@example(a=3.8518191519669767, b=1.7976931348623157e308, ps=[-2.949449503712275])
+@example(a=1e300, b=1.0000000000000002e300, ps=[])  # ln b - ln a rounds to 0
+def test_means_exit_code_contract(a, b, ps):
+    argv = ["means", f"--a={a!r}", f"--b={b!r}", f"--p-values={_float_arg(ps)}",
+            "--format=json"]
+    code, payload = _run_contract(argv)
+    if payload is not None:
+        assert payload["chain_holds"] is (code == EXIT_OK)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prop=st.integers(1, 6), a=_mean_floats(), b=_mean_floats(),
+       p=st.none() | _exponents(), q=st.none() | _exponents(), corrected=st.booleans())
+@example(prop=3, a=0.7266973772734842, b=3.40580102835054, p=2.0, q=0.0, corrected=False)
+@example(prop=5, a=5e-324, b=1e-10, p=1.357020493300074, q=None, corrected=False)
+def test_props_exit_code_contract(prop, a, b, p, q, corrected):
+    argv = ["props", f"--prop={prop}", f"--a={a!r}", f"--b={b!r}", "--format=json"]
+    argv += [f"--{name}={value!r}" for name, value in (("p", p), ("q", q)) if value is not None]
+    code, payload = _run_contract(argv + (["--corrected"] if corrected else []))
+    if payload is not None:
+        assert payload["rows"][0]["holds"] is (code == EXIT_OK)
+
+
+@settings(max_examples=100, deadline=None)
+@given(props=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       a_values=st.lists(_mean_floats(), min_size=1, max_size=2),
+       b_values=st.lists(_mean_floats(), min_size=1, max_size=2),
+       p_values=st.lists(_exponents(), max_size=2), q_values=st.lists(_exponents(), max_size=2),
+       corrected=st.booleans())
+@example(props=[3], a_values=[0.7266973772734842], b_values=[3.40580102835054],
+         p_values=[2.0], q_values=[0.0], corrected=False)
+@example(props=[5], a_values=[5e-324], b_values=[1e-10], p_values=[1.357020493300074],
+         q_values=[], corrected=False)
+def test_sweep_exit_code_contract(props, a_values, b_values, p_values, q_values, corrected):
+    argv = ["sweep", f"--props={','.join(map(str, props))}", f"--a={_float_arg(a_values)}",
+            f"--b={_float_arg(b_values)}", f"--p={_float_arg(p_values)}",
+            f"--q={_float_arg(q_values)}", "--format=json"]
+    code, payload = _run_contract(argv + (["--corrected"] if corrected else []))
+    if payload is not None:
+        assert (payload["summary"]["violations"] > 0) is (code == EXIT_VIOLATION)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.sampled_from(CLI_SPECS), a=_cli_floats(), b=_cli_floats(), x=_cli_floats())
+def test_identity_check_exit_code_contract(spec, a, b, x):
+    argv = ["identity-check", f"--function={spec}", f"--a={a!r}", f"--b={b!r}", f"--x={x!r}",
+            "--format=json"]
+    code, payload = _run_contract(argv)
+    if payload is not None:
+        assert payload["holds"] is (code == EXIT_OK)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.sampled_from(CLI_SPECS), a=_cli_floats(), b=_cli_floats(),
+       rule=st.sampled_from(COMPOSITE_RULES), ns=st.lists(st.integers(-1, 64), min_size=1,
+                                                         max_size=3),
+       xi_policy=st.sampled_from(XI_POLICIES), seed=st.integers(0, 3))
+def test_composite_exit_code_contract(spec, a, b, rule, ns, xi_policy, seed):
+    """Exit 1 exactly when some row's actual error exceeds its bound."""
+    argv = ["composite", f"--function={spec}", f"--a={a!r}", f"--b={b!r}", f"--rule={rule}",
+            f"--n={','.join(map(str, ns))}", f"--xi-policy={xi_policy}", f"--seed={seed}",
+            "--format=json"]
+    code, payload = _run_contract(argv)
+    if payload is not None:
+        failed = not all(_holds(r["actual_error"], r["remainder_bound"]) for r in payload["rows"])
+        assert failed is (code == EXIT_VIOLATION)

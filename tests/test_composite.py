@@ -2,7 +2,6 @@
 the single-interval rule, validity sweeps, convergence order, and
 determinism."""
 
-import dataclasses
 import math
 import random
 
@@ -266,7 +265,7 @@ def _counted(ft):
 
         return wrapper
 
-    return dataclasses.replace(ft, f=counting("f"), f1=counting("f1"), f2=counting("f2")), calls
+    return ft._replace(f=counting("f"), f1=counting("f1"), f2=counting("f2")), calls
 
 
 @pytest.mark.parametrize("n", [1, 7, 64])
@@ -325,7 +324,7 @@ def _f1_fails(x):
 def test_midpoint_rows_do_not_need_f1():
     """Midpoint rows neither evaluate f' nor fail where only f' does; other
     rows still raise its error."""
-    ft = dataclasses.replace(SINE, f1=_f1_fails)
+    ft = SINE._replace(f1=_f1_fails)
     nodes = Partition.uniform(0.0, 1.0, 8).nodes
     assert _bits(composite_midpoint(ft, nodes).values) == _bits(
         composite_midpoint(SINE, nodes).values)
