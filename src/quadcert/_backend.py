@@ -168,10 +168,10 @@ def _monotone_cuts(a, b, coeffs):
     which the polynomial ``coeffs`` (highest degree first) is monotone.
 
     The cuts of the derivative split [a, b] into pieces on which the
-    derivative is monotone, so it changes sign at most once on each. Such a
-    change is bisected until its bracket holds two adjacent floats, and both
-    ends join the cuts. The derivative is evaluated in floats, so
-    "monotone" holds up to its rounding inside a bracket.
+    derivative is monotone, so it changes sign at most once on each: inside,
+    bisected to a bracket of two adjacent floats that both become cuts, or
+    at an end where it is exactly 0, which stays a cut. It is evaluated in
+    floats, so "monotone" holds up to its rounding inside a bracket.
     """
     if len(coeffs) < 3:
         return [a, b]
@@ -181,7 +181,8 @@ def _monotone_cuts(a, b, coeffs):
         dlo, dhi = _horner(deriv, lo), _horner(deriv, hi)
         if dlo < 0.0 < dhi or dhi < 0.0 < dlo:
             cuts += _bisect_sign_change(deriv, lo, hi, dlo < 0.0)
-        cuts.append(hi)
+        if dhi == 0.0 or hi == b:
+            cuts.append(hi)
     return cuts
 
 
@@ -242,8 +243,8 @@ def make_func(kind, params, deriv, lo, hi):
       points of [a, b], a and b included, between consecutive ones of which
       g is monotone, so |g| peaks at one of them. They are a and b for exp
       and c*x**e, plus 0 when a < 0 < b and e > 1, and the cuts of
-      `_monotone_cuts` for poly. The cuts of f' contain those of f'', and
-      so every root of f''.
+      `_monotone_cuts` for poly. The cuts of f' hold every root of f''
+      across which f'' changes sign.
     - ``abs_pow_convex = (test, args)``: ``test(a, b, q, *args)`` says
       whether |g|**q, q >= 1, is convex on [a, b]: for g = c*x**e iff c = 0
       or k(k-1) >= 0 with k = q*e, always for exp, and by `_poly_convex`

@@ -12,7 +12,7 @@ from .errors import ParameterError
 from .functions import (  # noqa: F401  (grid_midpoint_convex stays importable from here)
     FunctionTriple, Interval, abs_f2_convexity, grid_midpoint_convex, record_base,
     require_domain)
-from .kernel import convex_bounds, overflow_error
+from .kernel import KernelSpec, convex_bounds, kernel_lp_moment, overflow_error
 from .rules import RuleValue, generalized_rule, perturbed_trapezoid_rule
 
 CD_CASES = ("inf", "lp", "l1")
@@ -108,23 +108,23 @@ def bound_holder(ft: FunctionTriple, iv: Interval, x: float, hp: HolderPair) -> 
     """Certificate from convexity of |f''|**q via the Holder split.
 
     bound_avg = 2^(1/p-1) / ((2p+1)^(1/p) (b-a)^(1/p))
-                * [(b-x)^(2p+1) + (x-mid)^(2p+1)]^(1/p)
-                * ((|f''(a)|^q + |f''(b)|^q)/2)^(1/q).
+                * [(b-x)^(2p+1) + (x-mid)^(2p+1)]^(1/p) * M_q,
+    M_q = ((|f''(a)|^q + |f''(b)|^q)/2)^(1/q), computed in total form as
+    (b-a)^3/2 * `kernel_lp_moment`^(1/p) * M_q.
     """
     rule = generalized_rule(ft, iv, x)
     p, q = hp.p, hp.q
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
-    e = 2.0 * p + 1.0
     try:
-        moment = (iv.b - x) ** e + (x - iv.midpoint) ** e
-        avg = (2.0 ** (1.0 / p - 1.0) / (e ** (1.0 / p) * iv.length ** (1.0 / p))
-               * moment ** (1.0 / p)
-               * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
+        total = (0.5 * iv.length ** 3 * kernel_lp_moment(KernelSpec(iv, x), p) ** (1.0 / p)
+                 * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
+        if total - total:  # inf or NaN: the product overflowed without raising
+            raise OverflowError
         params = {"p": p, "q": q}
         flags = _hypothesis_flags(ft, iv, x, params, q=q)
     except OverflowError:
         raise overflow_error("holder bound", iv, p=p, q=q) from None
-    return Certificate(rule, avg, avg * iv.length, "holder", params, flags)
+    return Certificate(rule, total / iv.length, total, "holder", params, flags)
 
 
 def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Certificate:
@@ -152,12 +152,12 @@ def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,
                     f1_sup: float | None = None) -> Certificate:
     """Classical bound on |f(x) - average integral| from sup|f'|.
 
-    bound_avg = [1/4 + (x - mid)^2/(b-a)^2] * (b-a) * f1_sup, valid for any
-    x in [a, b] (no half-interval restriction). When f1_sup is omitted it
-    comes from `oracle.estimate_norm`: exact for registry functions,
-    sampled for plain callables. The params record its ``norm_method``,
-    plus ``norm_samples`` for a sampled one. A supplied value is sanity-
-    checked against sampled |f'| and rejected when it is below any sample.
+    bound_avg = [1/4 + t^2] * (b-a) * f1_sup, t = (x-a)/(b-a) - 1/2 = (x-mid)/(b-a),
+    for any x in [a, b]. When f1_sup is omitted it comes from
+    `oracle.estimate_norm`: exact for registry functions, sampled for plain
+    callables. The params record its ``norm_method``, plus ``norm_samples``
+    for a sampled one. A supplied value is sanity-checked against sampled
+    |f'| and rejected when it is below any sample.
     """
     require_domain(ft, iv)
     if not iv.a <= x <= iv.b:
@@ -175,7 +175,7 @@ def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,
                 f"f1_sup={f1_sup!r} is below the sampled |f'| maximum {observed!r}")
     params["f1_sup"] = f1_sup
     fx = ft.f(x)
-    avg = (0.25 + ((x - iv.midpoint) / iv.length) ** 2) * iv.length * f1_sup
+    avg = (0.25 + ((x - iv.a) / iv.length - 0.5) ** 2) * iv.length * f1_sup
     rule = RuleValue(fx, fx * iv.length, "point", x)
     return Certificate(rule, avg, avg * iv.length, "ostrowski", params)
 

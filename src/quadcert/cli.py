@@ -175,18 +175,13 @@ def _cmd_composite(args):
     ft = parse_function_spec(args.function)
     iv = Interval(args.a, args.b)
     reference = oracle.integrate(ft.f, iv.a, iv.b, args.tol).value
+    # the named rules fix the intermediate points
+    policy = {"midpoint": "midpoint", "perturbed_trapezoid": "right"}.get(args.rule, args.xi_policy)
     rows = []
     all_ok = True
     for n in args.n:
-        if args.rule == "midpoint":
-            res = composite.composite_midpoint(
-                ft, Partition.uniform(iv.a, iv.b, n).nodes)
-        elif args.rule == "perturbed_trapezoid":
-            res = composite.composite_perturbed_trapezoid(
-                ft, Partition.uniform(iv.a, iv.b, n).nodes)
-        else:
-            part = Partition.uniform(iv.a, iv.b, n, xi_policy=args.xi_policy, seed=args.seed)
-            res = composite.composite_generalized(ft, part)
+        res = composite.composite_generalized(
+            ft, Partition.uniform(iv.a, iv.b, n, xi_policy=policy, seed=args.seed))
         actual = abs(reference - res.approx)
         ok = _holds(actual, res.remainder_bound)
         all_ok = all_ok and ok

@@ -45,7 +45,7 @@ def mean_value(kind: str, a: float, b: float, p: float | None = None) -> float:
     (b-a)/(ln b - ln a), identric exp((b ln b - a ln a)/(b-a) - 1), and the
     p-logarithmic mean [(b^(p+1)-a^(p+1))/((p+1)(b-a))]^(1/p) for p outside
     {-1, 0}. a = b returns the common value. Arithmetic allows a = 0; all
-    others need a > 0. Arithmetic that overflows, or divides by a 0 that
+    others need a > 0. A mean that overflows, or divides by a 0 that
     underflow or rounding produced, raises ParameterError.
     """
     if kind not in MEAN_KINDS:
@@ -53,7 +53,9 @@ def mean_value(kind: str, a: float, b: float, p: float | None = None) -> float:
     if not a <= b:
         raise ParameterError(f"need a <= b, got a={a!r}, b={b!r}")
     try:
-        return _mean(kind, a, b, p)
+        if math.isfinite(value := _mean(kind, a, b, p)):
+            return value
+        raise OverflowError  # a product or sum overflowed without raising
     except (OverflowError, ZeroDivisionError) as exc:
         raise ParameterError(
             f"{kind} mean {_float_failure(exc)} at a={a!r}, b={b!r}, p={p!r}") from None

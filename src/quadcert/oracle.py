@@ -165,7 +165,7 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
       l1_f2: exact, the total variation of f' over its cuts,
         sum |f'(c_{i+1}) - f'(c_i)|.
       lp_f2 (p >= 1): adaptive integration of |f''|**p between the cuts of
-        f', which include every root of f'', graded towards each root (see
+        f', which hold every sign change of f'', graded towards each root (see
         `_graded_at_roots`), then the 1/p root.
     For any other callable, sup norms sample ``samples`` (>= 1, validated
     on both paths) evenly spaced points plus golden-section refinement

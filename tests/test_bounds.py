@@ -3,11 +3,13 @@ oracle, algebraic reductions, endpoint/midpoint closed forms, and
 hypothesis flags."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import plain_callables, random_interval, random_x, single_cases
+from conftest import SINGLE_SPECS, plain_callables, random_interval, random_x, single_cases
 from quadcert.bounds import (
     HolderPair,
     bound_cerone_dragomir,
@@ -242,8 +244,8 @@ def test_ostrowski_inconsistent_sup_rejected():
 
 
 def test_ostrowski_tiny_interval():
-    """length**2 underflows to 0.0 on [0, 1e-300]; the scale-free factor
-    ((x - mid) / length)**2 does not divide by it."""
+    """length**2 underflows to 0.0 on [0, 1e-300]; the factor from
+    (x - a) / length - 1/2 does not divide by it."""
     iv = Interval(0.0, 1e-300)
     cert = bound_ostrowski(parse_function_spec("exp"), iv, 9e-301)
     assert cert.bound_avg == pytest.approx((0.25 + 0.4 ** 2) * 1e-300 * math.exp(1e-300))
@@ -251,14 +253,56 @@ def test_ostrowski_tiny_interval():
 
 @settings(max_examples=300, deadline=None)
 @given(case=single_cases())
-def test_ostrowski_scale_free_factor_moves_only_last_bits(case):
-    """((x - mid) / length)**2 rounds differently from (x - mid)**2 / length**2:
-    the bound moves by at most 2 ulp."""
+@example(case=(parse_function_spec("neglog"), Interval(4.0, 4.001), 4.001))
+def test_ostrowski_matches_exact_formula(case):
+    """bound_avg is within 4 ulp of [1/4 + (x - mid)^2/(b-a)^2] * (b-a) * f1_sup
+    evaluated exactly on the same floats. A rounded midpoint subtracted from
+    x cancels on short intervals: 4096 ulp low on the example."""
     ft, iv, x = case
     cert = bound_ostrowski(ft, iv, x)
-    sup = cert.params["f1_sup"]
-    old = (0.25 + (x - iv.midpoint) ** 2 / iv.length ** 2) * iv.length * sup
-    assert abs(cert.bound_avg - old) <= 2 * math.ulp(old)
+    a, b, x, sup = map(Fraction, (iv.a, iv.b, x, cert.params["f1_sup"]))
+    exact = float((Fraction(1, 4) + ((x - (a + b) / 2) / (b - a)) ** 2) * (b - a) * sup)
+    assert abs(cert.bound_avg - exact) <= 4 * math.ulp(exact)
+
+
+@st.composite
+def holder_cases(draw):
+    """(FunctionTriple, Interval, x, p): a registry function on an interval
+    1e-9 to 1 long whose left end is at least 0.01 from 0, x in the right
+    half, x = midpoint and x = b included, and p in [1.05, 6]."""
+    spec = draw(st.sampled_from(sorted(SINGLE_SPECS)))
+    lo, hi = SINGLE_SPECS[spec]
+    a = draw(st.floats(lo, hi - 1e-3).filter(lambda v: abs(v) >= 0.01))
+    iv = Interval(a, min(a + 10.0 ** draw(st.floats(-9.0, 0.0)), hi))
+    u = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    x = min(iv.midpoint + u * (iv.b - iv.midpoint), iv.b)
+    return parse_function_spec(spec), iv, x, draw(st.floats(1.05, 6.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=holder_cases())
+@example(case=(parse_function_spec("exp"), Interval(2.5856764892051434, 2.585676494578846),
+               2.5856764936825285, 3.0))
+@example(case=(POWER2, Interval(0.0, 1e100), 1e100, 2.0))  # (b-x)^(2p+1) would overflow
+def test_holder_matches_exact_formula(case):
+    """bound_total and bound_avg are within 1e-14 relative of the printed
+    formula, 2^(1/p-1) / ((2p+1)^(1/p) (b-a)^(1/p)) * [(b-x)^(2p+1) +
+    (x-mid)^(2p+1)]^(1/p) * M_q in average form, at 50 digits on the same
+    floats and the same |f''(a)|, |f''(b)|. The first example lost 2.9e-7
+    to the rounded midpoint; the second overflowed in (b-x)^(2p+1)."""
+    ft, iv, x, p = case
+    hp = HolderPair.conjugate(p)
+    cert = bound_holder(ft, iv, x, hp)
+    with mpmath.workdps(50):
+        a, b, x, p, q = map(mpmath.mpf, (iv.a, iv.b, x, hp.p, hp.q))
+        fa, fb = (mpmath.mpf(abs(ft.f2(v))) for v in (iv.a, iv.b))
+        e = 2 * p + 1
+        # the float midpoint can sit half an ulp below the exact one
+        moment = (b - x) ** e + max(x - (a + b) / 2, 0) ** e
+        avg = (2 ** (1 / p - 1) / (e ** (1 / p) * (b - a) ** (1 / p)) * moment ** (1 / p)
+               * ((fa ** q + fb ** q) / 2) ** (1 / q))
+        for got, want in ((cert.bound_avg, avg), (cert.bound_total, avg * (b - a))):
+            assert abs(got - want) <= 1e-14 * want, (got, want)
 
 
 # --------------------------------------------------------- cerone-dragomir

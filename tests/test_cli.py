@@ -309,12 +309,14 @@ def _float_arg(values):
 @given(a=_mean_floats(), b=_mean_floats(), ps=st.lists(_exponents(), max_size=3))
 @example(a=3.8518191519669767, b=1.7976931348623157e308, ps=[-2.949449503712275])
 @example(a=1e300, b=1.0000000000000002e300, ps=[])  # ln b - ln a rounds to 0
+@example(a=1e300, b=1.7e308, ps=[])  # ab overflows
 def test_means_exit_code_contract(a, b, ps):
     argv = ["means", f"--a={a!r}", f"--b={b!r}", f"--p-values={_float_arg(ps)}",
             "--format=json"]
     code, payload = _run_contract(argv)
     if payload is not None:
         assert payload["chain_holds"] is (code == EXIT_OK)
+        assert all(math.isfinite(row["value"]) for row in payload["means"])
 
 
 @settings(max_examples=200, deadline=None)

@@ -341,6 +341,19 @@ def test_cuts_are_monotone_cuts(spec):
         assert ft.f2(0.0) == 0.0 and 0.0 in ft.f1.cuts[0](a, b, *ft.f1.cuts[1])
 
 
+def test_poly_cuts_are_the_extrema_only():
+    """A poly's cuts are the ends, the sign changes of g' and the cuts of g'
+    where g' is exactly 0. The other cuts of higher derivatives are dropped:
+    here 0.1333..., the root of f^(4)."""
+    ft = parse_function_spec("poly:3,-2,1,0,5,-1")
+    cuts = [g.cuts[0](-1.2, 1.1, *g.cuts[1]) for g in (ft.f, ft.f1)]
+    assert cuts == [[-1.2, 1.1], [-1.2, 0.0, 1.1]]
+    # f'' = x**3 is 0 at the cut 0 of f''' = 3x**2, with no bracket: without
+    # that cut sup|f'| would be 0.75, at the ends
+    witness = parse_function_spec("poly:0.05,0,0,0,-1,0")
+    assert estimate_norm(witness, Interval(-1.0, 1.0), "sup_f1").value == 1.0
+
+
 def test_poly_convexity_overflow_is_undecided():
     """Where P overflows the floats, the poly test answers None and the
     flag falls back to the grid."""

@@ -87,6 +87,10 @@ WIDE = Interval(0.0, 1e200)
                  r"^power_mean bound overflows", id="power-mean-bound"),
     pytest.param(lambda: bound_holder(EXP, UNIT, 1.0, HolderPair.conjugate(1.000001)),
                  ParameterError, r"^holder bound overflows", id="holder-bound"),
+    # every factor is finite; their product is not
+    pytest.param(lambda: bound_holder(register_builtin("poly", [1e10, 0.0, 0.0]),
+                                      Interval(0.0, 5e102), 5e102, HolderPair(2.0, 2.0)),
+                 ParameterError, r"^holder bound overflows", id="holder-product"),
     pytest.param(lambda: bound_convex(CONST, WIDE, 1e200), ParameterError,
                  r"^convex bound overflows the float range on \[0\.0, 1e\+200\] at x=1e\+200$",
                  id="convex-bound"),

@@ -53,6 +53,17 @@ def test_mean_validation():
             mean_value("p_logarithmic", 1.0, 2.0, p=bad_p)
 
 
+@pytest.mark.parametrize("kind,a,b", [
+    ("harmonic", 1e300, 1.7e308),    # 2ab overflows
+    ("geometric", 1e300, 1.7e308),   # ab overflows
+    ("identric", 1e300, 1.7e308),    # b ln b overflows
+    ("arithmetic", 1e308, 1.7e308),  # a + b overflows
+])
+def test_mean_that_overflows_raises(kind, a, b):
+    with pytest.raises(ParameterError, match=rf"^{kind} mean overflows the float range"):
+        mean_value(kind, a, b)
+
+
 def test_p_logarithmic_monotone(rng):
     grid = (-3.0, -2.0, -0.5, 0.5, 1.0, 2.0, 3.0, 5.0)
     for _ in range(20):
