@@ -9,6 +9,9 @@ from itertools import pairwise, repeat
 from .errors import DomainError, IntegrationError
 
 _MAX_DEPTH = 52
+_MAX_SEGMENTS = 4096
+# Below this, a float value of P in `_poly_convex` may have lost its sign.
+_TINY = 2.0 ** -969
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]. Abscissae are symmetric,
 # so only the nonnegative half is stored; the Gauss weights belong to the
@@ -135,7 +138,10 @@ def _poly_convex(a, b, q, h):
     """|h|**q (q >= 1) is convex on [a, b] iff P = (q-1) h'**2 + h h'' >= 0
     there: (|h|**q)'' = q |h|**(q-2) P off the roots of h, where |h|**q has
     its minimum 0. P is checked at its own monotone cuts, with an allowance
-    for the rounding of its evaluation. None when a value is not finite."""
+    for the rounding of its evaluation proportional to the same expression
+    in |coefficients| and |x|. Where that scale is below 2**-969, the float
+    value of P may have underflowed (to -0.0, or with its allowance to 0),
+    so its sign is decided exactly. None when a value is not finite."""
     if len(h) < 3:  # h'' = 0, so P = (q-1) h'**2 >= 0
         return True
     h1 = _poly_derivative(h)
@@ -146,14 +152,30 @@ def _poly_convex(a, b, q, h):
         value = (q - 1.0) * v * v + u * w
         if value - value:
             return None
-        if value < 0.0:
+        if value < _TINY:
             u, v, w = (_horner(list(map(abs, c)), abs(x)) for c in (h, h1, h2))
-            slack = len(h) * 2.0 ** -49 * ((q - 1.0) * v * v + u * w)
-            if slack - slack:
+            scale = (q - 1.0) * v * v + u * w
+            if scale - scale:
                 return None
-            if value < -slack:
+            if scale < _TINY:
+                if _exact_p_negative(h, x, q):
+                    return False
+            elif value < -len(h) * 2.0 ** -49 * scale:
                 return False
     return True
+
+
+def _exact_p_negative(h, x, q):
+    """Whether P = (q-1) h'**2 + h h'' < 0 at x, in rational arithmetic."""
+    from fractions import Fraction  # only P too small to sign in floats needs it
+
+    t = Fraction(x)
+    h0 = [Fraction(c) for c in h]
+    h1 = _poly_derivative(h0)
+    # not `_horner`: its float accumulator would round the Fractions
+    u, v, w = (sum(c * t ** k for k, c in enumerate(reversed(p)))
+               for p in (h0, h1, _poly_derivative(h1)))
+    return (Fraction(q) - 1) * v * v + u * w < 0
 
 
 def _horner(coeffs, x):
@@ -332,7 +354,7 @@ def _gk15(g, lo, hi):
     return resk * h, abs((resk - resg) * h)
 
 
-def adaptive_quad(g, a, b, tol, limit, points=None):
+def adaptive_quad(g, a, b, tol, points=None):
     """Adaptive bisection of [a, b] with a 7/15 Gauss-Kronrod estimate per
     segment. ``points``, sorted with a first and b last, are breakpoints
     (QUADPACK's QAGP): the pieces between them are the first segments, so
@@ -344,8 +366,8 @@ def adaptive_quad(g, a, b, tol, limit, points=None):
     with compensated summation, which makes the result deterministic.
 
     Returns ``(value, error_estimate, segments)``. Raises IntegrationError
-    when more than ``limit`` segments would be needed, when bisection hits
-    the depth cap, or on a non-finite sample.
+    when more than 4096 segments would be needed, when bisection hits the
+    depth cap of 52 halvings, or on a non-finite sample.
     """
     if not b > a:
         raise ValueError("integration needs a < b")
@@ -377,8 +399,8 @@ def adaptive_quad(g, a, b, tol, limit, points=None):
                 f"segment [{lo!r}, {hi!r}] cannot be refined further at tol={tol!r}"
             )
         nleaves += 1
-        if nleaves > limit:
-            raise IntegrationError(f"needs more than {limit} segments for tol={tol!r}")
+        if nleaves > _MAX_SEGMENTS:
+            raise IntegrationError(f"needs more than {_MAX_SEGMENTS} segments for tol={tol!r}")
         mid = 0.5 * (lo + hi)
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))

@@ -17,9 +17,6 @@ from .rules import RuleValue, generalized_rule, perturbed_trapezoid_rule
 
 CD_CASES = ("inf", "lp", "l1")
 
-_ENDPOINT_DERIV_TOL = 1e-12
-_FLAG_GRID = 101
-
 
 class HolderPair(record_base("HolderPair", [("p", float), ("q", float)])):
     """Conjugate exponents p, q > 1 with 1/p + 1/q = 1."""
@@ -48,10 +45,12 @@ class Certificate(record_base("Certificate", [
     ``bound_avg`` bounds |average integral - rule.value_avg| and
     ``bound_total`` the same in total form; a convex certificate is the n = 1
     composite. ``hypothesis_flags`` holds ``(name, satisfied)`` pairs for the
-    assumptions behind the bound; a False flag means the certificate is
-    advisory, not that the arithmetic is wrong. Certificates with flags
-    record in ``params`` how the convexity flag was found: ``flag_method``
-    "exact" (registry functions) or "sampled", with ``flag_samples``.
+    assumptions behind the bound: one convexity flag for the convex, holder
+    and power_mean families, none for the two baselines. A False flag means
+    the certificate is advisory, not that the arithmetic is wrong.
+    Certificates with a flag record in ``params`` how it was found:
+    ``flag_method`` "exact" (registry functions) or "sampled", with
+    ``flag_samples``.
     ``params`` defaults to a new dict and ``hypothesis_flags`` to ().
     """
 
@@ -62,21 +61,17 @@ class Certificate(record_base("Certificate", [
                                    {} if params is None else params, hypothesis_flags))
 
 
-def _hypothesis_flags(ft, iv, x, params, q=None):
-    """Convexity of |f''| (or |f''|**q), exact for registry functions and
-    sampled on a grid otherwise, plus the equal-endpoint-derivative
-    hypothesis for certificates taken at x = b, where dropping the
-    derivative correction turns the rule into the plain trapezoid. Records
-    ``flag_method`` (and ``flag_samples``) in ``params``."""
-    convex, samples = abs_f2_convexity(ft, iv, 1.0 if q is None else q, _FLAG_GRID)
-    flags = [("abs_f2_convex" if q is None else "abs_f2_pow_q_convex", convex)]
+def _hypothesis_flags(ft, iv, params, q=None):
+    """The one hypothesis of the convex-type bounds: convexity of |f''| (or
+    |f''|**q), exact for registry functions and sampled on a 101-point grid
+    otherwise. Records ``flag_method`` (and ``flag_samples``) in ``params``.
+    At x = b the rule keeps its derivative correction (it is the perturbed
+    trapezoid), so no condition on f'(a) and f'(b) is needed there."""
+    convex, samples = abs_f2_convexity(ft, iv, 1.0 if q is None else q)
     params["flag_method"] = "exact" if samples is None else "sampled"
     if samples is not None:
         params["flag_samples"] = samples
-    if abs(iv.b - x) <= 1e-12 * iv.length:
-        flags.append(("f1_endpoints_equal",
-                      abs(ft.f1(iv.a) - ft.f1(iv.b)) <= _ENDPOINT_DERIV_TOL))
-    return tuple(flags)
+    return (("abs_f2_convex" if q is None else "abs_f2_pow_q_convex", convex),)
 
 
 def _record_method(params, est):
@@ -100,7 +95,7 @@ def bound_convex(ft: FunctionTriple, iv: Interval, x: float) -> Certificate:
     except OverflowError:
         raise overflow_error("convex bound", iv, x=x) from None
     params: dict = {}
-    flags = _hypothesis_flags(ft, iv, x, params)
+    flags = _hypothesis_flags(ft, iv, params)
     return Certificate(rule, total / iv.length, total, "convex", params, flags)
 
 
@@ -121,7 +116,7 @@ def bound_holder(ft: FunctionTriple, iv: Interval, x: float, hp: HolderPair) -> 
         if total - total:  # inf or NaN: the product overflowed without raising
             raise OverflowError
         params = {"p": p, "q": q}
-        flags = _hypothesis_flags(ft, iv, x, params, q=q)
+        flags = _hypothesis_flags(ft, iv, params, q=q)
     except OverflowError:
         raise overflow_error("holder bound", iv, p=p, q=q) from None
     return Certificate(rule, total / iv.length, total, "holder", params, flags)
@@ -142,7 +137,7 @@ def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Ce
         mq = ((fa ** q + fb ** q) / 2.0) ** (1.0 / q)
         (total,) = convex_bounds((iv.a,), (iv.b,), (x,), (mq, mq))
         params = {"q": q}
-        flags = _hypothesis_flags(ft, iv, x, params, q=q)
+        flags = _hypothesis_flags(ft, iv, params, q=q)
     except OverflowError:
         raise overflow_error("power_mean bound", iv, q=q) from None
     return Certificate(rule, total / iv.length, total, "power_mean", params, flags)

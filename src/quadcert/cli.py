@@ -81,11 +81,11 @@ def _emit_table(rows, columns):
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
 
 
-def _emit_rows(rows, columns, fmt, json_payload=None):
+def _emit_rows(rows, columns, fmt, json_payload):
     if fmt == "csv":
         _emit_csv(rows, columns)
     elif fmt == "json":
-        print(json.dumps(json_payload if json_payload is not None else list(rows), indent=2))
+        print(json.dumps(json_payload, indent=2))
     else:
         _emit_table(rows, columns)
 
@@ -190,7 +190,7 @@ def _cmd_composite(args):
                      "actual_error": actual, "remainder_bound": res.remainder_bound,
                      "ratio": ratio})
     payload = {"function": ft.id, "a": iv.a, "b": iv.b, "rule": args.rule,
-               "xi_policy": args.xi_policy, "seed": args.seed, "rows": rows}
+               "xi_policy": policy, "seed": args.seed, "rows": rows}
     _emit_rows(rows, CSV_COLUMNS["composite"], args.format, json_payload=payload)
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
@@ -305,8 +305,11 @@ def build_parser():
         description="Two-point quadrature rules with a-priori error certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_format(sp):
         sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
+
+    def add_oracle_options(sp):
+        add_format(sp)
         sp.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL,
                         help="oracle integration tolerance (default 1e-12)")
 
@@ -323,7 +326,7 @@ def build_parser():
                     help="sup|f'| for ostrowski (estimated when omitted)")
     sp.add_argument("--norm", type=float,
                     help="f'' norm for cerone_dragomir (estimated when omitted)")
-    add_common(sp)
+    add_oracle_options(sp)
     sp.set_defaults(handler=_cmd_certify)
 
     sp = sub.add_parser("identity-check", help="residual of the integral identity")
@@ -332,7 +335,7 @@ def build_parser():
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--max-residual", dest="max_residual", type=float, default=1e-9)
-    add_common(sp)
+    add_oracle_options(sp)
     sp.set_defaults(handler=_cmd_identity_check)
 
     sp = sub.add_parser("composite", help="composite-rule convergence table")
@@ -344,7 +347,7 @@ def build_parser():
     sp.add_argument("--xi-policy", dest="xi_policy", choices=XI_POLICIES, default="midpoint",
                     help="intermediate-point policy for --rule generalized")
     sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
+    add_oracle_options(sp)
     sp.set_defaults(handler=_cmd_composite)
 
     sp = sub.add_parser("means", help="special means table and chain check")
@@ -352,7 +355,7 @@ def build_parser():
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--p-values", dest="p_values", type=_float_list, default=[2.0],
                     help='p-logarithmic exponents, e.g. "-2,0.5,2"')
-    add_common(sp)
+    add_format(sp)
     sp.set_defaults(handler=_cmd_means)
 
     sp = sub.add_parser("props", help="check one mean inequality")
@@ -363,7 +366,7 @@ def build_parser():
     sp.add_argument("--q", type=float)
     sp.add_argument("--corrected", action="store_true",
                     help="also evaluate the perturbed-trapezoid variant")
-    add_common(sp)
+    add_format(sp)
     sp.set_defaults(handler=_cmd_props)
 
     sp = sub.add_parser("sweep", help="cartesian proposition grid; aggregates violations")
@@ -373,7 +376,7 @@ def build_parser():
     sp.add_argument("--p", dest="p_values", type=_float_list, default=[])
     sp.add_argument("--q", dest="q_values", type=_float_list, default=[])
     sp.add_argument("--corrected", action="store_true")
-    add_common(sp)
+    add_format(sp)
     sp.set_defaults(handler=_cmd_sweep)
 
     return parser

@@ -14,6 +14,7 @@ from .errors import DomainError, ParameterError
 BUILTIN_IDS = ("power", "reciprocal", "neglog", "exp", "poly")
 
 _CONVEXITY_TOL = 1e-12
+_CONVEXITY_GRID = 101
 
 
 def record_base(name, fields):
@@ -67,29 +68,28 @@ def register_builtin(func_id: str, params=()) -> FunctionTriple:
     """Construct a registry FunctionTriple.
 
     func_id: "power" (params: [exponent]), "reciprocal" (1/x), "neglog"
-    (-ln x), "exp", or "poly"/"polynomial" (params: coefficients, highest
-    degree first). Domains are (0, inf) for reciprocal, neglog, and power
-    with a non-integer or negative exponent; all reals otherwise.
+    (-ln x), "exp", or "poly" (params: coefficients, highest degree first).
+    Domains are (0, inf) for reciprocal, neglog, and power with a
+    non-integer or negative exponent; all reals otherwise.
     """
-    kind = "poly" if func_id == "polynomial" else func_id
-    if kind not in BUILTIN_IDS:
+    if func_id not in BUILTIN_IDS:
         raise ParameterError(f"unknown function id {func_id!r}; expected one of {BUILTIN_IDS}")
     params = [float(v) for v in params]
     if not all(math.isfinite(v) for v in params):
         raise ParameterError("function parameters must be finite")
 
     lo, hi = -math.inf, math.inf
-    if kind == "power":
+    if func_id == "power":
         if len(params) != 1:
             raise ParameterError("power needs exactly one parameter: the exponent")
         p = params[0]
         if not (p.is_integer() and p >= 0):
             lo = 0.0
-    elif kind in ("reciprocal", "neglog"):
+    elif func_id in ("reciprocal", "neglog"):
         if params:
-            raise ParameterError(f"{kind} takes no parameters")
+            raise ParameterError(f"{func_id} takes no parameters")
         lo = 0.0
-    elif kind == "exp":
+    elif func_id == "exp":
         if params:
             raise ParameterError("exp takes no parameters")
     else:  # poly
@@ -97,10 +97,10 @@ def register_builtin(func_id: str, params=()) -> FunctionTriple:
             raise ParameterError("poly needs at least one coefficient")
 
     return FunctionTriple(
-        id=_backend.spec_string(kind, params),
-        f=_backend.make_func(kind, params, 0, lo, hi),
-        f1=_backend.make_func(kind, params, 1, lo, hi),
-        f2=_backend.make_func(kind, params, 2, lo, hi),
+        id=_backend.spec_string(func_id, params),
+        f=_backend.make_func(func_id, params, 0, lo, hi),
+        f1=_backend.make_func(func_id, params, 1, lo, hi),
+        f2=_backend.make_func(func_id, params, 2, lo, hi),
         domain_lo=lo,
         domain_hi=hi,
     )
@@ -128,42 +128,37 @@ def require_domain(ft: FunctionTriple, iv: Interval) -> None:
         )
 
 
-def grid_midpoint_convex(g, a, b, grid_n, tol=_CONVEXITY_TOL):
+def grid_midpoint_convex(g, a, b):
     """Sampled midpoint-convexity test of g on [a, b].
 
-    True when g(x_i) <= (g(x_{i-1}) + g(x_{i+1}))/2 + tol on every adjacent
-    triple of the uniform grid. A heuristic, not a proof.
+    True when g(x_i) <= (g(x_{i-1}) + g(x_{i+1}))/2 + 1e-12 on every
+    adjacent triple of the uniform 101-point grid. A heuristic, not a proof.
     """
-    if grid_n < 3:
-        raise ParameterError("grid_n must be at least 3")
-    m = grid_n - 1
-    vals = [g(((m - i) * a + i * b) / m) for i in range(grid_n)]
+    m = _CONVEXITY_GRID - 1
+    vals = [g(((m - i) * a + i * b) / m) for i in range(_CONVEXITY_GRID)]
     for i in range(1, m):
-        if vals[i] > 0.5 * (vals[i - 1] + vals[i + 1]) + tol:
+        if vals[i] > 0.5 * (vals[i - 1] + vals[i + 1]) + _CONVEXITY_TOL:
             return False
     return True
 
 
-def abs_f2_convexity(ft: FunctionTriple, iv: Interval, q: float = 1.0,
-                     grid_n: int = 101) -> tuple:
+def abs_f2_convexity(ft: FunctionTriple, iv: Interval, q: float = 1.0) -> tuple:
     """Whether |f''|**q (q >= 1) is convex on the interval, and how that was
     found: ``(convex, samples)``. For a registry f'' the answer is exact
     (its ``abs_pow_convex`` test, see `_backend.make_func`) and samples is
-    None; otherwise `grid_midpoint_convex` samples ``grid_n`` (>= 3,
-    validated on both paths) points, a heuristic.
+    None; otherwise `grid_midpoint_convex` samples 101 points, a heuristic,
+    and samples is 101.
     """
-    if grid_n < 3:
-        raise ParameterError("grid_n must be at least 3")
     test = getattr(ft.f2, "abs_pow_convex", None)
     if test is not None:
         convex = test[0](iv.a, iv.b, q, *test[1])
         if convex is not None:
             return convex, None
-    return grid_midpoint_convex(lambda x: abs(ft.f2(x)) ** q, iv.a, iv.b, grid_n), grid_n
+    return grid_midpoint_convex(lambda x: abs(ft.f2(x)) ** q, iv.a, iv.b), _CONVEXITY_GRID
 
 
-def check_abs_f2_convexity(ft: FunctionTriple, iv: Interval, grid_n: int = 101) -> bool:
+def check_abs_f2_convexity(ft: FunctionTriple, iv: Interval) -> bool:
     """Whether |f''| is convex on the interval: exact for registry
-    functions, a ``grid_n``-point midpoint-convexity sample otherwise."""
+    functions, a 101-point midpoint-convexity sample otherwise."""
     require_domain(ft, iv)
-    return abs_f2_convexity(ft, iv, 1.0, grid_n)[0]
+    return abs_f2_convexity(ft, iv)[0]

@@ -45,13 +45,15 @@ def mean_value(kind: str, a: float, b: float, p: float | None = None) -> float:
     (b-a)/(ln b - ln a), identric exp((b ln b - a ln a)/(b-a) - 1), and the
     p-logarithmic mean [(b^(p+1)-a^(p+1))/((p+1)(b-a))]^(1/p) for p outside
     {-1, 0}. a = b returns the common value. Arithmetic allows a = 0; all
-    others need a > 0. A mean that overflows, or divides by a 0 that
-    underflow or rounding produced, raises ParameterError.
+    others need a > 0. A non-finite a or b, and a mean that overflows or
+    divides by a 0 that underflow or rounding produced, raise
+    ParameterError.
     """
     if kind not in MEAN_KINDS:
         raise ParameterError(f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}")
     if not a <= b:
         raise ParameterError(f"need a <= b, got a={a!r}, b={b!r}")
+    _require_finite(a, b)
     try:
         if math.isfinite(value := _mean(kind, a, b, p)):
             return value
@@ -59,6 +61,11 @@ def mean_value(kind: str, a: float, b: float, p: float | None = None) -> float:
     except (OverflowError, ZeroDivisionError) as exc:
         raise ParameterError(
             f"{kind} mean {_float_failure(exc)} at a={a!r}, b={b!r}, p={p!r}") from None
+
+
+def _require_finite(a, b):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParameterError(f"need finite a and b, got a={a!r}, b={b!r}")
 
 
 def _float_failure(exc):
@@ -159,14 +166,15 @@ def check_proposition(prop_id: int, a: float, b: float,
     ``corrected=True`` evaluates the perturbed-trapezoid variant of
     propositions 1, 3 and 5 (the statement with the derivative-correction
     term restored); for 2, 4 and 6 it coincides with the printed statement.
-    A side that overflows the float range, or divides by an underflowed 0,
-    raises ParameterError.
+    A non-finite b, and a side that overflows the float range or divides by
+    an underflowed 0, raise ParameterError.
     """
     if prop_id not in (1, 2, 3, 4, 5, 6):
         raise ParameterError(f"prop_id must be 1..6, got {prop_id!r}")
     if not 0.0 < a < b:
         raise ParameterError(
             f"need 0 < a < b (negative powers of a appear), got a={a!r}, b={b!r}")
+    _require_finite(a, b)
     try:
         return _evaluate(prop_id, a, b, p, q, p_holder, corrected)
     except (OverflowError, ZeroDivisionError) as exc:

@@ -15,7 +15,6 @@ from .errors import IntegrationError, ParameterError
 from .functions import FunctionTriple, Interval, require_domain
 
 DEFAULT_TOL = 1e-12
-DEFAULT_LIMIT = 4096
 SUP_SAMPLES = 4097
 
 NORM_KINDS = ("sup_f1", "sup_f2", "lp_f2", "l1_f2")
@@ -48,21 +47,22 @@ class NormEstimate(NamedTuple):
     samples: int | None = None
 
 
-def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL,
-              limit: int = DEFAULT_LIMIT, points=None) -> QuadratureEstimate:
+def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL, *,
+              points=None) -> QuadratureEstimate:
     """Adaptive bisection integral of g over [a, b].
 
     The per-segment error estimate is the nested Gauss/Kronrod rule
     difference; segments subdivide until their estimates fit within tol.
     ``points``, sorted with a first and b last, are breakpoints that no
-    segment straddles. Raises IntegrationError when the subdivision cap is
-    hit or a sample is non-finite, ParameterError on bad arguments.
+    segment straddles. Raises IntegrationError when more than 4096
+    segments or more than 52 bisections would be needed, or a sample is
+    non-finite, and ParameterError on bad arguments.
     """
     if not a < b:
         raise ParameterError(f"integration needs a < b, got [{a!r}, {b!r}]")
     if tol < 1e-14:
         raise ParameterError("tolerances below 1e-14 are not resolvable in double precision")
-    value, err, nseg = _backend.adaptive_quad(g, a, b, tol, limit, points)
+    value, err, nseg = _backend.adaptive_quad(g, a, b, tol, points)
     return QuadratureEstimate(value, err, nseg)
 
 
@@ -85,15 +85,15 @@ def _golden_max(g, lo, hi, iters=80):
     return max(gc, gd)
 
 
-def _sampled_sup(g, a, b, samples):
-    """|g| at ``samples`` evenly spaced points of [a, b], and their maximum
-    after golden-section refinement around the largest sample."""
+def _sampled_sup(g, a, b):
+    """|g| at `SUP_SAMPLES` evenly spaced points of [a, b], and their
+    maximum after golden-section refinement around the largest sample."""
     # Evenly spaced nodes a + k*step, the last one exactly b (linspace arithmetic).
-    last = samples - 1
-    step = (b - a) / last if last else 0.0
+    last = SUP_SAMPLES - 1
+    step = (b - a) / last
 
     def node(k):
-        return b if 0 < k == last else a + k * step
+        return b if k == last else a + k * step
 
     vals = [abs(g(a + k * step)) for k in range(last)]
     vals.append(abs(g(node(last))))
@@ -156,7 +156,7 @@ def _graded_at_roots(g, f2, cuts):
 
 
 def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
-                  p: float | None = None, samples: int = SUP_SAMPLES) -> NormEstimate:
+                  p: float | None = None) -> NormEstimate:
     """Estimate a derivative norm over the interval.
 
     For registry evaluators, which carry monotone ``cuts`` (see
@@ -167,10 +167,10 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
       lp_f2 (p >= 1): adaptive integration of |f''|**p between the cuts of
         f', which hold every sign change of f'', graded towards each root (see
         `_graded_at_roots`), then the 1/p root.
-    For any other callable, sup norms sample ``samples`` (>= 1, validated
-    on both paths) evenly spaced points plus golden-section refinement
-    around the sampled maximum, a lower-bound estimate, and the p-norms
-    integrate |f''|**p straight across [a, b].
+    For any other callable, sup norms sample `SUP_SAMPLES` (4097) evenly
+    spaced points plus golden-section refinement around the sampled
+    maximum, a lower-bound estimate, and the p-norms integrate |f''|**p
+    straight across [a, b].
     """
     require_domain(ft, iv)
     if kind not in NORM_KINDS:
@@ -178,13 +178,11 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
     a, b = iv.a, iv.b
 
     if kind in ("sup_f1", "sup_f2"):
-        if samples < 1:
-            raise ParameterError(f"samples={samples!r} must be >= 1")
         g = ft.f1 if kind == "sup_f1" else ft.f2
         cuts = _cuts(g, a, b)
         if cuts is None:
-            vals, best = _sampled_sup(g, a, b, samples)
-            method = "sampled"
+            vals, best = _sampled_sup(g, a, b)
+            method, samples = "sampled", SUP_SAMPLES
         else:
             vals = [abs(g(x)) for x in cuts]
             best = max(vals)

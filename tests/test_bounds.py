@@ -175,20 +175,17 @@ def test_specialization_closed_forms(corpus, rng):
 # --------------------------------------------------------- hypothesis flags
 
 def test_trapezoid_hypothesis_flag():
-    """Certificates taken at x = b carry the equal-endpoint-derivative flag
-    (False for x^2 on [0, 1], True for a linear function)."""
-    cert = bound_convex(POWER2, UNIT, 1.0)
-    flags = dict(cert.hypothesis_flags)
-    assert flags["abs_f2_convex"] is True
-    assert flags["f1_endpoints_equal"] is False
-
+    """A certificate at x = b certifies the perturbed trapezoid, which keeps
+    the derivative correction: it carries only its convexity flag, however
+    f'(a) and f'(b) compare, as at an interior x."""
     linear = register_builtin("poly", [1.0, 0.0])
-    flags = dict(bound_convex(linear, UNIT, 1.0).hypothesis_flags)
-    assert flags["f1_endpoints_equal"] is True
-
-    # interior x: no endpoint flag
-    flags = dict(bound_convex(POWER2, UNIT, 0.75).hypothesis_flags)
-    assert "f1_endpoints_equal" not in flags
+    for ft, x in ((POWER2, 1.0), (linear, 1.0), (POWER2, 0.75)):
+        assert bound_convex(ft, UNIT, x).hypothesis_flags == (("abs_f2_convex", True),)
+    exp = register_builtin("exp")
+    cert = bound_convex(exp, UNIT, 1.0)
+    assert cert.hypothesis_flags == (("abs_f2_convex", True),)
+    error = abs(math.e - 1.0 - cert.rule.value_total)
+    assert 0.07 < error <= cert.bound_total
 
 
 def test_power_q_convexity_flag():

@@ -38,8 +38,8 @@ def test_certify_json(capsys):
     assert payload["bound_total"] == pytest.approx(1.0 / 12.0, abs=1e-15)
     assert payload["actual_error_total"] == pytest.approx(1.0 / 12.0, abs=1e-12)
     assert payload["holds"] is True
-    assert {f["name"] for f in payload["hypothesis_flags"]} == {
-        "abs_f2_convex", "f1_endpoints_equal"}
+    # at x = b the rule is the perturbed trapezoid, which needs no f'(a) = f'(b)
+    assert [f["name"] for f in payload["hypothesis_flags"]] == ["abs_f2_convex"]
 
 
 def test_certify_other_families(capsys):
@@ -85,6 +85,24 @@ def test_composite_generalized_random_xi(capsys):
     payload = json.loads(out)
     assert payload["seed"] == 42
     assert all(r["actual_error"] <= r["remainder_bound"] for r in payload["rows"])
+
+
+@pytest.mark.parametrize("rule, policy", [("midpoint", "midpoint"),
+                                          ("perturbed_trapezoid", "right"),
+                                          ("generalized", "random")])
+def test_composite_json_records_the_policy_its_rows_ran(capsys, rule, policy):
+    """The named rules fix their intermediate points, whatever --xi-policy
+    says; the JSON reports the policy the rows ran."""
+    argv = ["composite", "--function", "exp", "--a", "0", "--b", "1", "--n", "3",
+            "--rule", rule, "--xi-policy", "random", "--seed", "5"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["rule"] == rule and payload["xi_policy"] == policy
+    ft = quadcert.parse_function_spec("exp")
+    res = quadcert.composite_generalized(
+        ft, quadcert.Partition.uniform(0.0, 1.0, 3, xi_policy=policy, seed=5))
+    assert payload["rows"][0]["approx"] == res.approx
 
 
 def test_means(capsys):
@@ -152,6 +170,12 @@ def test_sweep_skips_invalid_grid_cells(capsys):
     assert code == EXIT_OK
     assert json.loads(out)["summary"] == {"total": 1, "holds": 1, "violations": 0,
                                           "skipped_invalid": 1}
+    # so is a cell with an infinite end
+    code, out, _ = run_cli(capsys, "sweep", "--props", "2", "--a", "1", "--b", "inf,3",
+                           "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"] == {"total": 1, "holds": 1, "violations": 0,
+                                          "skipped_invalid": 1}
     # a grid with no valid cell at all is a usage error
     code, _, err = run_cli(capsys, "sweep", "--props", "3", "--a", "1", "--b", "2")
     assert code == EXIT_USAGE
@@ -183,6 +207,33 @@ def test_usage_errors(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err.strip().startswith("error:")
+
+
+TOL_CASES = {
+    "certify": ("--function", "exp", "--a", "0", "--b", "1", "--x", "1", "--family", "convex"),
+    "identity-check": ("--function", "exp", "--a", "0", "--b", "1", "--x", "0.6"),
+    "composite": ("--function", "exp", "--a", "0", "--b", "1", "--n", "2"),
+    "means": ("--a", "1", "--b", "2"),
+    "props": ("--prop", "2", "--a", "1", "--b", "2"),
+    "sweep": ("--props", "2", "--a", "1", "--b", "2"),
+}
+
+
+@pytest.mark.parametrize("command", TOL_CASES)
+def test_tol_only_where_the_oracle_runs(capsys, command):
+    """certify, identity-check and composite take --tol; means, props and
+    sweep run no quadrature, so argparse rejects it there."""
+    argv = [command, *TOL_CASES[command]]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    if command in ("certify", "identity-check", "composite"):
+        assert run_cli(capsys, *argv, "--tol", "1e-10")[0] == EXIT_OK
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "-3"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quadcert ") and "unrecognized arguments: --tol -3" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -310,6 +361,7 @@ def _float_arg(values):
 @example(a=3.8518191519669767, b=1.7976931348623157e308, ps=[-2.949449503712275])
 @example(a=1e300, b=1.0000000000000002e300, ps=[])  # ln b - ln a rounds to 0
 @example(a=1e300, b=1.7e308, ps=[])  # ab overflows
+@example(a=1.0, b=math.inf, ps=[])  # an infinite end is bad input, not an overflow
 def test_means_exit_code_contract(a, b, ps):
     argv = ["means", f"--a={a!r}", f"--b={b!r}", f"--p-values={_float_arg(ps)}",
             "--format=json"]
@@ -324,6 +376,7 @@ def test_means_exit_code_contract(a, b, ps):
        p=st.none() | _exponents(), q=st.none() | _exponents(), corrected=st.booleans())
 @example(prop=3, a=0.7266973772734842, b=3.40580102835054, p=2.0, q=0.0, corrected=False)
 @example(prop=5, a=5e-324, b=1e-10, p=1.357020493300074, q=None, corrected=False)
+@example(prop=2, a=1.0, b=math.inf, p=None, q=None, corrected=False)  # bad input, not NaN
 def test_props_exit_code_contract(prop, a, b, p, q, corrected):
     argv = ["props", f"--prop={prop}", f"--a={a!r}", f"--b={b!r}", "--format=json"]
     argv += [f"--{name}={value!r}" for name, value in (("p", p), ("q", q)) if value is not None]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import convex_corpus, plain_callables, random_interval
 from quadcert.errors import IntegrationError, ParameterError
 from quadcert.functions import FunctionTriple, Interval, parse_function_spec, register_builtin
-from quadcert.oracle import _golden_max, estimate_norm, integrate
+from quadcert.oracle import SUP_SAMPLES, _golden_max, estimate_norm, integrate
 
 CLOSED_FORMS = [
     (register_builtin("power", [2.0]).f, 0.0, 1.0, 1.0 / 3.0),
@@ -68,10 +68,17 @@ def test_bad_arguments():
 
 
 def test_nonconvergence_raises():
-    # integrable endpoint singularity: bisection cannot meet 1e-12 within
-    # a small segment budget
-    with pytest.raises(IntegrationError):
-        integrate(lambda x: abs(x - 0.3) ** -0.9, 0.0, 1.0, tol=1e-12, limit=64)
+    # integrable singularity: bisection towards it runs into the depth cap
+    with pytest.raises(IntegrationError, match="cannot be refined further"):
+        integrate(lambda x: abs(x - 0.3) ** -0.9, 0.0, 1.0, tol=1e-12)
+    # ~16000 oscillations: each needs segments of its own, past the 4096 cap
+    with pytest.raises(IntegrationError, match="needs more than 4096 segments"):
+        integrate(lambda x: math.sin(1e5 * x), 0.0, 1.0, tol=1e-12)
+
+
+def test_points_is_keyword_only():
+    with pytest.raises(TypeError):
+        integrate(math.exp, 0.0, 1.0, 1e-12, 64)
 
 
 def test_nonfinite_sample_raises():
@@ -104,14 +111,14 @@ def _numpy_sup(ft, iv, kind, samples):
     return best
 
 
-@pytest.mark.parametrize("samples", [1, 2, 3, 33, 4097])
+@pytest.mark.parametrize("samples", [SUP_SAMPLES])
 def test_sup_norms_match_numpy_grid(corpus, rng, samples):
     for ft, lo, hi in corpus:
         plain = plain_callables(ft)
         for _ in range(3):
             iv = random_interval(rng, lo, hi)
             for kind in ("sup_f1", "sup_f2"):
-                est = estimate_norm(plain, iv, kind, samples=samples)
+                est = estimate_norm(plain, iv, kind)
                 assert est.value == _numpy_sup(ft, iv, kind, samples), (ft.id, iv, kind)
                 assert (est.method, est.samples) == ("sampled", samples)
 
@@ -119,11 +126,7 @@ def test_sup_norms_match_numpy_grid(corpus, rng, samples):
 def test_sup_norm_sample_count():
     ft = register_builtin("power", [2.0])
     iv = Interval(1.0, 2.0)
-    assert estimate_norm(plain_callables(ft), iv, "sup_f1", samples=1).value == 2.0  # |f'(a)| only
-    for bad in (0, -1):
-        for f in (ft, plain_callables(ft)):
-            with pytest.raises(ParameterError):
-                estimate_norm(f, iv, "sup_f1", samples=bad)
+    assert estimate_norm(plain_callables(ft), iv, "sup_f1").samples == 4097
 
 
 def test_sup_norm_rejects_nan_sample():
@@ -131,9 +134,9 @@ def test_sup_norm_rejects_nan_sample():
     nan_f2 = lambda x: math.nan if 0.3 < x < 0.4 else 1.0 + x
     ft = FunctionTriple("nan_f2", math.exp, math.exp, nan_f2, -math.inf, math.inf)
     iv = Interval(0.0, 1.0)
-    assert math.isnan(_numpy_sup(ft, iv, "sup_f2", 33))  # np.argmax picks the NaN
+    assert math.isnan(_numpy_sup(ft, iv, "sup_f2", SUP_SAMPLES))  # np.argmax picks the NaN
     with pytest.raises(ParameterError):
-        estimate_norm(ft, iv, "sup_f2", samples=33)
+        estimate_norm(ft, iv, "sup_f2")
 
 
 def test_interior_maximum_is_refined():
