@@ -254,7 +254,10 @@ def make_func(kind, params, deriv, lo, hi):
     """Build a scalar evaluator for one derivative of a registry function.
 
     ``kind`` is one of "power", "reciprocal", "neglog", "exp", "poly";
-    ``deriv`` is 0, 1 or 2; ``(lo, hi)`` is the open domain. The returned
+    ``deriv`` is 0, 1 or 2; ``(lo, hi)`` is the open domain. Its only
+    caller, `functions.register_builtin`, has checked the kind and made
+    ``params`` a list of finite floats, with at least one poly
+    coefficient, so none of this is checked again here. The returned
     callable raises DomainError outside the domain, and where the value
     overflows the float range, rather than raising OverflowError or
     returning a non-finite value. For every kind but poly it also carries
@@ -275,15 +278,12 @@ def make_func(kind, params, deriv, lo, hi):
     Neither tuple holds a reference to the callable, so building one leaves
     no reference cycle behind.
     """
-    if deriv not in (0, 1, 2):
-        raise ValueError("deriv must be 0, 1 or 2")
-
     def overflow(x):
         name = ("f", "f'", "f''")[deriv] + " of " + spec_string(kind, params)
         return DomainError(f"{name} overflows the float range at x={x!r}")
 
     if kind == "power":
-        p = float(params[0])
+        p = params[0]
         coef, expo = ((1.0, p), (p, p - 1.0), (p * (p - 1.0), p - 2.0))[deriv]
         return _powerlike(coef, expo, lo, hi, overflow)
     if kind == "reciprocal":
@@ -315,29 +315,26 @@ def make_func(kind, params, deriv, lo, hi):
         fn.cuts = (_ends, ())
         fn.abs_pow_convex = (_always_convex, ())
         return fn
-    if kind == "poly":
-        coeffs = [float(c) for c in params]
-        if not coeffs:
-            raise ValueError("poly needs at least one coefficient")
-        for _ in range(deriv):
-            coeffs = _poly_derivative(coeffs)
-        ctail = tuple(coeffs[1:])
-        chead = coeffs[0]
+    # poly
+    coeffs = params
+    for _ in range(deriv):
+        coeffs = _poly_derivative(coeffs)
+    ctail = tuple(coeffs[1:])
+    chead = coeffs[0]
 
-        def fn(x, _head=chead, _tail=ctail, _lo=lo, _hi=hi):
-            if not (_lo < x < _hi):
-                raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
-            acc = _head
-            for c in _tail:
-                acc = acc * x + c
-            if acc - acc:  # inf or NaN: a Horner step overflowed
-                raise overflow(x)
-            return acc
+    def fn(x, _head=chead, _tail=ctail, _lo=lo, _hi=hi):
+        if not (_lo < x < _hi):
+            raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
+        acc = _head
+        for c in _tail:
+            acc = acc * x + c
+        if acc - acc:  # inf or NaN: a Horner step overflowed
+            raise overflow(x)
+        return acc
 
-        fn.cuts = (_monotone_cuts, (tuple(coeffs),))
-        fn.abs_pow_convex = (_poly_convex, (tuple(coeffs),))
-        return fn
-    raise ValueError(f"unknown function kind {kind!r}")
+    fn.cuts = (_monotone_cuts, (tuple(coeffs),))
+    fn.abs_pow_convex = (_poly_convex, (tuple(coeffs),))
+    return fn
 
 
 def _gk15(g, lo, hi):
@@ -365,12 +362,11 @@ def adaptive_quad(g, a, b, tol, points=None):
     at most ``tol``. Segments are processed left to right and accumulated
     with compensated summation, which makes the result deterministic.
 
+    Its only caller, `oracle.integrate`, has checked a < b and ``tol``.
     Returns ``(value, error_estimate, segments)``. Raises IntegrationError
     when more than 4096 segments would be needed, when bisection hits the
     depth cap of 52 halvings, or on a non-finite sample.
     """
-    if not b > a:
-        raise ValueError("integration needs a < b")
     span = b - a
     stack = [(lo, hi, 0) for lo, hi in pairwise(points or (a, b))][::-1]
     total = 0.0

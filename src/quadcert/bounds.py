@@ -7,6 +7,8 @@ Each certificate pairs a rule value with a bound computable from f'/f''
 data alone -- no knowledge of the true integral is needed.
 """
 
+import math
+
 from . import oracle
 from .errors import ParameterError
 from .functions import (  # noqa: F401  (grid_midpoint_convex stays importable from here)
@@ -19,22 +21,27 @@ CD_CASES = ("inf", "lp", "l1")
 
 
 class HolderPair(record_base("HolderPair", [("p", float), ("q", float)])):
-    """Conjugate exponents p, q > 1 with 1/p + 1/q = 1."""
+    """Finite conjugate exponents p, q > 1 with 1/p + 1/q = 1. Given one of
+    them, the other is completed as its conjugate: ``HolderPair(p)`` or
+    ``HolderPair(q=q)``."""
 
     __slots__ = ()
 
-    def __new__(cls, p, q):
-        if not (p > 1.0 and q > 1.0):
-            raise ParameterError(f"need p > 1 and q > 1, got p={p!r}, q={q!r}")
+    def __new__(cls, p=None, q=None):
+        if q is None and p is not None and p > 1.0:
+            q = p / (p - 1.0)
+        elif p is None and q is not None and q > 1.0:
+            p = q / (q - 1.0)
+        if not (p is not None and q is not None and 1.0 < p < math.inf and 1.0 < q < math.inf):
+            raise ParameterError(
+                f"need p > 1 and q > 1, got p={p!r}, q={q!r}; both must be finite")
         if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
             raise ParameterError(f"p={p!r}, q={q!r} are not conjugate exponents")
         return tuple.__new__(cls, (p, q))
 
     @classmethod
     def conjugate(cls, p: float) -> "HolderPair":
-        if not p > 1.0:
-            raise ParameterError(f"need p > 1, got {p!r}")
-        return cls(p, p / (p - 1.0))
+        return cls(p)
 
 
 class Certificate(record_base("Certificate", [
@@ -51,12 +58,15 @@ class Certificate(record_base("Certificate", [
     Certificates with a flag record in ``params`` how it was found:
     ``flag_method`` "exact" (registry functions) or "sampled", with
     ``flag_samples``.
-    ``params`` defaults to a new dict and ``hypothesis_flags`` to ().
+    ``params`` defaults to a new dict and ``hypothesis_flags`` to (). A
+    ``bound_total`` that is not finite raises ParameterError.
     """
 
     __slots__ = ()
 
     def __new__(cls, rule, bound_avg, bound_total, family, params=None, hypothesis_flags=()):
+        if bound_total - bound_total:  # inf or NaN: a product overflowed without raising
+            raise ParameterError(f"{family} bound overflows the float range at x={rule.x!r}")
         return tuple.__new__(cls, (rule, bound_avg, bound_total, family,
                                    {} if params is None else params, hypothesis_flags))
 
@@ -113,8 +123,6 @@ def bound_holder(ft: FunctionTriple, iv: Interval, x: float, hp: HolderPair) -> 
     try:
         total = (0.5 * iv.length ** 3 * kernel_lp_moment(KernelSpec(iv, x), p) ** (1.0 / p)
                  * ((fa ** q + fb ** q) / 2.0) ** (1.0 / q))
-        if total - total:  # inf or NaN: the product overflowed without raising
-            raise OverflowError
         params = {"p": p, "q": q}
         flags = _hypothesis_flags(ft, iv, params, q=q)
     except OverflowError:
@@ -129,8 +137,8 @@ def bound_power_mean(ft: FunctionTriple, iv: Interval, x: float, q: float) -> Ce
                 * ((|f''(a)|^q + |f''(b)|^q)/2)^(1/q).
     At q = 1 this equals `bound_convex` bit for bit: M_1 + M_1 = |f''(a)| + |f''(b)|.
     """
-    if q < 1.0:
-        raise ParameterError(f"q={q!r} must be >= 1")
+    if not 1.0 <= q < math.inf:
+        raise ParameterError(f"q={q!r} must be finite and >= 1")
     rule = generalized_rule(ft, iv, x)
     fa, fb = abs(ft.f2(iv.a)), abs(ft.f2(iv.b))
     try:
@@ -151,23 +159,20 @@ def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,
     for any x in [a, b]. When f1_sup is omitted it comes from
     `oracle.estimate_norm`: exact for registry functions, sampled for plain
     callables. The params record its ``norm_method``, plus ``norm_samples``
-    for a sampled one. A supplied value is sanity-checked against sampled
-    |f'| and rejected when it is below any sample.
+    for a sampled one. A supplied value must be finite and at least that
+    estimate.
     """
     require_domain(ft, iv)
     if not iv.a <= x <= iv.b:
         raise ParameterError(f"x={x!r} outside [{iv.a!r}, {iv.b!r}]")
     params: dict = {}
+    est = oracle.estimate_norm(ft, iv, "sup_f1")
     if f1_sup is None:
-        est = oracle.estimate_norm(ft, iv, "sup_f1")
         f1_sup = est.value
         _record_method(params, est)
-    else:
-        step = iv.length / 32.0
-        observed = max(abs(ft.f1(iv.a + i * step)) for i in range(33))
-        if f1_sup < observed:
-            raise ParameterError(
-                f"f1_sup={f1_sup!r} is below the sampled |f'| maximum {observed!r}")
+    elif not est.value <= f1_sup < math.inf:
+        raise ParameterError(
+            f"f1_sup={f1_sup!r} must be finite and >= the {est.method} sup|f'| {est.value!r}")
     params["f1_sup"] = f1_sup
     fx = ft.f(x)
     avg = (0.25 + ((x - iv.a) / iv.length - 0.5) ** 2) * iv.length * f1_sup
@@ -190,21 +195,16 @@ def bound_cerone_dragomir(ft: FunctionTriple, iv: Interval, case: str,
     certificate params for auditability, with their ``norm_method``: sup|f''|
     and the L1 norm are exact for registry functions; sup|f''| is sampled
     for plain callables (then ``norm_samples`` records the density); the
-    other p-norms come from quadrature.
+    other p-norms come from quadrature. A supplied norm must be finite and
+    not negative, may be 0 only where the estimated sup|f''| is 0, and in
+    case inf may not be below that sup.
     """
     require_domain(ft, iv)
     if case not in CD_CASES:
         raise ParameterError(f"unknown case {case!r}; expected one of {CD_CASES}")
     params: dict = {"case": case}
-    hp = None
     if case == "lp":
-        if p is None and q is None:
-            raise ParameterError("lp case needs the exponent p (q is derived)")
-        if p is None:
-            if not q > 1.0:
-                raise ParameterError(f"need q > 1, got {q!r}")
-            p = q / (q - 1.0)
-        hp = HolderPair(p, q) if q is not None else HolderPair.conjugate(p)
+        hp = HolderPair(p, q)
         params["p"] = hp.p
         params["q"] = hp.q
 
@@ -217,10 +217,12 @@ def bound_cerone_dragomir(ft: FunctionTriple, iv: Interval, case: str,
             est = oracle.estimate_norm(ft, iv, "l1_f2")
         norm = est.value
         _record_method(params, est)
-    elif norm <= 0.0:
-        step = iv.length / 8.0
-        if any(abs(ft.f2(iv.a + i * step)) > 0.0 for i in range(9)):
-            raise ParameterError(f"norm={norm!r} is not positive but f'' is not identically 0")
+    else:
+        sup = oracle.estimate_norm(ft, iv, "sup_f2")
+        if not ((sup.value if case == "inf" else 0.0) <= norm < math.inf
+                and (norm > 0.0 or sup.value == 0.0)):
+            raise ParameterError(
+                f"norm={norm!r} does not fit f'', whose {sup.method} sup|f''| is {sup.value!r}")
     params["norm"] = norm
 
     if case == "inf":

@@ -118,8 +118,7 @@ def _build_certificate(args, ft, iv):
     if family == "convex":
         return bounds.bound_convex(ft, iv, _need(args, "x"))
     if family == "holder":
-        p = _need(args, "p")
-        hp = HolderPair(p, args.q) if args.q is not None else HolderPair.conjugate(p)
+        hp = HolderPair(_need(args, "p"), args.q)
         return bounds.bound_holder(ft, iv, _need(args, "x"), hp)
     if family == "power_mean":
         return bounds.bound_power_mean(ft, iv, _need(args, "x"), _need(args, "q"))
@@ -159,6 +158,8 @@ def _cmd_certify(args):
 # ---------------------------------------------------------- identity-check
 
 def _cmd_identity_check(args):
+    if not args.max_residual >= 0.0:
+        raise ParameterError(f"--max-residual={args.max_residual!r} must be a number >= 0")
     ft = parse_function_spec(args.function)
     iv = Interval(args.a, args.b)
     residual = kernel.identity_residual(ft, KernelSpec(iv, _need(args, "x")), tol=args.tol)

@@ -7,6 +7,8 @@ numerically that the weighted integral of f'' reproduces the rule's
 deviation from the average integral.
 """
 
+import math
+
 from . import oracle
 from .errors import ParameterError
 from .functions import FunctionTriple, Interval, record_base, require_domain
@@ -76,14 +78,14 @@ def kernel_abs_moment(ks: KernelSpec) -> float:
 
 
 def kernel_lp_moment(ks: KernelSpec, p: float) -> float:
-    """Integral of |weight|**p over [0, 1] in closed form, for p >= 1.
+    """Integral of |weight|**p over [0, 1] in closed form, for finite p >= 1.
 
     Equals 2/((2p+1)(b-a)^(2p+1)) * [(b-x)^(2p+1) + (x - (a+b)/2)^(2p+1)],
     computed scale-free as 2/e * [t1^e + (t2 - 1/2)^e], e = 2p+1. At
     x = midpoint t2 - 1/2 can round below 0, which is taken as 0.
     """
-    if p < 1.0:
-        raise ParameterError(f"p={p!r} must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ParameterError(f"p={p!r} must be finite and >= 1")
     e = 2.0 * p + 1.0
     return 2.0 / e * (ks.t1 ** e + max(ks.t2 - 0.5, 0.0) ** e)
 

@@ -12,6 +12,7 @@ and can additionally evaluate the always-valid perturbed-trapezoid variant
 import math
 from typing import NamedTuple
 
+from .bounds import HolderPair
 from .errors import ParameterError
 
 MEAN_KINDS = ("arithmetic", "geometric", "harmonic", "logarithmic",
@@ -43,10 +44,10 @@ def mean_value(kind: str, a: float, b: float, p: float | None = None) -> float:
 
     arithmetic (a+b)/2, geometric sqrt(ab), harmonic 2ab/(a+b), logarithmic
     (b-a)/(ln b - ln a), identric exp((b ln b - a ln a)/(b-a) - 1), and the
-    p-logarithmic mean [(b^(p+1)-a^(p+1))/((p+1)(b-a))]^(1/p) for p outside
-    {-1, 0}. a = b returns the common value. Arithmetic allows a = 0; all
-    others need a > 0. A non-finite a or b, and a mean that overflows or
-    divides by a 0 that underflow or rounding produced, raise
+    p-logarithmic mean [(b^(p+1)-a^(p+1))/((p+1)(b-a))]^(1/p) for finite p
+    outside {-1, 0}. a = b returns the common value. Arithmetic allows
+    a = 0; all others need a > 0. A non-finite a or b, and a mean that
+    overflows or divides by a 0 that underflow or rounding produced, raise
     ParameterError.
     """
     if kind not in MEAN_KINDS:
@@ -96,8 +97,8 @@ def _mean(kind, a, b, p):
             return a
         return math.exp(_ln_identric(a, b))
     # p_logarithmic
-    if p is None:
-        raise ParameterError("p_logarithmic mean needs the exponent p")
+    if p is None or not math.isfinite(p):
+        raise ParameterError(f"p_logarithmic mean needs a finite exponent p, got {p!r}")
     if p in (-1.0, 0.0):
         raise ParameterError("p_logarithmic mean is undefined at p = -1 and p = 0")
     if a == b:
@@ -138,17 +139,17 @@ def _amean(u, v):
 
 
 def _require_p(p):
-    if p is None or not p > 1.0:
-        raise ParameterError(f"this proposition needs p > 1, got {p!r}")
+    if p is None or not 1.0 < p < math.inf:
+        raise ParameterError(f"this proposition needs a finite p > 1, got {p!r}")
     return float(p)
 
 
-def _resolve_q(p_holder, q):
-    if q is None:
-        return p_holder / (p_holder - 1.0)
-    if q == 0.0 or abs(1.0 / p_holder + 1.0 / q - 1.0) > 1e-12:
-        raise ParameterError(f"p={p_holder!r} and q={q!r} are not conjugate exponents")
-    return float(q)
+def _require_q(q):
+    """The free exponent of propositions 5 and 6: a finite q >= 1, 1 when omitted."""
+    qv = 1.0 if q is None else float(q)
+    if not 1.0 <= qv < math.inf:
+        raise ParameterError(f"this proposition needs a finite q >= 1, got {qv!r}")
+    return qv
 
 
 def check_proposition(prop_id: int, a: float, b: float,
@@ -157,11 +158,11 @@ def check_proposition(prop_id: int, a: float, b: float,
                       corrected: bool = False) -> PropositionReport:
     """Evaluate mean inequality 1..6 at (a, b).
 
-    Exponent handling: propositions 1, 3, 4 need p > 1; for 3 and 4 the
-    conjugate q is derived from the Holder exponent when not given
-    (proposition 4 reuses p as both the power of x and the Holder exponent
-    unless ``p_holder`` is passed). Propositions 5 and 6 take a free q >= 1
-    (default 1); unused exponents are ignored as vestigial.
+    Exponent handling: propositions 1, 3, 4 need a finite p > 1; for 3 and 4
+    the Holder exponent and q form a `HolderPair`, which derives q when it is
+    not given (proposition 4 reuses p as both the power of x and the Holder
+    exponent unless ``p_holder`` is passed). Propositions 5 and 6 take a free
+    finite q >= 1 (default 1); unused exponents are ignored as vestigial.
 
     ``corrected=True`` evaluates the perturbed-trapezoid variant of
     propositions 1, 3 and 5 (the statement with the derivative-correction
@@ -200,8 +201,7 @@ def _evaluate(prop_id, a, b, p, q, p_holder, corrected):
         return _report(2, abs(lhs), rhs, {"a": a, "b": b}, _MIDPOINT_NOTE)
 
     if prop_id == 3:
-        pv = _require_p(p)
-        qv = _resolve_q(pv, q)
+        pv, qv = map(float, HolderPair(_require_p(p), q))
         ln_g = 0.5 * (math.log(a) + math.log(b))
         lhs = _ln_identric(a, b) - ln_g
         if corrected:
@@ -214,8 +214,7 @@ def _evaluate(prop_id, a, b, p, q, p_holder, corrected):
 
     if prop_id == 4:
         pf = _require_p(p)
-        ph = pf if p_holder is None else _require_p(p_holder)
-        qv = _resolve_q(ph, q)
+        ph, qv = map(float, HolderPair(pf if p_holder is None else _require_p(p_holder), q))
         lpp = (b ** (pf + 1.0) - a ** (pf + 1.0)) / ((pf + 1.0) * (b - a))
         lhs = abs(lpp - _amean(a, b) ** pf)
         rhs = (pf * (pf - 1.0) * (b - a) ** 2 / (8.0 * (2.0 * ph + 1.0) ** (1.0 / ph))
@@ -226,9 +225,7 @@ def _evaluate(prop_id, a, b, p, q, p_holder, corrected):
         return _report(4, lhs, rhs, params, _MIDPOINT_NOTE)
 
     if prop_id == 5:
-        qv = 1.0 if q is None else float(q)
-        if qv < 1.0:
-            raise ParameterError(f"this proposition needs q >= 1, got {qv!r}")
+        qv = _require_q(q)
         lhs = (math.log(b) - math.log(a)) / (b - a) - (a + b) / (2.0 * a * b)
         if corrected:
             lhs += (b - a) / 8.0 * (a ** -2.0 - b ** -2.0)
@@ -237,9 +234,7 @@ def _evaluate(prop_id, a, b, p, q, p_holder, corrected):
         note = _CORRECTED_NOTE if corrected else _TRAPEZOID_NOTE.format(fdesc="1/x")
         return _report(5, abs(lhs), rhs, {"a": a, "b": b, "q": qv}, note)
 
-    qv = 1.0 if q is None else float(q)
-    if qv < 1.0:
-        raise ParameterError(f"this proposition needs q >= 1, got {qv!r}")
+    qv = _require_q(q)
     lhs = abs(_ln_identric(a, b) - math.log(_amean(a, b)))
     rhs = ((b - a) ** 2 / 24.0
            * _amean(a ** (-2.0 * qv), b ** (-2.0 * qv)) ** (1.0 / qv))

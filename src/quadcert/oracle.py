@@ -60,8 +60,9 @@ def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL, *,
     """
     if not a < b:
         raise ParameterError(f"integration needs a < b, got [{a!r}, {b!r}]")
-    if tol < 1e-14:
-        raise ParameterError("tolerances below 1e-14 are not resolvable in double precision")
+    if not tol >= 1e-14:
+        raise ParameterError(
+            f"tol={tol!r} must be at least 1e-14, the finest tolerance double precision resolves")
     value, err, nseg = _backend.adaptive_quad(g, a, b, tol, points)
     return QuadratureEstimate(value, err, nseg)
 
@@ -134,12 +135,12 @@ def _graded_at_roots(g, f2, cuts):
         return g, cuts
     points, pieces = [cuts[0]], []  # pieces[j] = (r, L, side) on [points[j], points[j + 1]]
     for (c, d), (root_c, root_d) in zip(pairwise(cuts), pairwise(roots)):
-        quarter = 0.25 * (d - c)
-        if root_c:
+        quarter = 0.25 * (d - c)  # 0 on a piece a few subnormals wide: not graded
+        if root_c and quarter:
             points.append(c + quarter)
             pieces.append((c, quarter, 1))
         pieces.append((0.0, 0.0, 0))
-        if root_d:
+        if root_d and quarter:
             points.append(d - quarter)
             pieces.append((d, quarter, -1))
         points.append(d)
@@ -164,9 +165,9 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
       sup_f1 / sup_f2: exact, the largest |g| at the cuts of g.
       l1_f2: exact, the total variation of f' over its cuts,
         sum |f'(c_{i+1}) - f'(c_i)|.
-      lp_f2 (p >= 1): adaptive integration of |f''|**p between the cuts of
-        f', which hold every sign change of f'', graded towards each root (see
-        `_graded_at_roots`), then the 1/p root.
+      lp_f2 (finite p >= 1): adaptive integration of |f''|**p between the
+        cuts of f', which hold every sign change of f'', graded towards each
+        root (see `_graded_at_roots`), then the 1/p root.
     For any other callable, sup norms sample `SUP_SAMPLES` (4097) evenly
     spaced points plus golden-section refinement around the sampled
     maximum, a lower-bound estimate, and the p-norms integrate |f''|**p
@@ -194,8 +195,8 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
         return NormEstimate(kind, best, method, samples=samples)
 
     if kind == "lp_f2":
-        if p is None or p < 1.0:
-            raise ParameterError("lp_f2 needs p >= 1")
+        if p is None or not 1.0 <= p < math.inf:
+            raise ParameterError(f"lp_f2 needs a finite p >= 1, got {p!r}")
         g = lambda x: abs(ft.f2(x)) ** p  # noqa: E731
         cuts = _cuts(ft.f1, a, b)
         est = None

@@ -1,6 +1,7 @@
 """Shared fixtures: the registry corpus with convex |f''|, seeded
-random-interval helpers, a hypothesis strategy of single intervals and
-plain-callable copies of registry functions."""
+random-interval helpers, a hypothesis strategy of single intervals,
+plain-callable copies of registry functions and a poly whose sup|f'| lies
+between grid points."""
 
 import numpy as np
 import pytest
@@ -45,6 +46,11 @@ def random_x(rng, iv):
 SINGLE_SPECS = {"exp": (-3.0, 3.0), "reciprocal": (0.1, 5.0), "neglog": (0.1, 5.0),
                 "power:2": (-3.0, 3.0), "power:2.5": (0.1, 5.0), "power:3": (-3.0, 3.0),
                 "poly:1,-2,0.5,3": (-3.0, 3.0)}
+
+
+# f' peaks inside [0, 1], at x = 1/64, with sup|f'| = 1.0 exactly: between
+# the points of a 33-point grid, which all read |f'| below 0.9996
+INTERIOR_PEAK = "poly:-0.6666666666666666,0.03125,0.99951171875,2.5431315104166666e-06"
 
 
 @st.composite

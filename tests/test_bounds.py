@@ -9,7 +9,8 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import SINGLE_SPECS, plain_callables, random_interval, random_x, single_cases
+from conftest import (INTERIOR_PEAK, SINGLE_SPECS, plain_callables, random_interval, random_x,
+                      single_cases)
 from quadcert.bounds import (
     HolderPair,
     bound_cerone_dragomir,
@@ -79,12 +80,22 @@ def test_holder_zero_for_linear():
 
 
 def test_holder_pair_validation():
-    with pytest.raises(ParameterError):
-        HolderPair(1.0, 2.0)
-    with pytest.raises(ParameterError):
-        HolderPair(2.0, 3.0)
+    """HolderPair admits finite conjugate p, q > 1 and nothing else; 1e20
+    has the conjugate 1.0 in floats."""
+    for p, q in ((1.0, 2.0), (2.0, 3.0), (None, None), (0.5, None), (None, 1.0), (1e20, None),
+                 (math.nan, None), (None, math.nan), (2.0, math.nan), (math.nan, math.nan),
+                 (math.inf, None), (None, math.inf), (math.inf, 1.0000000000001),
+                 (-math.inf, None)):
+        with pytest.raises(ParameterError):
+            HolderPair(p, q)
+
+
+def test_holder_pair_completes_the_missing_exponent():
     hp = HolderPair.conjugate(1.5)
     assert hp.q == pytest.approx(3.0, rel=1e-15)
+    assert HolderPair(1.5) == HolderPair(p=1.5) == hp == (1.5, 1.5 / 0.5)
+    assert HolderPair(q=3.0) == (3.0 / 2.0, 3.0)
+    assert HolderPair(2.0, 2.0) == HolderPair(2.0) == HolderPair(q=2.0)
 
 
 # -------------------------------------------------------------- power mean
@@ -117,8 +128,13 @@ def test_power_mean_examples():
 
 
 def test_power_mean_q_validation():
-    with pytest.raises(ParameterError):
-        bound_power_mean(POWER2, UNIT, 0.75, 0.5)
+    """At q = inf the bound read inf**0 = 1 as the mean of |f''| and fell
+    below the actual error, with the convexity flag set."""
+    for q in (0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="must be finite and >= 1"):
+            bound_power_mean(POWER2, UNIT, 0.75, q)
+        with pytest.raises(ParameterError):
+            bound_power_mean(register_builtin("exp"), UNIT, 1.0, q)
 
 
 # ---------------------------------------------------------- validity sweep
@@ -236,8 +252,15 @@ def test_plain_callables_record_sampled_norms():
 
 
 def test_ostrowski_inconsistent_sup_rejected():
+    for bad in (0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="must be finite and >= the exact"):
+            bound_ostrowski(POWER2, UNIT, 0.5, f1_sup=bad)
+    ft = parse_function_spec(INTERIOR_PEAK)
     with pytest.raises(ParameterError):
-        bound_ostrowski(POWER2, UNIT, 0.5, f1_sup=0.5)
+        bound_ostrowski(ft, UNIT, 0.5, f1_sup=0.9996)
+    assert bound_ostrowski(ft, UNIT, 0.5, f1_sup=1.0).params == {"f1_sup": 1.0}
+    with pytest.raises(ParameterError, match="the sampled sup"):
+        bound_ostrowski(plain_callables(ft), UNIT, 0.5, f1_sup=0.9996)
 
 
 def test_ostrowski_tiny_interval():
@@ -342,6 +365,29 @@ def test_cerone_dragomir_validation():
     linear = register_builtin("poly", [1.0, 0.0])
     cert = bound_cerone_dragomir(linear, UNIT, "inf", norm=0.0)
     assert cert.bound_total == 0.0
+    for case in ("inf", "l1"):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="does not fit f''"):
+                bound_cerone_dragomir(linear, UNIT, case, norm=bad)
+    with pytest.raises(ParameterError):
+        bound_cerone_dragomir(POWER2, UNIT, "inf", norm=1.9)  # below sup|f''| = 2
+    assert bound_cerone_dragomir(POWER2, UNIT, "l1", norm=1.9).params["norm"] == 1.9
+    with pytest.raises(ParameterError):
+        bound_cerone_dragomir(POWER2, UNIT, "lp", norm=0.0, p=2.0)
+
+
+# f'' = 27720 * prod_{i=0..8} (8x - i) vanishes at x = 0, 1/8, ..., 1, the
+# nine points a 9-point grid on [0, 1] sees, but its sup there is 1.37e8
+NINE_ROOTS = ("poly:33822867456,-186025771008,440842321920,-588597166080,485501829120,"
+              "-254650023936,83824570368,-16200898560,1490227200,0,0,0")
+
+
+def test_zero_norm_needs_f2_to_vanish():
+    ft = parse_function_spec(NINE_ROOTS)
+    assert [ft.f2(i / 8.0) for i in range(9)] == [0.0] * 9
+    for case, kwargs in (("inf", {}), ("lp", {"p": 2.0}), ("l1", {})):
+        with pytest.raises(ParameterError, match=r"exact sup\|f''\| is 136636372\.4"):
+            bound_cerone_dragomir(ft, UNIT, case, norm=0.0, **kwargs)
 
 
 # ------------------------------------------------------------- certificates

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quadcert
+from conftest import INTERIOR_PEAK
 from quadcert.bounds import CD_CASES
 from quadcert.cli import (COMPOSITE_RULES, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, FAMILIES,
                           _holds, main)
@@ -209,6 +210,26 @@ def test_usage_errors(capsys):
         assert err.strip().startswith("error:")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("certify", "--function", "exp", "--a", "0", "--b", "1", "--x", "1", "--family", "convex",
+      "--tol", "nan"), "tol=nan"),
+    (("composite", "--function", "exp", "--a", "0", "--b", "1", "--n", "2", "--tol", "nan"),
+     "tol=nan"),
+    (("identity-check", "--function", "exp", "--a", "0", "--b", "1", "--x", "0.6",
+      "--tol", "nan"), "tol=nan"),
+    (("identity-check", "--function", "exp", "--a", "0", "--b", "1", "--x", "0.6",
+      "--max-residual", "-1"), "--max-residual=-1.0"),
+    (("identity-check", "--function", "exp", "--a", "0", "--b", "1", "--x", "0.6",
+      "--max-residual", "nan"), "--max-residual=nan"),
+])
+def test_bad_oracle_settings_name_the_option(capsys, argv, option):
+    """A NaN tolerance was refined until the depth cap, and a negative or
+    NaN residual bound reported a violation; both are bad input."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: {option} must be")
+
+
 TOL_CASES = {
     "certify": ("--function", "exp", "--a", "0", "--b", "1", "--x", "1", "--family", "convex"),
     "identity-check": ("--function", "exp", "--a", "0", "--b", "1", "--x", "0.6"),
@@ -301,28 +322,52 @@ def _cli_floats():
     return st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-3.0, 3.0))
 
 
+def _cli_exponents():
+    return st.none() | st.floats(0.5, 5.0) | st.sampled_from((math.nan, math.inf))
+
+
+def _supplied_norms():
+    return st.none() | st.sampled_from((math.nan, math.inf, -1.0, 0.0)) | st.floats(0.0, 5.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(spec=st.sampled_from(CLI_SPECS), a=_cli_floats(), b=_cli_floats(), x=_cli_floats(),
-       family=st.sampled_from(FAMILIES), p=st.none() | st.floats(0.5, 5.0) | st.just(math.nan),
-       q=st.none() | st.floats(0.5, 5.0), case=st.none() | st.sampled_from(CD_CASES))
-@example(spec="exp", a=0.0, b=1e-300, x=9e-301, family="ostrowski", p=None, q=None, case=None)
-def test_certify_exit_code_contract(spec, a, b, x, family, p, q, case):
-    """Every certify input exits 0, 1 or 2 without a traceback, and exits 1
-    exactly when the JSON row says the bound does not hold."""
-    argv = ["certify", f"--function={spec}", f"--a={a!r}", f"--b={b!r}", f"--x={x!r}",
+       family=st.sampled_from(FAMILIES), p=_cli_exponents(), q=_cli_exponents(),
+       case=st.none() | st.sampled_from(CD_CASES), f1_sup=_supplied_norms(),
+       norm=_supplied_norms())
+@example(spec="exp", a=0.0, b=1e-300, x=9e-301, family="ostrowski", p=None, q=None, case=None,
+         f1_sup=None, norm=None)
+# (b-a)^2 * sup|f'| overflows: the bound was printed as Infinity, exit 0
+@example(spec="exp", a=-1e300, b=0.0, x=0.0, family="ostrowski", p=None, q=None, case=None,
+         f1_sup=None, norm=None)
+# M_q read inf**0 = 1: bound 0.041667 below the error 0.073926, flag true
+@example(spec="exp", a=0.0, b=1.0, x=1.0, family="power_mean", p=None, q=math.inf, case=None,
+         f1_sup=None, norm=None)
+@example(spec="exp", a=0.0, b=1.0, x=1.0, family="power_mean", p=None, q=math.nan, case=None,
+         f1_sup=None, norm=None)
+@example(spec="exp", a=0.0, b=1.0, x=1.0, family="holder", p=math.inf, q=None, case=None,
+         f1_sup=None, norm=None)
+@example(spec="exp", a=0.0, b=1.0, x=0.5, family="ostrowski", p=None, q=None, case=None,
+         f1_sup=math.nan, norm=None)
+@example(spec=INTERIOR_PEAK, a=0.0, b=1.0, x=0.5, family="ostrowski", p=None, q=None, case=None,
+         f1_sup=0.9996, norm=None)
+@example(spec="poly:1,0", a=0.0, b=1.0, x=None, family="cerone_dragomir", p=None, q=None,
+         case="inf", f1_sup=None, norm=-1.0)
+def test_certify_exit_code_contract(spec, a, b, x, family, p, q, case, f1_sup, norm):
+    """Every certify input exits 0, 1 or 2 without a traceback, exits 1
+    exactly when the JSON row says the bound does not hold, and prints a
+    finite, non-negative bound whenever it prints one."""
+    argv = ["certify", f"--function={spec}", f"--a={a!r}", f"--b={b!r}",
             f"--family={family}", "--format=json"]
-    argv += [f"--{name}={value!r}" for name, value in (("p", p), ("q", q)) if value is not None]
+    argv += [f"--{name}={value!r}" for name, value in
+             (("x", x), ("p", p), ("q", q), ("f1-sup", f1_sup), ("norm", norm))
+             if value is not None]
     if case is not None:
         argv.append(f"--case={case}")
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE)
-    assert "Traceback" not in err.getvalue()
-    if code == EXIT_USAGE:
-        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
-    else:
-        assert json.loads(out.getvalue())["holds"] is (code == EXIT_OK)
+    code, payload = _run_contract(argv)
+    if payload is not None:
+        assert payload["holds"] is (code == EXIT_OK)
+        assert 0.0 <= payload["bound_total"] < math.inf
 
 
 def _run_contract(argv):
@@ -348,7 +393,8 @@ def _mean_floats():
 
 
 def _exponents():
-    return st.one_of(st.sampled_from((-1.0, 0.0, 1.0, 2.0, 400.0, -400.0, math.nan)),
+    return st.one_of(st.sampled_from((-1.0, 0.0, 1.0, 2.0, 400.0, -400.0, math.nan, math.inf,
+                                      -math.inf)),
                      st.floats(-5.0, 5.0))
 
 
@@ -362,6 +408,8 @@ def _float_arg(values):
 @example(a=1e300, b=1.0000000000000002e300, ps=[])  # ln b - ln a rounds to 0
 @example(a=1e300, b=1.7e308, ps=[])  # ab overflows
 @example(a=1.0, b=math.inf, ps=[])  # an infinite end is bad input, not an overflow
+@example(a=1.0, b=2.0, ps=[math.inf])  # the mean read inf**0 = 1, outside [1, 2]
+@example(a=1.0, b=2.0, ps=[math.nan])
 def test_means_exit_code_contract(a, b, ps):
     argv = ["means", f"--a={a!r}", f"--b={b!r}", f"--p-values={_float_arg(ps)}",
             "--format=json"]
@@ -377,12 +425,17 @@ def test_means_exit_code_contract(a, b, ps):
 @example(prop=3, a=0.7266973772734842, b=3.40580102835054, p=2.0, q=0.0, corrected=False)
 @example(prop=5, a=5e-324, b=1e-10, p=1.357020493300074, q=None, corrected=False)
 @example(prop=2, a=1.0, b=math.inf, p=None, q=None, corrected=False)  # bad input, not NaN
+@example(prop=5, a=1.0, b=2.0, p=None, q=math.nan, corrected=False)
+@example(prop=3, a=1.0, b=2.0, p=2.0, q=math.nan, corrected=False)
+@example(prop=1, a=1.0, b=2.0, p=math.inf, q=None, corrected=False)
+@example(prop=4, a=1.0, b=2.0, p=math.inf, q=None, corrected=False)
 def test_props_exit_code_contract(prop, a, b, p, q, corrected):
     argv = ["props", f"--prop={prop}", f"--a={a!r}", f"--b={b!r}", "--format=json"]
     argv += [f"--{name}={value!r}" for name, value in (("p", p), ("q", q)) if value is not None]
     code, payload = _run_contract(argv + (["--corrected"] if corrected else []))
     if payload is not None:
         assert payload["rows"][0]["holds"] is (code == EXIT_OK)
+        assert all(math.isfinite(row[side]) for row in payload["rows"] for side in ("lhs", "rhs"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -402,6 +455,7 @@ def test_sweep_exit_code_contract(props, a_values, b_values, p_values, q_values,
     code, payload = _run_contract(argv + (["--corrected"] if corrected else []))
     if payload is not None:
         assert (payload["summary"]["violations"] > 0) is (code == EXIT_VIOLATION)
+        assert all(math.isfinite(row[side]) for row in payload["rows"] for side in ("lhs", "rhs"))
 
 
 @settings(max_examples=100, deadline=None)

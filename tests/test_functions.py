@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadcert import _backend
-from quadcert.bounds import HolderPair, bound_convex, bound_holder, bound_power_mean
+from quadcert.bounds import (HolderPair, bound_cerone_dragomir, bound_convex, bound_holder,
+                             bound_ostrowski, bound_power_mean)
 from quadcert.composite import Partition, composite_midpoint
 from quadcert.errors import DomainError, ParameterError
 from quadcert.functions import (
@@ -94,6 +95,15 @@ WIDE = Interval(0.0, 1e200)
     pytest.param(lambda: bound_convex(CONST, WIDE, 1e200), ParameterError,
                  r"^convex bound overflows the float range on \[0\.0, 1e\+200\] at x=1e\+200$",
                  id="convex-bound"),
+    # the cube is finite, its product with |f''(a)| + |f''(b)| = 4e10 is not
+    pytest.param(lambda: bound_convex(register_builtin("poly", [1e10, 0.0, 0.0]),
+                                      Interval(0.0, 1e100), 1e100),
+                 ParameterError, r"^convex bound overflows the float range at x=1e\+100$",
+                 id="convex-product"),
+    pytest.param(lambda: bound_ostrowski(EXP, Interval(-1e300, 0.0), 0.0), ParameterError,
+                 r"^ostrowski bound overflows the float range at x=0\.0$", id="ostrowski-bound"),
+    pytest.param(lambda: bound_cerone_dragomir(CONST, Interval(0.0, 1e100), "inf", norm=1e10),
+                 ParameterError, r"^cerone_dragomir bound overflows", id="cerone-dragomir-bound"),
     pytest.param(lambda: composite_midpoint(CONST, (0.0, 1e200)), ParameterError,
                  r"^composite bound overflows the float range on \[0\.0, 1e\+200\] at n=1$",
                  id="composite-bound"),

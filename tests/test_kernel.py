@@ -176,5 +176,6 @@ def test_validation():
         kernel_eval(ks, -0.1)
     with pytest.raises(ParameterError):
         kernel_eval(ks, 1.1)
-    with pytest.raises(ParameterError):
-        kernel_lp_moment(ks, 0.5)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="must be finite and >= 1"):
+            kernel_lp_moment(ks, p)

@@ -48,9 +48,12 @@ def test_mean_validation():
         mean_value("geometric", 0.0, 1.0)
     with pytest.raises(ParameterError):
         mean_value("arithmetic", -1.0, 1.0)
-    for bad_p in (-1.0, 0.0, None):
+    for bad_p in (-1.0, 0.0, None, math.inf, -math.inf, math.nan):
         with pytest.raises(ParameterError):
             mean_value("p_logarithmic", 1.0, 2.0, p=bad_p)
+    # the limit p -> inf is max(a, b) = 2, but the formula read inf**0 = 1
+    with pytest.raises(ParameterError, match="needs a finite exponent p, got inf"):
+        mean_value("p_logarithmic", 1.0, 2.0, p=math.inf)
 
 
 @pytest.mark.parametrize("kind,a,b", [
@@ -224,3 +227,15 @@ def test_proposition_validation():
         check_proposition(3, 1.0, 2.0, p=2.0, q=3.0)  # not conjugate
     with pytest.raises(ParameterError):
         check_proposition(5, 1.0, 2.0, q=0.5)
+    for bad in (math.nan, math.inf):
+        for prop in (1, 3, 4):
+            with pytest.raises(ParameterError, match="needs a finite p > 1"):
+                check_proposition(prop, 1.0, 2.0, p=bad)
+        for prop in (3, 4):
+            with pytest.raises(ParameterError, match="both must be finite"):
+                check_proposition(prop, 1.0, 2.0, p=2.0, q=bad)
+        with pytest.raises(ParameterError, match="both must be finite"):
+            check_proposition(4, 1.0, 2.0, p=2.0, p_holder=3.0, q=bad)
+        for prop in (5, 6):
+            with pytest.raises(ParameterError, match="needs a finite q >= 1"):
+                check_proposition(prop, 1.0, 2.0, q=bad)

@@ -63,8 +63,9 @@ def test_bad_arguments():
         integrate(f, 1.0, 1.0)
     with pytest.raises(ParameterError):
         integrate(f, 2.0, 1.0)
-    with pytest.raises(ParameterError):
-        integrate(f, 0.0, 1.0, tol=1e-15)
+    for tol in (1e-15, math.nan, -1.0):
+        with pytest.raises(ParameterError, match=f"tol={tol!r} must be at least 1e-14"):
+            integrate(f, 0.0, 1.0, tol=tol)
 
 
 def test_nonconvergence_raises():
@@ -227,8 +228,9 @@ def test_lp_norms():
     assert estimate_norm(ft, iv, "lp_f2", p=2.0).value == pytest.approx(2.0, rel=1e-12)
     assert estimate_norm(ft, iv, "l1_f2").value == pytest.approx(2.0, rel=1e-12)
     assert estimate_norm(ft, iv, "l1_f2").method == "exact"
-    with pytest.raises(ParameterError):
-        estimate_norm(ft, iv, "lp_f2", p=0.5)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="lp_f2 needs a finite p >= 1"):
+            estimate_norm(ft, iv, "lp_f2", p=p)
     with pytest.raises(ParameterError):
         estimate_norm(ft, iv, "lp_f2")
     with pytest.raises(ParameterError):
