@@ -226,7 +226,7 @@ def _bisect_sign_change(coeffs, lo, hi, neg_lo):
     return lo, hi
 
 
-def column(fn, xs):
+def column(fn, xs, within=None):
     """Evaluate ``fn`` at every point of the sequence ``xs``: exactly
     ``list(map(fn, xs))``, value for value and error for error.
 
@@ -236,13 +236,22 @@ def column(fn, xs):
     and none is NaN. Otherwise, when the fast column overflows, and for any
     callable without ``batch``, the scalar evaluator runs point by point and
     raises its own DomainError.
+
+    ``within = (x_lo, x_hi)`` is for callers that know every point is a
+    number in [x_lo, x_hi], as the composite kernel knows of a validated
+    block: the domain test then compares the two ends instead of passing
+    over ``xs``.
     """
     batch = getattr(fn, "batch", None)
     if batch is not None and xs:
         fast, args, lo, hi = batch
-        total = sum(xs)
-        # min and max can skip a NaN that is not first; the sum cannot.
-        if lo < min(xs) and max(xs) < hi and total == total:
+        if within is None:
+            total = sum(xs)
+            # min and max can skip a NaN that is not first; the sum cannot.
+            inside = lo < min(xs) and max(xs) < hi and total == total
+        else:
+            inside = lo < within[0] and within[1] < hi
+        if inside:
             try:
                 return fast(xs, *args)
             except OverflowError:

@@ -225,12 +225,16 @@ def bound_cerone_dragomir(ft: FunctionTriple, iv: Interval, case: str,
                 f"norm={norm!r} does not fit f'', whose {sup.method} sup|f''| is {sup.value!r}")
     params["norm"] = norm
 
-    if case == "inf":
-        total = iv.length ** 3 / 24.0 * norm
-    elif case == "lp":
-        total = iv.length ** (2.0 + 1.0 / hp.q) / (8.0 * (2.0 * hp.q + 1.0) ** (1.0 / hp.q)) * norm
-    else:
-        total = iv.length ** 2 / 8.0 * norm
+    try:
+        if case == "inf":
+            total = iv.length ** 3 / 24.0 * norm
+        elif case == "lp":
+            total = (iv.length ** (2.0 + 1.0 / hp.q) / (8.0 * (2.0 * hp.q + 1.0) ** (1.0 / hp.q))
+                     * norm)
+        else:
+            total = iv.length ** 2 / 8.0 * norm
+    except OverflowError:
+        raise overflow_error("cerone_dragomir bound", iv, case=case) from None
 
     rule = perturbed_trapezoid_rule(ft, iv)
     return Certificate(rule, total / iv.length, total, "cerone_dragomir", params)

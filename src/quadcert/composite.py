@@ -33,9 +33,68 @@ def _midpoints(nodes):
     return map(operator.mul, repeat(0.5), map(operator.add, nodes, nodes[1:]))
 
 
+def _outside(nodes, xi, start=0):
+    """ParameterError naming the first point xi[i] outside the right half of
+    [nodes[i], nodes[i+1]], counting i from ``start``."""
+    for i, (lo, hi, v) in enumerate(zip(nodes, nodes[1:], xi), start):
+        mid = 0.5 * (lo + hi)
+        if not mid <= v <= hi:
+            return ParameterError(
+                f"xi[{i}]={v!r} outside the admissible right half [{mid!r}, {hi!r}]")
+
+
+def _is_policy(stored):
+    """Whether a partition stores the ``(name, seed)`` of its xi policy in
+    place of the points: given points are floats."""
+    return bool(stored) and stored[0].__class__ is str
+
+
+def _draw(policy, rng, nodes):
+    """The points of ``policy`` over consecutive ``nodes``; random ones come
+    from ``rng``, in subinterval order."""
+    if policy == "midpoint":
+        return list(_midpoints(nodes))
+    if policy == "right":
+        return nodes[1:]
+    return [(mid := 0.5 * (lo + hi)) + rng.random() * (hi - mid) for lo, hi in pairwise(nodes)]
+
+
+def _blocks(nodes, stored):
+    """(lows, xs) per block of subintervals: the block's nodes and its
+    intermediate points, sliced from ``stored`` or drawn by its policy.
+
+    A random point mid + u*(hi - mid) is at least mid, but rounding could
+    carry it past hi: a block where it does raises the validation error."""
+    if not _is_policy(stored):
+        for start in range(0, len(stored), _BLOCK):
+            yield nodes[start:start + _BLOCK + 1], stored[start:start + _BLOCK]
+        return
+    policy, seed = stored
+    rng = random.Random(seed)
+    for start in range(0, len(nodes) - 1, _BLOCK):
+        lows = nodes[start:start + _BLOCK + 1]
+        xs = _draw(policy, rng, lows)
+        if policy == "random":
+            if not all(map(math.isfinite, xs)):
+                raise ParameterError("partition values must be finite")
+            if not all(map(operator.le, xs, lows[1:])):
+                raise _outside(lows, xs, start)
+        yield lows, xs
+
+
 class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
-    """Division nodes x_0 < ... < x_n with intermediate points xi_i, stored
-    as tuples of floats."""
+    """Division nodes x_0 < ... < x_n, a tuple of floats, with intermediate
+    points xi_i.
+
+    A partition built from given points stores them as a tuple of floats.
+    One built by `uniform`, or by the composite wrappers, stores its xi
+    policy as ``(name, seed)`` instead and draws the points where they are
+    used: the kernel draws them block by block and never holds them all,
+    and ``.xi``, iteration and unpacking materialise them as a tuple on
+    each access. Equality and hashing compare what is stored, so such a
+    partition equals one built with the same arguments, not one built
+    from its points.
+    """
 
     __slots__ = ()
 
@@ -44,10 +103,50 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         self.__post_init__()
         return self
 
+    @classmethod
+    def _of_policy(cls, nodes, policy, seed=None):
+        """Partition of the float tuple ``nodes`` with the points of
+        ``policy``; ``seed`` seeds the random one."""
+        self = tuple.__new__(cls, (nodes, (policy, seed)))
+        self.__post_init__()
+        return self
+
+    @property
+    def xi(self) -> tuple:
+        stored = self[1]
+        if not _is_policy(stored):
+            return stored
+        out = []
+        for _, xs in _blocks(self.nodes, stored):
+            out += xs
+        return tuple(out)
+
+    def __iter__(self):
+        # unpacking, _replace, _asdict, copying and pickling see the points
+        return iter((self.nodes, self.xi))
+
+    def __repr__(self):
+        return f"Partition(nodes={self.nodes!r}, xi={self.xi!r})"
+
     def __post_init__(self):
-        """Validation, run by ``__new__`` on the float tuples. perfbench's
-        tracer wraps it by this name as ``composite.Partition.init``."""
-        nodes, xi = self
+        """Validation, run once by ``__new__``, `uniform` and the composite
+        wrappers. perfbench's tracer wraps it by this name as
+        ``composite.Partition.init``.
+
+        A policy's points need no check once the nodes are finite and
+        strictly increasing and lo + hi is finite at both ends: lo + hi
+        grows with i, so it is finite throughout, 0.5 * (lo + hi) then lies
+        in [lo, hi], and a random point mid + u*(hi - mid), u >= 0, is at
+        least mid. Otherwise the points are drawn and checked as given
+        points are, so the error is the one they raise."""
+        nodes, xi = self.nodes, self[1]
+        if _is_policy(xi):
+            if (len(nodes) > 1 and all(map(math.isfinite, nodes))
+                    and all(map(operator.lt, nodes, nodes[1:]))
+                    and math.isfinite(nodes[0] + nodes[1])
+                    and math.isfinite(nodes[-2] + nodes[-1])):
+                return
+            xi = _draw(xi[0], random.Random(xi[1]), nodes)
         if len(nodes) < 2:
             raise ParameterError("a partition needs at least two nodes")
         if not (all(map(math.isfinite, nodes)) and all(map(math.isfinite, xi))):
@@ -62,11 +161,7 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
             raise ParameterError(
                 f"expected {len(nodes) - 1} intermediate points, got {len(xi)}")
         if not (all(map(operator.le, xi, rights)) and all(map(operator.le, _midpoints(nodes), xi))):
-            for i, (lo, hi, v) in enumerate(zip(nodes, rights, xi)):
-                mid = 0.5 * (lo + hi)
-                if not mid <= v <= hi:
-                    raise ParameterError(
-                        f"xi[{i}]={v!r} outside the admissible right half [{mid!r}, {hi!r}]")
+            raise _outside(nodes, xi)
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int, xi_policy: str = "midpoint",
@@ -74,22 +169,20 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         """n equal subintervals of [a, b] with intermediate points chosen by
         policy: the subinterval midpoint, the right node, or uniform random
         within the admissible right half (deterministic under ``seed``)."""
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ParameterError(f"need an integer number of subintervals, got {n!r}") from None
         if n < 1:
             raise ParameterError(f"need n >= 1 subintervals, got {n!r}")
         if not a < b:
             raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
-        nodes = [((n - i) * a + i * b) / n for i in range(n + 1)]
-        if xi_policy == "midpoint":
-            xi = _midpoints(nodes)
-        elif xi_policy == "right":
-            xi = nodes[1:]
-        elif xi_policy == "random":
-            rng = random.Random(seed)
-            xi = [(mid := 0.5 * (lo + hi)) + rng.random() * (hi - mid)
-                  for lo, hi in pairwise(nodes)]
-        else:
+        if xi_policy not in XI_POLICIES:
             raise ParameterError(f"unknown xi policy {xi_policy!r}; expected one of {XI_POLICIES}")
-        return cls(nodes, xi)
+        nodes = tuple([((n - i) * a + i * b) / n for i in range(n + 1)])
+        if nodes[0].__class__ is not float:  # a and b of another number type
+            nodes = tuple(map(float, nodes))
+        return cls._of_policy(nodes, xi_policy, seed if xi_policy == "random" else None)
 
 
 class CompositeResult(NamedTuple):
@@ -122,41 +215,45 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
     where the mirror lo+hi-xi of xi = hi is lo itself (`rules.mirror_points`).
 
     The partition is processed in blocks of subintervals, each evaluator
-    running as one column per block (`_backend.column`). f and f' are
-    evaluated once per distinct point: in a block where every mirror
-    lo+hi-xi equals its xi (the midpoint rule), one column of f serves both,
-    and f' is not evaluated, since its difference is 0.
+    running as one column per block (`_backend.column`); the points of a
+    policy partition are drawn per block. Validation has placed a block's
+    nodes and points in [lows[0], lows[-1]], so their columns are given
+    that range in place of a domain pass over the points; mirrors, which
+    nothing validates, get the full pass. f and f' are evaluated once per
+    distinct point: in a block where every mirror lo+hi-xi equals its xi
+    (the midpoint rule), one column of f serves both, and f' is not
+    evaluated, since its difference is 0.
     f'' is evaluated once per node. Raises DomainError when a value or bound
-    is not finite, and ParameterError when a bound overflows.
+    is not finite, and ParameterError when a bound overflows, or when a
+    random point drawn here falls outside its right half.
     """
-    nodes, xi = part.nodes, part.xi
+    nodes = part.nodes
     span = Interval(nodes[0], nodes[-1])
     require_domain(ft, span)
     values, bounds = [], []
     g_last = None
-    for start in range(0, len(xi), _BLOCK):
-        lows = nodes[start:start + _BLOCK + 1]
+    for lows, xs in _blocks(nodes, part[1]):
         highs = lows[1:]
-        xs = xi[start:start + _BLOCK]
+        within = (lows[0], lows[-1])
         mirrors = mirror_points(lows, highs, xs)
         if all(map(operator.eq, mirrors, xs)):
             # f'(x) - f'(x) is +0.0 wherever f' is finite: skip f'.
-            fx = fm = column(ft.f, xs)
+            fx = fm = column(ft.f, xs, within)
             dx = dm = repeat(0.0)
         else:
-            fx, fm = column(ft.f, xs), column(ft.f, mirrors)
-            dx, dm = column(ft.f1, xs), column(ft.f1, mirrors)
+            fx, fm = column(ft.f, xs, within), column(ft.f, mirrors)
+            dx, dm = column(ft.f1, xs, within), column(ft.f1, mirrors)
         if g_last is None:
-            g = list(map(abs, column(ft.f2, lows)))
+            g = list(map(abs, column(ft.f2, lows, within)))
         else:
             g = [g_last]
-            g += map(abs, column(ft.f2, highs))
+            g += map(abs, column(ft.f2, highs, within))
         g_last = g[-1]
         values += two_point_totals(lows, highs, xs, fx, fm, dx, dm)
         try:
             bounds += convex_bounds(lows, highs, xs, g)
         except OverflowError:
-            raise overflow_error("composite bound", span, n=len(xi)) from None
+            raise overflow_error("composite bound", span, n=len(nodes) - 1) from None
     try:
         approx, total = math.fsum(values), math.fsum(bounds)
     except (OverflowError, ValueError):
@@ -185,12 +282,10 @@ def composite_perturbed_trapezoid(ft: FunctionTriple, nodes) -> CompositeResult:
     h^2/8 times the first-derivative jump, with remainder bound
     h^3/48 * (|f''(lo)| + |f''(hi)|).
     """
-    nodes = tuple(map(float, nodes))
-    return composite_generalized(ft, Partition(nodes, nodes[1:]))
+    return composite_generalized(ft, Partition._of_policy(tuple(map(float, nodes)), "right"))
 
 
 def composite_midpoint(ft: FunctionTriple, nodes) -> CompositeResult:
     """Composite midpoint rule: h * f(mid) per subinterval, remainder bound
     h^3/48 * (|f''(lo)| + |f''(hi)|)."""
-    nodes = tuple(map(float, nodes))
-    return composite_generalized(ft, Partition(nodes, _midpoints(nodes)))
+    return composite_generalized(ft, Partition._of_policy(tuple(map(float, nodes)), "midpoint"))

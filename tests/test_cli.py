@@ -265,6 +265,9 @@ def test_tol_only_where_the_oracle_runs(capsys, command):
     ("certify", "--function", "poly:1", "--a", "0", "--b", "1e200", "--x", "1e200",
      "--family", "convex"),
     ("composite", "--function", "poly:1", "--a", "0", "--b", "1e200", "--n", "1"),
+    *(("certify", "--function", "poly:1,0", "--a", "0", "--b", "1e200",
+       "--family", "cerone_dragomir", *case) for case in
+      (("--case", "inf"), ("--case", "l1"), ("--case", "lp", "--p", "2"))),
     # the oracle tolerance is loose enough to reach the rule, whose last bound is inf
     ("composite", "--function", "power:400", "--a", "1", "--b", "5.8", "--n", "4",
      "--tol", "1e295"),

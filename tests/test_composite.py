@@ -6,13 +6,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_interval, single_cases
 from quadcert import composite
 from quadcert.bounds import bound_convex, bound_power_mean
 from quadcert.composite import (
     _BLOCK,
+    XI_POLICIES,
     Partition,
     composite_generalized,
     composite_midpoint,
@@ -63,6 +64,8 @@ def test_wrapper_errors_when_a_midpoint_overflows():
     """Where lo + hi overflows, the wrappers fail on the derived xi."""
     with pytest.raises(ParameterError, match=r"^partition values must be finite$"):
         composite_midpoint(CONST, (0.0, 1e308, 1.5e308))
+    with pytest.raises(ParameterError, match=r"^partition values must be finite$"):
+        composite_midpoint(CONST, (-1.5e308, -1e308, 0.0))
     with pytest.raises(ParameterError, match=r"^xi\[1\]=1\.5e\+308 outside the admissible "
                                               r"right half \[inf, 1\.5e\+308\]$"):
         composite_perturbed_trapezoid(CONST, (0.0, 1e308, 1.5e308))
@@ -78,8 +81,12 @@ def test_uniform_constructor():
     r2 = Partition.uniform(0.0, 1.0, 8, xi_policy="random", seed=7)
     assert r1.xi == r2.xi
     assert r1.xi != Partition.uniform(0.0, 1.0, 8, xi_policy="random", seed=8).xi
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^need n >= 1 subintervals, got 0$"):
         Partition.uniform(0.0, 1.0, 0)
+    for n in (2.5, "3", 4.0, None):
+        with pytest.raises(ParameterError,
+                           match=rf"^need an integer number of subintervals, got {n!r}$"):
+            Partition.uniform(0.0, 1.0, n)
     with pytest.raises(ParameterError):
         Partition.uniform(0.0, 1.0, 4, xi_policy="left")
 
@@ -205,15 +212,62 @@ def _reference_uniform(a, b, n, xi_policy, seed):
     return nodes, xi
 
 
+def _uniform_outcome(build):
+    """Nodes and points by float.hex, or the type and message of the error."""
+    try:
+        part = build()
+        return _bits(part.nodes), _bits(part.xi)
+    except ParameterError as exc:
+        return type(exc), str(exc)
+
+
+_MAX = 1.7976931348623157e308
+_UNIFORM_SPANS = st.one_of(
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),  # straddling 0 or not
+    # near the ends of the float range: nodes and lo + hi overflow
+    st.tuples(st.floats(-_MAX, -1e307) | st.floats(1e307, _MAX),
+              st.floats(-_MAX, -1e307) | st.floats(1e307, _MAX)),
+    st.tuples(st.floats(-1e-320, 1e-320), st.floats(-1e-320, 1e-320)),  # subnormal
+    # a few ulps wide, so that many subintervals cannot all be nonempty
+    st.builds(lambda a, k: (a, a + k * math.ulp(a)), st.floats(-1e6, 1e6), st.integers(1, 8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(span=_UNIFORM_SPANS, n=st.integers(1, 40), xi_policy=st.sampled_from(XI_POLICIES),
+       seed=st.integers(0, 1 << 30))
+@example(span=(1e308, 1.5e308), n=1, xi_policy="midpoint", seed=7)  # lo + hi overflows
+@example(span=(1e308, 1.5e308), n=1, xi_policy="right", seed=7)
+@example(span=(1e308, 1.5e308), n=1, xi_policy="random", seed=7)
+@example(span=(0.0, 1.5e308), n=2, xi_policy="midpoint", seed=7)  # a node overflows
+@example(span=(0.0, 1.5e308), n=2, xi_policy="right", seed=7)
+@example(span=(0.0, 1.5e308), n=2, xi_policy="random", seed=7)
+@example(span=(1.0, 1.0 + 4 * 2**-52), n=8, xi_policy="midpoint", seed=7)  # nodes repeat
+@example(span=(1.0, 1.0 + 4 * 2**-52), n=8, xi_policy="right", seed=7)
+@example(span=(1.0, 1.0 + 4 * 2**-52), n=8, xi_policy="random", seed=7)
+@example(span=(0.0, 5e-323), n=3, xi_policy="midpoint", seed=7)  # subnormal, accepted
+@example(span=(0.0, 5e-323), n=3, xi_policy="right", seed=7)
+@example(span=(0.0, 5e-323), n=3, xi_policy="random", seed=7)
+def test_uniform_matches_validated_points(span, n, xi_policy, seed):
+    """Partition.uniform validates its nodes once and draws its points where
+    they are used; it accepts exactly the spans whose points, computed in
+    full and validated as given points, are accepted, with the same error
+    otherwise and bit-equal nodes and points."""
+    a, b = sorted(span)
+    assume(a < b)
+    assert _uniform_outcome(lambda: Partition.uniform(a, b, n, xi_policy, seed)) == \
+        _uniform_outcome(lambda: Partition(*_reference_uniform(a, b, n, xi_policy, seed)))
+
+
 def _reference_kernel(ft, part):
     """The rule as a per-subinterval loop with six scalar calls each:
     (approx, remainder_bound, values, bounds)."""
-    nodes = part.nodes
+    nodes, points = part.nodes, part.xi  # .xi draws the points on each access
     values, bounds = [], []
     for i in range(len(nodes) - 1):
         lo, hi = nodes[i], nodes[i + 1]
         h = hi - lo
-        xi = part.xi[i]
+        xi = points[i]
         mirror = lo if xi == hi else lo + hi - xi
         values.append(0.5 * h * (ft.f(xi) + ft.f(mirror))
                       - 0.5 * h * (xi - (lo + 3.0 * hi) / 4.0) * (ft.f1(xi) - ft.f1(mirror)))
@@ -299,9 +353,9 @@ def test_columns_cover_each_point_once(monkeypatch, n):
     points = dict.fromkeys(names.values(), 0)
     column = composite.column
 
-    def counting_column(fn, xs):
+    def counting_column(fn, xs, *within):
         points[names[id(fn)]] += len(xs)
-        return column(fn, xs)
+        return column(fn, xs, *within)
 
     monkeypatch.setattr(composite, "column", counting_column)
     rows = [

@@ -131,7 +131,13 @@ def _outcome(call):
 
 
 def _assert_column_is_scalar_map(fn, xs):
-    assert _outcome(lambda: _backend.column(fn, xs)) == _outcome(lambda: list(map(fn, xs)))
+    """Also with the points' range supplied, as the composite kernel does for
+    the NaN-free points of a validated block."""
+    expected = _outcome(lambda: list(map(fn, xs)))
+    assert _outcome(lambda: _backend.column(fn, xs)) == expected
+    if all(x == x for x in xs):
+        within = (min(xs, default=0.0), max(xs, default=0.0))
+        assert _outcome(lambda: _backend.column(fn, xs, within)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,7 +151,7 @@ def _assert_column_is_scalar_map(fn, xs):
 @example(spec="power:400", deriv="f2", xs=[5.77, 5.77, 5.75])
 def test_column_is_the_scalar_map(spec, deriv, xs):
     """`_backend.column` gives list(map(fn, xs)) bit for bit, or the same
-    error with the same message."""
+    error with the same message, with or without a supplied range."""
     _assert_column_is_scalar_map(getattr(parse_function_spec(spec), deriv), xs)
 
 
