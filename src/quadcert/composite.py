@@ -11,6 +11,7 @@ placement.
 import math
 import operator
 import random
+import struct
 from itertools import pairwise, repeat
 from typing import NamedTuple
 
@@ -56,7 +57,8 @@ def _draw(policy, rng, nodes):
         return list(_midpoints(nodes))
     if policy == "right":
         return nodes[1:]
-    return [(mid := 0.5 * (lo + hi)) + rng.random() * (hi - mid) for lo, hi in pairwise(nodes)]
+    draw = rng.random
+    return [(mid := 0.5 * (lo + hi)) + draw() * (hi - mid) for lo, hi in pairwise(nodes)]
 
 
 def _blocks(nodes, stored):
@@ -185,24 +187,65 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         return cls._of_policy(nodes, xi_policy, seed if xi_policy == "random" else None)
 
 
-class CompositeResult(NamedTuple):
+def _pack(entries):
+    """A block's column of floats as packed native doubles."""
+    return struct.pack(f"{len(entries)}d", *entries)
+
+
+def _unpacked(stored):
+    """A stored column as a tuple: packed doubles are unpacked, and a
+    tuple given to the constructor is returned as it is."""
+    if stored.__class__ is bytes:
+        return tuple(memoryview(stored).cast("d"))
+    return stored
+
+
+class CompositeResult(NamedTuple("CompositeResult", [("approx", float), ("remainder_bound", float),
+                                                     ("values", tuple), ("bounds", tuple)])):
     """Composite approximation with its summed remainder bound.
 
     ``values`` and ``bounds`` hold the per-subinterval rule values and
     remainder bounds, in partition order. ``approx`` and ``remainder_bound``
     are their exact-rounded sums (``math.fsum``), so results do not depend
     on how the per-subinterval work is scheduled.
+
+    A result built by `composite_generalized` stores the two columns as
+    packed doubles (``bytes``, 8 B per entry, where a float in a tuple
+    takes 32 B), so a caller that reads only the sums never holds the
+    tuples. ``.values``, ``.bounds``, ``per_interval``, iteration and
+    unpacking, ``repr``, ``_asdict``, ``_replace``, pickling and copying
+    materialise them as tuples on each access. One built from tuples
+    stores them as given. Equality and hashing compare what is stored, as
+    for `Partition`.
     """
 
-    approx: float
-    remainder_bound: float
-    values: tuple
-    bounds: tuple
+    __slots__ = ()
+
+    @classmethod
+    def _of_packed(cls, approx, remainder_bound, values, bounds):
+        """Result storing ``values`` and ``bounds`` as packed doubles."""
+        return tuple.__new__(cls, (approx, remainder_bound, values, bounds))
+
+    @property
+    def values(self) -> tuple:
+        return _unpacked(self[2])
+
+    @property
+    def bounds(self) -> tuple:
+        return _unpacked(self[3])
 
     @property
     def per_interval(self) -> tuple:
         """(value, bound) pairs, one per subinterval."""
         return tuple(zip(self.values, self.bounds))
+
+    def __iter__(self):
+        # unpacking, _replace, _asdict, copying and pickling see the tuples
+        return iter((self.approx, self.remainder_bound, self.values, self.bounds))
+
+    def __repr__(self):
+        return (f"CompositeResult(approx={self.approx!r}, remainder_bound="
+                f"{self.remainder_bound!r}, values={self.values!r}, bounds={self.bounds!r})")
 
 
 def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResult:
@@ -216,13 +259,22 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
 
     The partition is processed in blocks of subintervals, each evaluator
     running as one column per block (`_backend.column`); the points of a
-    policy partition are drawn per block. Validation has placed a block's
-    nodes and points in [lows[0], lows[-1]], so their columns are given
-    that range in place of a domain pass over the points; mirrors, which
-    nothing validates, get the full pass. f and f' are evaluated once per
-    distinct point: in a block where every mirror lo+hi-xi equals its xi
-    (the midpoint rule), one column of f serves both, and f' is not
-    evaluated, since its difference is 0.
+    policy partition are drawn per block, and each block's values and
+    bounds are packed into doubles as soon as they are computed. Validation
+    has placed a block's nodes and points in [lows[0], lows[-1]], so their
+    columns are given that range in place of a domain pass over the points;
+    mirrors are given their own min and max. f and f' are evaluated once
+    per distinct point:
+
+    - in a block where every mirror lo+hi-xi equals its xi (the midpoint
+      rule), one column of f serves both, and f' is not evaluated, since
+      its difference is 0;
+    - in a block where every xi is hi (the right policy), each node is the
+      xi of one subinterval and the mirror of the next, so f and f' run
+      over the nodes, and the last one is carried into the next block,
+      n + 1 points in all;
+    - otherwise over the n points and their n mirrors.
+
     f'' is evaluated once per node. Raises DomainError when a value or bound
     is not finite, and ParameterError when a bound overflows, or when a
     random point drawn here falls outside its right half.
@@ -231,36 +283,54 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
     span = Interval(nodes[0], nodes[-1])
     require_domain(ft, span)
     values, bounds = [], []
-    g_last = None
+    g_last = carry = None
     for lows, xs in _blocks(nodes, part[1]):
         highs = lows[1:]
         within = (lows[0], lows[-1])
-        mirrors = mirror_points(lows, highs, xs)
-        if all(map(operator.eq, mirrors, xs)):
-            # f'(x) - f'(x) is +0.0 wherever f' is finite: skip f'.
-            fx = fm = column(ft.f, xs, within)
-            dx = dm = repeat(0.0)
+        if xs == highs:
+            # Each mirror is its lo. The first node, unless the block before
+            # carried it, runs after the others, so an error at a point is
+            # raised before one at a mirror, as on other rows.
+            fx = column(ft.f, highs, within)
+            fm = column(ft.f, lows[:1], within) if carry is None else [carry[0]]
+            dx = column(ft.f1, highs, within)
+            dm = column(ft.f1, lows[:1], within) if carry is None else [carry[1]]
+            fm += fx[:-1]
+            dm += dx[:-1]
+            carry = fx[-1], dx[-1]
         else:
-            fx, fm = column(ft.f, xs, within), column(ft.f, mirrors)
-            dx, dm = column(ft.f1, xs, within), column(ft.f1, mirrors)
+            carry = None
+            mirrors = mirror_points(lows, highs, xs)
+            if all(map(operator.eq, mirrors, xs)):
+                # f'(x) - f'(x) is +0.0 wherever f' is finite: skip f'.
+                fx = fm = column(ft.f, xs, within)
+                dx = dm = repeat(0.0)
+            else:
+                # lo, hi and x are finite, so no mirror is NaN, and its
+                # column lies in [min, max] of its entries.
+                around = (min(mirrors), max(mirrors))
+                fx, fm = column(ft.f, xs, within), column(ft.f, mirrors, around)
+                dx, dm = column(ft.f1, xs, within), column(ft.f1, mirrors, around)
         if g_last is None:
             g = list(map(abs, column(ft.f2, lows, within)))
         else:
             g = [g_last]
             g += map(abs, column(ft.f2, highs, within))
         g_last = g[-1]
-        values += two_point_totals(lows, highs, xs, fx, fm, dx, dm)
+        values.append(_pack(two_point_totals(lows, highs, xs, fx, fm, dx, dm)))
         try:
-            bounds += convex_bounds(lows, highs, xs, g)
+            bounds.append(_pack(convex_bounds(lows, highs, xs, g)))
         except OverflowError:
             raise overflow_error("composite bound", span, n=len(nodes) - 1) from None
+    values, bounds = b"".join(values), b"".join(bounds)
+    doubles = memoryview(values).cast("d"), memoryview(bounds).cast("d")
     try:
-        approx, total = math.fsum(values), math.fsum(bounds)
+        approx, total = map(math.fsum, doubles)
     except (OverflowError, ValueError):
         approx = total = math.inf
     if not (math.isfinite(approx) and math.isfinite(total)):
-        raise _not_finite(ft, nodes, values, bounds)
-    return CompositeResult(approx, total, tuple(values), tuple(bounds))
+        raise _not_finite(ft, nodes, *doubles)
+    return CompositeResult._of_packed(approx, total, values, bounds)
 
 
 def _not_finite(ft, nodes, values, bounds):

@@ -35,11 +35,9 @@ def _check_x_range(iv: Interval, x: float) -> None:
 
 def mirror_points(lows, highs, xs):
     """The reflection lo + hi - x of each point, lo itself where x is hi:
-    (lo + hi) - hi rounds away from lo, to 0 when lo < ulp(hi)/2. A column
-    with every x at hi is ``lows`` sliced; other columns patch only the
-    entries where x is hi."""
-    if xs == highs:
-        return lows[:len(xs)]
+    (lo + hi) - hi rounds away from lo, to 0 when lo < ulp(hi)/2. Only the
+    entries where x is hi are patched; the composite kernel takes a block
+    with every x at hi without mirrors."""
     out = list(map(operator.sub, map(operator.add, lows, highs), xs))
     if any(map(operator.eq, xs, highs)):
         for i in compress(count(), map(operator.eq, xs, highs)):

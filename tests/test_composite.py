@@ -3,7 +3,12 @@ the single-interval rule, validity sweeps, convergence order, and
 determinism."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -306,6 +311,63 @@ def test_kernel_matches_per_subinterval_reference(corpus, rng, xi_policy, n):
             assert _bits(res.bounds) == _bits(bounds)
 
 
+@pytest.mark.parametrize("xi_policy", XI_POLICIES)
+def test_packed_columns_read_as_the_reference(xi_policy):
+    """A kernel-built result stores packed doubles; its tuples, its pairs
+    and its unpacked fields are bit for bit the reference loop's."""
+    ft = register_builtin("exp")
+    part = Partition.uniform(0.5, 2.0, 2 * _BLOCK + 3, xi_policy, seed=5)
+    res = composite_generalized(ft, part)
+    approx, bound, values, bounds = _reference_kernel(ft, part)
+    assert [_bits(pair) for pair in res.per_interval] == list(map(_bits, zip(values, bounds)))
+    got_approx, got_bound, got_values, got_bounds = res
+    assert _bits((got_approx, got_bound)) == _bits((approx, bound))
+    assert _bits(got_values) == _bits(values) and _bits(got_bounds) == _bits(bounds)
+
+
+def test_right_blocks_among_other_blocks_match_the_reference():
+    """Given points at hi in some blocks only: a right block carries f and
+    f' at its last node only into a right block that follows it."""
+    ft = register_builtin("exp")
+    nodes = Partition.uniform(0.5, 2.0, 4 * _BLOCK).nodes
+    mids = [0.5 * (lo + hi) for lo, hi in zip(nodes, nodes[1:])]
+    xi = nodes[1:_BLOCK + 1] + tuple(mids[_BLOCK:2 * _BLOCK]) + nodes[2 * _BLOCK + 1:]
+    part = Partition(nodes, xi)
+    res = composite_generalized(ft, part)
+    approx, bound, values, bounds = _reference_kernel(ft, part)
+    assert _bits((res.approx, res.remainder_bound)) == _bits((approx, bound))
+    assert _bits(res.values) == _bits(values) and _bits(res.bounds) == _bits(bounds)
+
+
+def test_result_retains_16_bytes_per_subinterval():
+    """A result keeps its two columns as packed doubles, 8 B per entry,
+    where boxed floats in tuples took 32 B per entry."""
+    n = 200_000
+    ft = register_builtin("exp")
+    part = Partition.uniform(0.5, 2.0, n)  # the cheapest policy to trace
+    tracemalloc.start()
+    try:
+        res = composite_generalized(ft, part)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res[2]) == len(res[3]) == 8 * n
+    assert retained <= 16 * n + 64 * _BLOCK
+
+
+def test_cli_import_leaves_array_out():
+    """Packed results need only struct and memoryview, which interpreter
+    start-up has loaded; array is an extension module that each cold CLI
+    process would pay to load."""
+    src = str(Path(composite.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, quadcert.cli; print('array' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def _counted(ft):
     """ft with each of f, f', f'' counting its calls into the returned dict."""
     calls = dict.fromkeys(("f", "f1", "f2"), 0)
@@ -325,15 +387,17 @@ def _counted(ft):
 @pytest.mark.parametrize("n", [1, 7, 64])
 def test_each_point_evaluated_once(n):
     """f'' runs once per node; f once per distinct point: n times on
-    midpoint rows, where each mirror is its own xi, and 2n otherwise. f'
-    runs 2n times, but not on midpoint rows, where its difference is 0."""
+    midpoint rows, where each mirror is its own xi, n + 1 on right rows,
+    where each node is the xi of one subinterval and the mirror of the
+    next, and 2n otherwise. f' runs as often, but not on midpoint rows,
+    where its difference is 0."""
     ft, calls = _counted(register_builtin("exp"))
     rows = [
         (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n, 0),
         (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n)), n, 0),
         (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes),
-         2 * n, 2 * n),
-        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "right")), 2 * n, 2 * n),
+         n + 1, n + 1),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "right")), n + 1, n + 1),
         (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)),
          2 * n, 2 * n),
     ]
@@ -346,8 +410,8 @@ def test_each_point_evaluated_once(n):
 @pytest.mark.parametrize("n", [1, 7, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_columns_cover_each_point_once(monkeypatch, n):
     """The registry evaluators run as columns: f'' over the n+1 nodes, f
-    over n points on midpoint rows and 2n otherwise, f' over none on
-    midpoint rows and 2n otherwise."""
+    over n points on midpoint rows, n+1 on right rows and 2n otherwise, f'
+    over none on midpoint rows, n+1 on right rows and 2n otherwise."""
     ft = register_builtin("exp")
     names = {id(ft.f): "f", id(ft.f1): "f1", id(ft.f2): "f2"}
     points = dict.fromkeys(names.values(), 0)
@@ -361,7 +425,7 @@ def test_columns_cover_each_point_once(monkeypatch, n):
     rows = [
         (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n, 0),
         (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes),
-         2 * n, 2 * n),
+         n + 1, n + 1),
         (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)),
          2 * n, 2 * n),
     ]

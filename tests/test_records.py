@@ -1,12 +1,15 @@
 """The package's record types: immutable, keyword-constructible, with the
 field-by-field repr, defaults and validation messages callers rely on."""
 
+import copy
+import pickle
+
 import pytest
 
 from quadcert.bounds import Certificate, HolderPair
-from quadcert.composite import CompositeResult, Partition
+from quadcert.composite import CompositeResult, Partition, composite_midpoint
 from quadcert.errors import ParameterError
-from quadcert.functions import FunctionTriple, Interval
+from quadcert.functions import FunctionTriple, Interval, register_builtin
 from quadcert.kernel import KernelSpec
 from quadcert.means import PropositionReport
 from quadcert.oracle import NormEstimate, QuadratureEstimate
@@ -150,3 +153,24 @@ def test_records_are_tuples_and_replace_validates():
     assert Partition([0, 1], [1])._replace(nodes=[0, 2]).nodes == (0.0, 2.0)
     cert = Certificate(RULE, 0.1, 0.1, "convex")._replace(bound_avg=0.2)
     assert cert.bound_avg == 0.2 and cert.params == {}
+
+
+def test_kernel_built_composite_result_reads_as_built_from_tuples():
+    """A result of the composite kernel stores its columns as packed doubles,
+    yet its repr, fields, _asdict, _replace, pickle and copies are those of
+    the record built from its tuples, and it hashes as a record does."""
+    ft = register_builtin("power", [2.0])
+    first, second = (composite_midpoint(ft, (0.0, 0.5, 1.0)) for _ in range(2))
+    assert first[2].__class__ is first[3].__class__ is bytes
+    as_tuples = CompositeResult(*first)
+    assert repr(first) == repr(as_tuples) == (
+        "CompositeResult(approx=0.3125, remainder_bound=0.020833333333333332, "
+        "values=(0.03125, 0.28125), bounds=(0.010416666666666666, 0.010416666666666666))")
+    assert first == second and hash(first) == hash(second)
+    for name in CompositeResult._fields + ("per_interval",):
+        with pytest.raises(AttributeError):
+            setattr(first, name, 0.0)
+    assert first._asdict() == as_tuples._asdict()
+    assert first._replace(approx=2.0) == as_tuples._replace(approx=2.0)
+    for copied in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
+        assert copied == as_tuples and repr(copied) == repr(first)
