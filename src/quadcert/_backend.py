@@ -226,32 +226,23 @@ def _bisect_sign_change(coeffs, lo, hi, neg_lo):
     return lo, hi
 
 
-def column(fn, xs, within=None):
+def column(fn, xs, within):
     """Evaluate ``fn`` at every point of the sequence ``xs``: exactly
-    ``list(map(fn, xs))``, value for value and error for error.
+    ``list(map(fn, xs))``, value for value and error for error, for points
+    that are all numbers in ``within = (x_lo, x_hi)``, as the composite
+    kernel knows of a validated block.
 
     Registry evaluators of power, reciprocal, neglog and exp carry a
     ``batch`` attribute ``(fast, args, lo, hi)``; their column runs through
-    C-level math maps when every point lies inside the open domain (lo, hi)
-    and none is NaN. Otherwise, when the fast column overflows, and for any
-    callable without ``batch``, the scalar evaluator runs point by point and
-    raises its own DomainError.
-
-    ``within = (x_lo, x_hi)`` is for callers that know every point is a
-    number in [x_lo, x_hi], as the composite kernel knows of a validated
-    block: the domain test then compares the two ends instead of passing
-    over ``xs``.
+    C-level math maps when [x_lo, x_hi] lies inside the open domain
+    (lo, hi), a test of the two ends. Otherwise, when the fast column
+    overflows, and for any callable without ``batch``, the scalar
+    evaluator runs point by point and raises its own DomainError.
     """
     batch = getattr(fn, "batch", None)
     if batch is not None and xs:
         fast, args, lo, hi = batch
-        if within is None:
-            total = sum(xs)
-            # min and max can skip a NaN that is not first; the sum cannot.
-            inside = lo < min(xs) and max(xs) < hi and total == total
-        else:
-            inside = lo < within[0] and within[1] < hi
-        if inside:
+        if lo < within[0] and within[1] < hi:
             try:
                 return fast(xs, *args)
             except OverflowError:
@@ -291,12 +282,9 @@ def make_func(kind, params, deriv, lo, hi):
         name = ("f", "f'", "f''")[deriv] + " of " + spec_string(kind, params)
         return DomainError(f"{name} overflows the float range at x={x!r}")
 
-    if kind == "power":
-        p = params[0]
+    if kind in ("power", "reciprocal"):
+        p = params[0] if kind == "power" else -1.0
         coef, expo = ((1.0, p), (p, p - 1.0), (p * (p - 1.0), p - 2.0))[deriv]
-        return _powerlike(coef, expo, lo, hi, overflow)
-    if kind == "reciprocal":
-        coef, expo = ((1.0, -1.0), (-1.0, -2.0), (2.0, -3.0))[deriv]
         return _powerlike(coef, expo, lo, hi, overflow)
     if kind == "neglog":
         if deriv == 0:

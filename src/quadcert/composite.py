@@ -13,7 +13,6 @@ import operator
 import random
 import struct
 from itertools import pairwise, repeat
-from typing import NamedTuple
 
 from ._backend import column
 from .errors import DomainError, ParameterError
@@ -93,9 +92,9 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
     policy as ``(name, seed)`` instead and draws the points where they are
     used: the kernel draws them block by block and never holds them all,
     and ``.xi``, iteration and unpacking materialise them as a tuple on
-    each access. Equality and hashing compare what is stored, so such a
-    partition equals one built with the same arguments, not one built
-    from its points.
+    each access. Copying and pickling keep the policy. Equality and
+    hashing compare what is stored, so such a partition equals one built
+    with the same arguments, not one built from its points.
     """
 
     __slots__ = ()
@@ -124,8 +123,14 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         return tuple(out)
 
     def __iter__(self):
-        # unpacking, _replace, _asdict, copying and pickling see the points
+        # unpacking, _replace and _asdict see the points
         return iter((self.nodes, self.xi))
+
+    def __reduce__(self):
+        stored = self[1]
+        if _is_policy(stored):
+            return self._of_policy, (self.nodes, *stored)
+        return self.__class__, tuple(self)
 
     def __repr__(self):
         return f"Partition(nodes={self.nodes!r}, xi={self.xi!r})"
@@ -170,11 +175,16 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
                 seed: int = 0) -> "Partition":
         """n equal subintervals of [a, b] with intermediate points chosen by
         policy: the subinterval midpoint, the right node, or uniform random
-        within the admissible right half (deterministic under ``seed``)."""
+        within the admissible right half (deterministic under the integer
+        ``seed``)."""
         try:
             n = operator.index(n)
         except TypeError:
             raise ParameterError(f"need an integer number of subintervals, got {n!r}") from None
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ParameterError(f"need an integer seed, got {seed!r}") from None
         if n < 1:
             raise ParameterError(f"need n >= 1 subintervals, got {n!r}")
         if not a < b:
@@ -188,20 +198,17 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
 
 
 def _pack(entries):
-    """A block's column of floats as packed native doubles."""
+    """A column of floats as packed native doubles."""
     return struct.pack(f"{len(entries)}d", *entries)
 
 
 def _unpacked(stored):
-    """A stored column as a tuple: packed doubles are unpacked, and a
-    tuple given to the constructor is returned as it is."""
-    if stored.__class__ is bytes:
-        return tuple(memoryview(stored).cast("d"))
-    return stored
+    """A packed column as a tuple of floats."""
+    return tuple(memoryview(stored).cast("d"))
 
 
-class CompositeResult(NamedTuple("CompositeResult", [("approx", float), ("remainder_bound", float),
-                                                     ("values", tuple), ("bounds", tuple)])):
+class CompositeResult(record_base("CompositeResult", [("approx", float), ("remainder_bound", float),
+                                                      ("values", tuple), ("bounds", tuple)])):
     """Composite approximation with its summed remainder bound.
 
     ``values`` and ``bounds`` hold the per-subinterval rule values and
@@ -209,21 +216,23 @@ class CompositeResult(NamedTuple("CompositeResult", [("approx", float), ("remain
     are their exact-rounded sums (``math.fsum``), so results do not depend
     on how the per-subinterval work is scheduled.
 
-    A result built by `composite_generalized` stores the two columns as
-    packed doubles (``bytes``, 8 B per entry, where a float in a tuple
-    takes 32 B), so a caller that reads only the sums never holds the
-    tuples. ``.values``, ``.bounds``, ``per_interval``, iteration and
-    unpacking, ``repr``, ``_asdict``, ``_replace``, pickling and copying
-    materialise them as tuples on each access. One built from tuples
-    stores them as given. Equality and hashing compare what is stored, as
-    for `Partition`.
+    Every result stores the two columns as packed doubles (``bytes``, 8 B
+    per entry, where a float in a tuple takes 32 B), so a caller that reads
+    only the sums never holds the tuples. ``.values``, ``.bounds``,
+    ``per_interval``, iteration and unpacking, ``repr``, ``_asdict``,
+    ``_replace``, pickling and copying materialise them as tuples on each
+    access; the constructor, and so ``_replace``, pickling and copying,
+    packs them again.
     """
 
     __slots__ = ()
 
+    def __new__(cls, approx, remainder_bound, values, bounds):
+        return tuple.__new__(cls, (approx, remainder_bound, _pack(values), _pack(bounds)))
+
     @classmethod
     def _of_packed(cls, approx, remainder_bound, values, bounds):
-        """Result storing ``values`` and ``bounds`` as packed doubles."""
+        """Result of columns already packed as doubles."""
         return tuple.__new__(cls, (approx, remainder_bound, values, bounds))
 
     @property

@@ -20,6 +20,7 @@ SUP_SAMPLES = 4097
 NORM_KINDS = ("sup_f1", "sup_f2", "lp_f2", "l1_f2")
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 80
 
 
 class QuadratureEstimate(NamedTuple):
@@ -67,12 +68,12 @@ def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL, *,
     return QuadratureEstimate(value, err, nseg)
 
 
-def _golden_max(g, lo, hi, iters=80):
+def _golden_max(g, lo, hi):
     """Golden-section maximization of g on [lo, hi]."""
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
     gc, gd = g(c), g(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if hi - lo <= 1e-13 * (1.0 + abs(lo) + abs(hi)):
             break
         if gc < gd:

@@ -5,11 +5,14 @@ determinism."""
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -94,6 +97,19 @@ def test_uniform_constructor():
             Partition.uniform(0.0, 1.0, n)
     with pytest.raises(ParameterError):
         Partition.uniform(0.0, 1.0, 4, xi_policy="left")
+    # a seed is admitted as n is: None would reseed from the clock on each draw
+    for seed in (None, [1], 7.0, "7"):
+        with pytest.raises(ParameterError,
+                           match=rf"^need an integer seed, got {re.escape(repr(seed))}$"):
+            Partition.uniform(0.0, 1.0, 4, xi_policy="random", seed=seed)
+    assert Partition.uniform(0.0, 1.0, 8, "random", seed=np.int64(7)) == r1
+    # endpoints that are not floats give float nodes
+    as_numpy = Partition.uniform(np.float64(0.5), np.float64(2.0), 6)
+    assert as_numpy == Partition.uniform(0.5, 2.0, 6)
+    assert all(x.__class__ is float for x in as_numpy.nodes)
+    third = Partition.uniform(Fraction(0), Fraction(1), 3, "right")
+    assert all(x.__class__ is float for x in third.nodes + third.xi)
+    assert third.nodes == (0.0, float(Fraction(1, 3)), float(Fraction(2, 3)), 1.0)
 
 
 def test_frozen_examples():

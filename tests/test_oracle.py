@@ -237,6 +237,19 @@ def test_lp_norms():
         estimate_norm(ft, iv, "sup")
 
 
+@pytest.mark.parametrize("spec, a, b", [("power:2", 0.0, 1.0), ("power:3", -1.0, 2.0),
+                                        ("exp", -1.0, 1.0), ("neglog", 0.5, 3.0),
+                                        ("poly:1,0,-3,1", -2.0, 2.0)])
+def test_l1_norm_of_plain_callables_is_integrated(spec, a, b):
+    """An f' without the registry's cuts has ||f''||_1 by quadrature of
+    |f''|, and it agrees with the registry's exact total variation of f'."""
+    ft, iv = parse_function_spec(spec), Interval(a, b)
+    exact = estimate_norm(ft, iv, "l1_f2")
+    est = estimate_norm(plain_callables(ft), iv, "l1_f2")
+    assert exact.method == "exact" and est.method == "quadrature"
+    assert est.value == pytest.approx(exact.value, rel=1e-11)
+
+
 def test_holder_norm_ordering(corpus):
     """||f''||_1 <= len^(1-1/p) ||f''||_p <= len ||f''||_inf within 1e-9
     relative, for each corpus function on a generic interval."""

@@ -174,3 +174,35 @@ def test_kernel_built_composite_result_reads_as_built_from_tuples():
     assert first._replace(approx=2.0) == as_tuples._replace(approx=2.0)
     for copied in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
         assert copied == as_tuples and repr(copied) == repr(first)
+
+
+def _copies(record):
+    return copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
+
+
+def test_composite_results_copy_and_rebuild_equal():
+    """Every result stores packed doubles, so copies, pickles and a result
+    rebuilt from its fields equal the original and hash as it does."""
+    ft = register_builtin("power", [2.0])
+    for built in (composite_midpoint(ft, (0.0, 0.5, 1.0)),
+                  CompositeResult(1.0, 0.5, (1.0, 0.0), (0.5, 0.25))):
+        for copied in (*_copies(built), built._replace(), CompositeResult(*built),
+                       CompositeResult._make(built)):
+            assert copied[2].__class__ is copied[3].__class__ is bytes
+            assert copied == built and hash(copied) == hash(built)
+
+
+@pytest.mark.parametrize("policy", ["midpoint", "right", "random"])
+def test_policy_partitions_copy_as_stored(policy):
+    """Copies and pickles of a uniform partition keep its ``(policy, seed)``
+    instead of materialising the points, so they equal it, hash as it does
+    and draw the same points."""
+    part = Partition.uniform(0.0, 1.0, 4, policy, seed=3)
+    for copied in _copies(part):
+        assert copied == part and hash(copied) == hash(part)
+        assert copied[1] == part[1] and copied[1][0] == policy
+        assert copied.xi == part.xi
+    assert len({part, *_copies(part)}) == 1
+    given = Partition(part.nodes, part.xi)
+    for copied in _copies(given):
+        assert copied == given and hash(copied) == hash(given)
