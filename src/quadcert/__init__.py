@@ -5,6 +5,8 @@ error-certificate families for twice-differentiable functions whose |f''|
 (or |f''|**q) is convex, classical Ostrowski and perturbed-trapezoid
 baselines, composite rules with per-subinterval remainder bounds, and
 numeric checkers for the special-means inequalities the certificates imply.
+The weight behind them is public through `kernel_lp_moment` and
+`identity_residual`; README.md documents every name in `__all__`.
 
 Everything runs in pure Python on the standard library, including the
 numeric core (registry function evaluation and the adaptive Gauss-Kronrod
@@ -32,11 +34,10 @@ from .errors import DomainError, IntegrationError, ParameterError, QuadcertError
 from .functions import (
     FunctionTriple,
     Interval,
-    check_abs_f2_convexity,
     parse_function_spec,
     register_builtin,
 )
-from .kernel import KernelSpec, identity_residual, kernel_abs_moment, kernel_eval, kernel_lp_moment
+from .kernel import KernelSpec, identity_residual, kernel_lp_moment
 from .means import PropositionReport, check_proposition, mean_value, means_chain_check
 from .oracle import NormEstimate, QuadratureEstimate, estimate_norm, integrate
 from .rules import (
@@ -71,7 +72,6 @@ __all__ = [
     "bound_holder",
     "bound_ostrowski",
     "bound_power_mean",
-    "check_abs_f2_convexity",
     "check_proposition",
     "composite_generalized",
     "composite_midpoint",
@@ -80,8 +80,6 @@ __all__ = [
     "generalized_rule",
     "identity_residual",
     "integrate",
-    "kernel_abs_moment",
-    "kernel_eval",
     "kernel_lp_moment",
     "mean_value",
     "means_chain_check",

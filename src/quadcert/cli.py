@@ -111,6 +111,13 @@ def _need(args, name):
     return value
 
 
+def _nonempty(values, option):
+    """The values of a required list option; an empty list is bad input."""
+    if not values:
+        raise ParameterError(f"{option} needs at least one value")
+    return values
+
+
 # ---------------------------------------------------------------- certify
 
 def _build_certificate(args, ft, iv):
@@ -173,6 +180,7 @@ def _cmd_identity_check(args):
 # ---------------------------------------------------------------- composite
 
 def _cmd_composite(args):
+    ns = _nonempty(args.n, "--n")
     ft = parse_function_spec(args.function)
     iv = Interval(args.a, args.b)
     reference = oracle.integrate(ft.f, iv.a, iv.b, args.tol).value
@@ -180,7 +188,7 @@ def _cmd_composite(args):
     policy = {"midpoint": "midpoint", "perturbed_trapezoid": "right"}.get(args.rule, args.xi_policy)
     rows = []
     all_ok = True
-    for n in args.n:
+    for n in ns:
         res = composite.composite_generalized(
             ft, Partition.uniform(iv.a, iv.b, n, xi_policy=policy, seed=args.seed))
         actual = abs(reference - res.approx)
@@ -190,8 +198,10 @@ def _cmd_composite(args):
         rows.append({"n": n, "h": iv.length / n, "approx": res.approx,
                      "actual_error": actual, "remainder_bound": res.remainder_bound,
                      "ratio": ratio})
+    # JSON has no NaN or infinity: there such a ratio is null
+    json_rows = [row if math.isfinite(row["ratio"]) else dict(row, ratio=None) for row in rows]
     payload = {"function": ft.id, "a": iv.a, "b": iv.b, "rule": args.rule,
-               "xi_policy": policy, "seed": args.seed, "rows": rows}
+               "xi_policy": policy, "seed": args.seed, "rows": json_rows}
     _emit_rows(rows, CSV_COLUMNS["composite"], args.format, json_payload=payload)
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
@@ -249,6 +259,8 @@ def _cmd_props(args):
 # -------------------------------------------------------------------- sweep
 
 def _cmd_sweep(args):
+    for values, option in ((args.props, "--props"), (args.a_values, "--a"), (args.b_values, "--b")):
+        _nonempty(values, option)
     columns = list(CSV_COLUMNS["sweep"])
     if args.corrected:
         columns.append("variant")

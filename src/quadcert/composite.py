@@ -92,7 +92,7 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
     policy as ``(name, seed)`` instead and draws the points where they are
     used: the kernel draws them block by block and never holds them all,
     and ``.xi``, iteration and unpacking materialise them as a tuple on
-    each access. Copying and pickling keep the policy. Equality and
+    each access. Copying, pickling and ``_replace`` keep the policy. Equality and
     hashing compare what is stored, so such a partition equals one built
     with the same arguments, not one built from its points.
     """
@@ -123,8 +123,17 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         return tuple(out)
 
     def __iter__(self):
-        # unpacking, _replace and _asdict see the points
+        # unpacking, _asdict and a _replace of xi see the points
         return iter((self.nodes, self.xi))
+
+    def _replace(self, **changes):
+        """Copy with ``changes`` to its fields, as a NamedTuple's. A policy
+        partition given no new ``xi`` keeps its policy and seed and draws no
+        points; over new ``nodes`` it is validated once, as `uniform` is."""
+        stored = self[1]
+        if not (_is_policy(stored) and changes.keys() <= {"nodes"}):
+            return super()._replace(**changes)
+        return self._of_policy(tuple(map(float, changes["nodes"])), *stored) if changes else self
 
     def __reduce__(self):
         stored = self[1]
@@ -223,11 +232,17 @@ class CompositeResult(record_base("CompositeResult", [("approx", float), ("remai
     ``_replace``, pickling and copying materialise them as tuples on each
     access; the constructor, and so ``_replace``, pickling and copying,
     packs them again.
+
+    The constructor refuses columns of unequal length, and stores the sums
+    as given, without recomputing them: a caller that builds one sets them.
     """
 
     __slots__ = ()
 
     def __new__(cls, approx, remainder_bound, values, bounds):
+        if len(values) != len(bounds):
+            raise ParameterError(
+                f"need one bound per value, got {len(values)} values and {len(bounds)} bounds")
         return tuple.__new__(cls, (approx, remainder_bound, _pack(values), _pack(bounds)))
 
     @classmethod

@@ -156,9 +156,3 @@ def abs_f2_convexity(ft: FunctionTriple, iv: Interval, q: float = 1.0) -> tuple:
             return convex, None
     return grid_midpoint_convex(lambda x: abs(ft.f2(x)) ** q, iv.a, iv.b), _CONVEXITY_GRID
 
-
-def check_abs_f2_convexity(ft: FunctionTriple, iv: Interval) -> bool:
-    """Whether |f''| is convex on the interval: exact for registry
-    functions, a 101-point midpoint-convexity sample otherwise."""
-    require_domain(ft, iv)
-    return abs_f2_convexity(ft, iv)[0]

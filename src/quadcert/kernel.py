@@ -40,19 +40,6 @@ class KernelSpec(record_base("KernelSpec", [("iv", Interval), ("x", float)])):
         return (self.x - self.iv.a) / self.iv.length
 
 
-def kernel_eval(ks: KernelSpec, t: float) -> float:
-    """Evaluate the weight at t in [0, 1].
-
-    Breakpoint membership: t1 belongs to the middle piece and t2 to the
-    last piece (half-open pieces). Note the pieces generally do not agree
-    in value at the breakpoints; they do exactly when x = (a+3b)/4.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"t={t!r} outside [0, 1]")
-    piece = 0 if t < ks.t1 else 1 if t < ks.t2 else 2
-    return (t - _CENTRES[piece]) ** 2
-
-
 def convex_bounds(lows, highs, xs, g):
     """Convex-|f''| bounds in total form from |f''| at the nodes (g[i] at lows[i]);
     run per block by the composite rules, on one-element columns by the certificates."""
@@ -68,21 +55,13 @@ def overflow_error(subject, iv, **named):
         f"{subject} overflows the float range on [{iv.a!r}, {iv.b!r}] at {at}")
 
 
-def kernel_abs_moment(ks: KernelSpec) -> float:
-    """Integral of |weight| over [0, 1] in closed form.
-
-    Equals 2/(3(b-a)^3) * [(b-x)^3 + (x - (a+b)/2)^3]; the weight is a
-    square on each piece, so |weight| = weight.
-    """
-    return kernel_lp_moment(ks, 1.0)
-
-
 def kernel_lp_moment(ks: KernelSpec, p: float) -> float:
     """Integral of |weight|**p over [0, 1] in closed form, for finite p >= 1.
 
     Equals 2/((2p+1)(b-a)^(2p+1)) * [(b-x)^(2p+1) + (x - (a+b)/2)^(2p+1)],
     computed scale-free as 2/e * [t1^e + (t2 - 1/2)^e], e = 2p+1. At
-    x = midpoint t2 - 1/2 can round below 0, which is taken as 0.
+    x = midpoint t2 - 1/2 can round below 0, which is taken as 0. The
+    weight is a square on each piece, so p = 1 gives its plain integral.
     """
     if not 1.0 <= p < math.inf:
         raise ParameterError(f"p={p!r} must be finite and >= 1")

@@ -114,6 +114,12 @@ def test_means(capsys):
     values = {row["kind"]: row["value"] for row in payload["means"]}
     assert values["logarithmic"] == pytest.approx(1.0 / math.log(2.0), rel=1e-14)
     assert values["p_logarithmic"] == pytest.approx(math.sqrt(7.0 / 3.0), rel=1e-14)
+    # no exponents is a valid request, unlike an empty required list
+    code, out, _ = run_cli(capsys, "means", "--a", "1", "--b", "2", "--p-values", ",",
+                           "--format", "json")
+    assert code == EXIT_OK
+    assert [row["kind"] for row in json.loads(out)["means"]] == [
+        "harmonic", "geometric", "logarithmic", "identric", "arithmetic"]
 
 
 def test_props_exit_codes(capsys):
@@ -305,6 +311,40 @@ def test_json_runs_reproduce_bit_identically(capsys):
     json.loads(out1)  # stays parseable
 
 
+def _strict_json(text):
+    """Parse RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_composite_json_ratio_is_null_where_the_bound_is_0(capsys):
+    """A linear f has bound and error 0: the ratio is null in JSON, and nan
+    in CSV and table."""
+    argv = ("composite", "--function", "poly:1,0", "--a", "0", "--b", "1", "--n", "2")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    row, = _strict_json(out)["rows"]
+    assert row["remainder_bound"] == 0.0 and row["ratio"] is None
+    for fmt in ("csv", "table"):
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == EXIT_OK and out.splitlines()[1].replace(",", " ").split()[-1] == "nan"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("composite", "--function", "exp", "--a", "0", "--b", "1", "--n", ","), "--n"),
+    (("sweep", "--props", ",", "--a", "1", "--b", "2"), "--props"),
+    (("sweep", "--props", "2", "--a", ",", "--b", "2"), "--a"),
+    (("sweep", "--props", "2", "--a", "1", "--b", ","), "--b"),
+])
+def test_empty_required_list_is_bad_input(capsys, argv, option):
+    """An empty required list is bad input: exit 2 with nothing on stdout."""
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {option} needs at least one value\n"
+
+
 def test_csv_float_formatting_round_trips(capsys):
     _, out, _ = run_cli(capsys, "props", "--prop", "2", "--a", "0.1", "--b", "0.30000000000000004",
                         "--format", "csv")
@@ -384,7 +424,7 @@ def _run_contract(argv):
     if code == EXIT_USAGE:
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
         return code, None
-    return code, json.loads(out.getvalue())
+    return code, _strict_json(out.getvalue())
 
 
 MEAN_FLOATS = (5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.0, 1e10, 1e300, 1.7976931348623157e308,

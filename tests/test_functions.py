@@ -15,7 +15,6 @@ from quadcert.errors import DomainError, ParameterError
 from quadcert.functions import (
     Interval,
     abs_f2_convexity,
-    check_abs_f2_convexity,
     grid_midpoint_convex,
     parse_function_spec,
     register_builtin,
@@ -218,17 +217,23 @@ def test_parse_function_spec():
 
 
 def test_convexity_check():
-    assert check_abs_f2_convexity(register_builtin("power", [2.0]), Interval(0.0, 1.0))
-    assert check_abs_f2_convexity(register_builtin("reciprocal"), Interval(1.0, 2.0))
-    # |f''| = 3.75 sqrt(x) is strictly concave, so the grid test must fail.
+    """Registry answers are exact: no samples."""
+    assert abs_f2_convexity(register_builtin("power", [2.0]), Interval(0.0, 1.0)) == (True, None)
+    assert abs_f2_convexity(register_builtin("reciprocal"), Interval(1.0, 2.0)) == (True, None)
+    # |f''| = 3.75 sqrt(x) is strictly concave.
     # The interval starts above 0: non-integer powers live on the open (0, inf).
-    assert not check_abs_f2_convexity(register_builtin("power", [2.5]), Interval(0.1, 1.0))
+    assert abs_f2_convexity(register_builtin("power", [2.5]), Interval(0.1, 1.0)) == (False, None)
 
 
 def test_convexity_check_validation():
-    ft = register_builtin("reciprocal")
-    with pytest.raises(DomainError):
-        check_abs_f2_convexity(ft, Interval(-1.0, 1.0))
+    """The certificates that report the convexity flag check the domain
+    before they check convexity."""
+    ft, iv = register_builtin("reciprocal"), Interval(-1.0, 1.0)
+    for certify in (lambda: bound_convex(ft, iv, 1.0),
+                    lambda: bound_holder(ft, iv, 1.0, HolderPair(2.0)),
+                    lambda: bound_power_mean(ft, iv, 1.0, 2.0)):
+        with pytest.raises(DomainError):
+            certify()
 
 
 def test_convexity_hints():

@@ -1,4 +1,4 @@
-"""Kernel weight: branch structure, closed-form moments against numeric
+"""Kernel weight: breakpoints, closed-form moments against numeric
 integration, and the integral identity residual."""
 
 import math
@@ -9,13 +9,7 @@ import pytest
 from conftest import random_interval, random_x
 from quadcert.errors import ParameterError
 from quadcert.functions import Interval, parse_function_spec
-from quadcert.kernel import (
-    KernelSpec,
-    identity_residual,
-    kernel_abs_moment,
-    kernel_eval,
-    kernel_lp_moment,
-)
+from quadcert.kernel import KernelSpec, identity_residual, kernel_lp_moment
 from quadcert.oracle import integrate
 
 
@@ -30,22 +24,6 @@ def numeric_moment(ks, p=1.0, tol=1e-13):
     return sum(integrate(g, lo, hi, tol).value for lo, hi, g in pieces if hi > lo)
 
 
-def test_branch_values():
-    ks = KernelSpec(Interval(0.0, 1.0), 0.75)
-    assert kernel_eval(ks, 0.1) == pytest.approx(0.01, abs=1e-15)
-    assert kernel_eval(ks, 0.5) == 0.0
-    assert kernel_eval(ks, 0.9) == pytest.approx(0.01, abs=1e-15)
-
-
-def test_breakpoint_membership():
-    """t1 belongs to the middle piece and t2 to the last piece; at x = 0.9
-    the adjacent pieces disagree in value, which pins the convention."""
-    ks = KernelSpec(Interval(0.0, 1.0), 0.9)
-    assert ks.t1 == pytest.approx(0.1)
-    assert kernel_eval(ks, ks.t1) == pytest.approx((ks.t1 - 0.5) ** 2, abs=1e-15)
-    assert kernel_eval(ks, ks.t2) == pytest.approx((ks.t2 - 1.0) ** 2, abs=1e-15)
-
-
 def test_continuity_at_quarter_point():
     """The pieces agree at the breakpoints exactly when x = (a + 3b)/4
     (t1 = 1/4); elsewhere the weight genuinely jumps."""
@@ -58,31 +36,13 @@ def test_continuity_at_quarter_point():
     assert abs(jumpy.t1 ** 2 - (jumpy.t1 - 0.5) ** 2) > 0.1
 
 
-def test_symmetry(rng):
-    """weight(t) = weight(1 - t) away from the breakpoints (half-open piece
-    membership makes the exact breakpoints asymmetric)."""
-    for _ in range(20):
-        iv = random_interval(rng, -2.0, 3.0)
-        ks = KernelSpec(iv, random_x(rng, iv))
-        for t in map(float, rng.random(20)):
-            if min(abs(t - ks.t1), abs(t - ks.t2), abs(1.0 - t - ks.t1)) < 1e-9:
-                continue
-            assert kernel_eval(ks, t) == pytest.approx(kernel_eval(ks, 1.0 - t), abs=1e-15)
-
-
-def test_degenerate_endpoints_allowed():
-    iv = Interval(0.0, 1.0)
-    assert kernel_eval(KernelSpec(iv, 0.5), 0.2) == pytest.approx(0.04, abs=1e-16)
-    assert kernel_eval(KernelSpec(iv, 1.0), 0.2) == pytest.approx(0.09, abs=1e-16)
-
-
 @pytest.mark.parametrize(
     "x,expected",
     [(0.75, 1.0 / 48.0), (1.0, 1.0 / 12.0), (0.5, 1.0 / 12.0)],
 )
 def test_abs_moment_frozen_values(x, expected):
     ks = KernelSpec(Interval(0.0, 1.0), x)
-    assert kernel_abs_moment(ks) == pytest.approx(expected, abs=1e-15)
+    assert kernel_lp_moment(ks, 1.0) == pytest.approx(expected, abs=1e-15)
     assert numeric_moment(ks) == pytest.approx(expected, abs=1e-12)
 
 
@@ -100,8 +60,7 @@ def test_moments_match_numeric_integration(rng):
     for _ in range(10):
         iv = random_interval(rng, -2.0, 3.0)
         ks = KernelSpec(iv, random_x(rng, iv))
-        assert kernel_abs_moment(ks) == pytest.approx(numeric_moment(ks), abs=1e-12)
-        for p in (1.5, 2.0, 3.0):
+        for p in (1.0, 1.5, 2.0, 3.0):
             assert kernel_lp_moment(ks, p) == pytest.approx(numeric_moment(ks, p), abs=1e-12)
 
 
@@ -118,25 +77,18 @@ def test_moments_match_mpmath(rng):
                 for p in (1.0, 1.25, 2.0, 3.0):
                     e = 2 * mpmath.mpf(p) + 1
                     exact = 2 / (e * (b - a) ** e) * ((b - x) ** e + abs(x - (a + b) / 2) ** e)
-                    got = kernel_abs_moment(ks) if p == 1.0 else kernel_lp_moment(ks, p)
+                    got = kernel_lp_moment(ks, p)
                     assert isinstance(got, float)
                     assert abs(got - exact) <= 64 * math.ulp(float(exact)), (iv, ks.x, p)
 
 
-@pytest.mark.parametrize("moment,expected", [
-    pytest.param(kernel_abs_moment, 1.0 / 12.0, id="kernel-abs-moment"),
-    pytest.param(lambda ks: kernel_lp_moment(ks, 2.0), 0.0125, id="kernel-lp-moment"),
+@pytest.mark.parametrize("p,expected", [
+    pytest.param(1.0, 1.0 / 12.0, id="kernel-abs-moment"),
+    pytest.param(2.0, 0.0125, id="kernel-lp-moment"),
 ])
-def test_moments_are_scale_free(moment, expected):
+def test_moments_are_scale_free(p, expected):
     """A moment is finite where (b-a)^3 is not: on [0, 1e200] at x = b."""
-    assert moment(KernelSpec(Interval(0.0, 1e200), 1e200)) == expected
-
-
-def test_lp_moment_reduces_to_abs_moment(rng):
-    for _ in range(20):
-        iv = random_interval(rng, -2.0, 3.0)
-        ks = KernelSpec(iv, random_x(rng, iv))
-        assert kernel_lp_moment(ks, 1.0) == pytest.approx(kernel_abs_moment(ks), rel=1e-14)
+    assert kernel_lp_moment(KernelSpec(Interval(0.0, 1e200), 1e200), p) == expected
 
 
 def test_breakpoint_invariants(rng):
@@ -172,10 +124,6 @@ def test_validation():
     with pytest.raises(ParameterError):
         KernelSpec(iv, 1.25)
     ks = KernelSpec(iv, 0.75)
-    with pytest.raises(ParameterError):
-        kernel_eval(ks, -0.1)
-    with pytest.raises(ParameterError):
-        kernel_eval(ks, 1.1)
     for p in (0.5, math.nan, math.inf):
         with pytest.raises(ParameterError, match="must be finite and >= 1"):
             kernel_lp_moment(ks, p)

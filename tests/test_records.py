@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from quadcert import composite
 from quadcert.bounds import Certificate, HolderPair
 from quadcert.composite import CompositeResult, Partition, composite_midpoint
 from quadcert.errors import ParameterError
@@ -134,6 +135,10 @@ def test_partition_keeps_post_init_in_its_class_dict():
     (lambda: Partition([0.0, 1.0], []), "expected 1 intermediate points, got 0"),
     (lambda: Partition([0.0, 1.0, 2.0], [1.0, 1.2]),
      r"xi\[1\]=1.2 outside the admissible right half \[1.5, 2.0\]"),
+    (lambda: Partition.uniform(0.0, 1.0, 4)._replace(nodes=(0.0, 0.0)),
+     "nodes must be strictly increasing, got 0.0 >= 0.0"),
+    (lambda: CompositeResult(5.0, 0.0, (1.0, 2.0), (0.5,)),
+     "need one bound per value, got 2 values and 1 bounds"),
 ])
 def test_records_validate_with_the_same_messages(build, message):
     with pytest.raises(ParameterError, match=message):
@@ -193,10 +198,12 @@ def test_composite_results_copy_and_rebuild_equal():
 
 
 @pytest.mark.parametrize("policy", ["midpoint", "right", "random"])
-def test_policy_partitions_copy_as_stored(policy):
-    """Copies and pickles of a uniform partition keep its ``(policy, seed)``
-    instead of materialising the points, so they equal it, hash as it does
-    and draw the same points."""
+def test_policy_partitions_copy_as_stored(policy, monkeypatch):
+    """Copies, pickles and ``_replace`` of a uniform partition keep its
+    ``(policy, seed)`` instead of materialising the points, so they equal
+    it, hash as it does and draw the same points. ``_replace`` over new
+    nodes validates them once and draws no points; new points make a
+    given-points partition."""
     part = Partition.uniform(0.0, 1.0, 4, policy, seed=3)
     for copied in _copies(part):
         assert copied == part and hash(copied) == hash(part)
@@ -206,3 +213,20 @@ def test_policy_partitions_copy_as_stored(policy):
     given = Partition(part.nodes, part.xi)
     for copied in _copies(given):
         assert copied == given and hash(copied) == hash(given)
+
+    validated = []
+    original = vars(Partition)["__post_init__"]
+    with monkeypatch.context() as patched:
+        patched.setattr(composite, "_draw", None)  # a draw would raise TypeError
+        patched.setattr(Partition, "__post_init__",
+                        lambda self: validated.append(self) or original(self))
+        same = part._replace()
+        fewer = part._replace(nodes=(0.0, 0.5, 1.0))
+    assert same == part and hash(same) == hash(part) and same[1] == part[1]
+    assert validated == [fewer] and fewer[1] == part[1]
+    assert fewer == Partition.uniform(0.0, 1.0, 2, policy, seed=3)
+    assert fewer.xi == Partition.uniform(0.0, 1.0, 2, policy, seed=3).xi
+    assert part._replace(xi=part.xi) == given and given._replace() == given
+    for record in (part, given):
+        with pytest.raises(ValueError, match=r"unexpected field names: \['seed'\]"):
+            record._replace(seed=4)
