@@ -90,18 +90,20 @@ def _emit_rows(rows, columns, fmt, json_payload):
         _emit_table(rows, columns)
 
 
+# argparse prints the message of an ArgumentTypeError; of any other error
+# from a type= hook it prints the hook's name.
 def _float_list(text):
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ParameterError(f"bad number list {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from None
 
 
 def _int_list(text):
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ParameterError(f"bad integer list {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
 
 
 def _need(args, name):

@@ -8,6 +8,7 @@ established, even though the composite sum itself could be formed for any
 placement.
 """
 
+import io
 import math
 import operator
 import random
@@ -49,6 +50,47 @@ def _is_policy(stored):
     return bool(stored) and stored[0].__class__ is str
 
 
+def _is_uniform(nodes):
+    """Whether a partition stores ``(a, b, n)`` of uniform nodes in place of
+    its nodes: stored nodes are floats, n is an int."""
+    return len(nodes) == 3 and nodes[2].__class__ is int
+
+
+def _subintervals(nodes):
+    """The number of subintervals of a partition's stored nodes."""
+    return nodes[2] if _is_uniform(nodes) else len(nodes) - 1
+
+
+def _nodes_of(nodes, start=0, stop=None):
+    """Nodes ``start`` to ``stop - 1`` of a partition's stored nodes: a slice
+    of the tuple, or, of a stored ``(a, b, n)``, a list of the expression
+    `Partition.uniform` gives, ((n - i) * a + i * b) / n."""
+    if not _is_uniform(nodes):
+        return nodes[start:stop]
+    a, b, n = nodes
+    stop = n + 1 if stop is None else min(stop, n + 1)
+    return [((n - i) * a + i * b) / n for i in range(start, stop)]
+
+
+def _proven_uniform(a, b, n):
+    """Whether the nodes ((n - i) * a + i * b) / n of float a and b are proven
+    finite and strictly increasing, with lo + hi finite at both ends,
+    without computing them.
+
+    Let u = 2**-53 and M = max(|a|, |b|). For 1 <= n <= 2**53, n - i, i and
+    n are exact floats, and the exact products and their sum are at most
+    n*M, so they stay finite when 4*n*M is, as do the nodes, about M at
+    most, and each lo + hi, about 2*M. Each product and the quotient round
+    by a relative u plus, where subnormal, 2**-1075; a sum rounds by a
+    relative u. So each node is within about 3*u*M + 3 * 2**-1075 of its
+    exact value, while exact consecutive nodes are (b - a)/n apart: the
+    bound b - a > 16*n*(u*M + 2**-1074) keeps more than twice that error
+    between them, with room for the rounding of the test itself."""
+    m = max(abs(a), abs(b))
+    return (1 <= n <= 2**53 and math.isfinite(4.0 * n * m)
+            and b - a > 16.0 * n * (m * 2**-53 + 2**-1074))
+
+
 def _draw(policy, rng, nodes):
     """The points of ``policy`` over consecutive ``nodes``; random ones come
     from ``rng``, in subinterval order."""
@@ -61,8 +103,9 @@ def _draw(policy, rng, nodes):
 
 
 def _blocks(nodes, stored):
-    """(lows, xs) per block of subintervals: the block's nodes and its
-    intermediate points, sliced from ``stored`` or drawn by its policy.
+    """(lows, xs) per block of subintervals: the block's nodes, from the
+    stored ``nodes`` (`_nodes_of`), and its intermediate points, sliced
+    from ``stored`` or drawn by its policy.
 
     A random point mid + u*(hi - mid) is at least mid, but rounding could
     carry it past hi: a block where it does raises the validation error."""
@@ -72,8 +115,8 @@ def _blocks(nodes, stored):
         return
     policy, seed = stored
     rng = random.Random(seed)
-    for start in range(0, len(nodes) - 1, _BLOCK):
-        lows = nodes[start:start + _BLOCK + 1]
+    for start in range(0, _subintervals(nodes), _BLOCK):
+        lows = _nodes_of(nodes, start, start + _BLOCK + 1)
         xs = _draw(policy, rng, lows)
         if policy == "random":
             if not all(map(math.isfinite, xs)):
@@ -87,14 +130,17 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
     """Division nodes x_0 < ... < x_n, a tuple of floats, with intermediate
     points xi_i.
 
-    A partition built from given points stores them as a tuple of floats.
+    A partition built from given points stores them as tuples of floats.
     One built by `uniform`, or by the composite wrappers, stores its xi
     policy as ``(name, seed)`` instead and draws the points where they are
     used: the kernel draws them block by block and never holds them all,
     and ``.xi``, iteration and unpacking materialise them as a tuple on
-    each access. Copying, pickling and ``_replace`` keep the policy. Equality and
-    hashing compare what is stored, so such a partition equals one built
-    with the same arguments, not one built from its points.
+    each access. `uniform` over float endpoints stores ``(a, b, n)`` in
+    place of its nodes too: the kernel computes them block by block, and
+    ``.nodes`` materialises them on each access. Copying, pickling and
+    ``_replace`` keep what is stored. Equality and hashing compare the
+    nodes by value and the points as stored, so such a partition equals
+    one with the same nodes and policy, not one built from its points.
     """
 
     __slots__ = ()
@@ -106,11 +152,16 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
 
     @classmethod
     def _of_policy(cls, nodes, policy, seed=None):
-        """Partition of the float tuple ``nodes`` with the points of
-        ``policy``; ``seed`` seeds the random one."""
+        """Partition of the float tuple ``nodes``, or of the uniform nodes of
+        ``(a, b, n)``, with the points of ``policy``; ``seed`` seeds the
+        random one."""
         self = tuple.__new__(cls, (nodes, (policy, seed)))
         self.__post_init__()
         return self
+
+    @property
+    def nodes(self) -> tuple:
+        return tuple(_nodes_of(self[0]))
 
     @property
     def xi(self) -> tuple:
@@ -118,13 +169,27 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         if not _is_policy(stored):
             return stored
         out = []
-        for _, xs in _blocks(self.nodes, stored):
+        for _, xs in _blocks(self[0], stored):
             out += xs
         return tuple(out)
 
     def __iter__(self):
-        # unpacking, _asdict and a _replace of xi see the points
+        # unpacking, _asdict and a _replace of xi see the nodes and points
         return iter((self.nodes, self.xi))
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        # (0.0, 1.0, 2) as (a, b, n) equals the node tuple (0.0, 1.0, 2.0)
+        same_form = _is_uniform(self[0]) == _is_uniform(other[0])
+        return self[1] == other[1] and (
+            same_form and self[0] == other[0] or self.nodes == other.nodes)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.nodes, self[1]))
 
     def _replace(self, **changes):
         """Copy with ``changes`` to its fields, as a NamedTuple's. A policy
@@ -138,7 +203,7 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
     def __reduce__(self):
         stored = self[1]
         if _is_policy(stored):
-            return self._of_policy, (self.nodes, *stored)
+            return self._of_policy, (self[0], *stored)
         return self.__class__, tuple(self)
 
     def __repr__(self):
@@ -149,13 +214,20 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         wrappers. perfbench's tracer wraps it by this name as
         ``composite.Partition.init``.
 
-        A policy's points need no check once the nodes are finite and
-        strictly increasing and lo + hi is finite at both ends: lo + hi
-        grows with i, so it is finite throughout, 0.5 * (lo + hi) then lies
-        in [lo, hi], and a random point mid + u*(hi - mid), u >= 0, is at
-        least mid. Otherwise the points are drawn and checked as given
-        points are, so the error is the one they raise."""
-        nodes, xi = self.nodes, self[1]
+        Stored ``(a, b, n)`` needs no pass over its nodes where
+        `_proven_uniform` holds; otherwise its nodes are computed and
+        checked as stored ones are. A policy's points need no check once
+        the nodes are finite and strictly increasing and lo + hi is finite
+        at both ends: lo + hi grows with i, so it is finite throughout,
+        0.5 * (lo + hi) then lies in [lo, hi], and a random point
+        mid + u*(hi - mid), u >= 0, is at least mid. Otherwise the points
+        are drawn and checked as given points are, so the error is the one
+        they raise."""
+        nodes, xi = self[0], self[1]
+        if _is_uniform(nodes):
+            if _proven_uniform(*nodes):
+                return
+            nodes = tuple(_nodes_of(nodes))
         if _is_policy(xi):
             if (len(nodes) > 1 and all(map(math.isfinite, nodes))
                     and all(map(operator.lt, nodes, nodes[1:]))
@@ -185,7 +257,10 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         """n equal subintervals of [a, b] with intermediate points chosen by
         policy: the subinterval midpoint, the right node, or uniform random
         within the admissible right half (deterministic under the integer
-        ``seed``)."""
+        ``seed``).
+
+        Float endpoints, float subclasses among them, are stored as
+        ``(float(a), float(b), n)``; others give a tuple of float nodes."""
         try:
             n = operator.index(n)
         except TypeError:
@@ -200,15 +275,29 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
             raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
         if xi_policy not in XI_POLICIES:
             raise ParameterError(f"unknown xi policy {xi_policy!r}; expected one of {XI_POLICIES}")
-        nodes = tuple([((n - i) * a + i * b) / n for i in range(n + 1)])
-        if nodes[0].__class__ is not float:  # a and b of another number type
-            nodes = tuple(map(float, nodes))
+        if isinstance(a, float) and isinstance(b, float):
+            nodes = (float(a), float(b), n)
+        else:
+            nodes = tuple(map(float, _nodes_of((a, b, n))))
         return cls._of_policy(nodes, xi_policy, seed if xi_policy == "random" else None)
 
 
 def _pack(entries):
     """A column of floats as packed native doubles."""
     return struct.pack(f"{len(entries)}d", *entries)
+
+
+def _column_buffer(n):
+    """A buffer for a column of n packed doubles, allocated once at its
+    full size and positioned at its start. Its getvalue() hands over the
+    buffer without a copy, where joining per-block chunks held a column
+    twice; and it never grows, where growing reallocates, and so may copy,
+    at each step."""
+    buffer = io.BytesIO()
+    buffer.seek(8 * n - 1)
+    buffer.write(b"\0")
+    buffer.seek(0)
+    return buffer
 
 
 def _unpacked(stored):
@@ -283,8 +372,10 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
 
     The partition is processed in blocks of subintervals, each evaluator
     running as one column per block (`_backend.column`); the points of a
-    policy partition are drawn per block, and each block's values and
-    bounds are packed into doubles as soon as they are computed. Validation
+    policy partition, and the nodes of a stored ``(a, b, n)``, are computed
+    per block, and each block's values and bounds are packed into doubles
+    and written to one buffer per column, sized once, as soon as they are
+    computed. Validation
     has placed a block's nodes and points in [lows[0], lows[-1]], so their
     columns are given that range in place of a domain pass over the points;
     mirrors are given their own min and max. f and f' are evaluated once
@@ -303,10 +394,11 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
     is not finite, and ParameterError when a bound overflows, or when a
     random point drawn here falls outside its right half.
     """
-    nodes = part.nodes
-    span = Interval(nodes[0], nodes[-1])
+    nodes = part[0]
+    n = _subintervals(nodes)
+    span = Interval(*_nodes_of(nodes, 0, 1), *_nodes_of(nodes, n, n + 1))
     require_domain(ft, span)
-    values, bounds = [], []
+    values, bounds = _column_buffer(n), _column_buffer(n)
     g_last = carry = None
     for lows, xs in _blocks(nodes, part[1]):
         highs = lows[1:]
@@ -341,32 +433,33 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
             g = [g_last]
             g += map(abs, column(ft.f2, highs, within))
         g_last = g[-1]
-        values.append(_pack(two_point_totals(lows, highs, xs, fx, fm, dx, dm)))
+        values.write(_pack(two_point_totals(lows, highs, xs, fx, fm, dx, dm)))
         try:
-            bounds.append(_pack(convex_bounds(lows, highs, xs, g)))
+            bounds.write(_pack(convex_bounds(lows, highs, xs, g)))
         except OverflowError:
-            raise overflow_error("composite bound", span, n=len(nodes) - 1) from None
-    values, bounds = b"".join(values), b"".join(bounds)
+            raise overflow_error("composite bound", span, n=n) from None
+    values, bounds = values.getvalue(), bounds.getvalue()
     doubles = memoryview(values).cast("d"), memoryview(bounds).cast("d")
     try:
         approx, total = map(math.fsum, doubles)
     except (OverflowError, ValueError):
         approx = total = math.inf
     if not (math.isfinite(approx) and math.isfinite(total)):
-        raise _not_finite(ft, nodes, *doubles)
+        raise _not_finite(ft, nodes, span, *doubles)
     return CompositeResult._of_packed(approx, total, values, bounds)
 
 
-def _not_finite(ft, nodes, values, bounds):
+def _not_finite(ft, nodes, span, values, bounds):
     """DomainError naming the first subinterval whose value or bound is not
-    finite, or the whole partition when only the sum overflows."""
+    finite, or the whole partition, ``span``, when only the sum overflows."""
     for i, (value, bound) in enumerate(zip(values, bounds)):
         if not (math.isfinite(value) and math.isfinite(bound)):
+            lo, hi = _nodes_of(nodes, i, i + 2)
             return DomainError(
                 f"composite rule of {ft.id} is not finite on subinterval {i}, "
-                f"[{nodes[i]!r}, {nodes[i + 1]!r}]: value {value!r}, bound {bound!r}")
+                f"[{lo!r}, {hi!r}]: value {value!r}, bound {bound!r}")
     return DomainError(
-        f"composite sum of {ft.id} overflows the float range on [{nodes[0]!r}, {nodes[-1]!r}]")
+        f"composite sum of {ft.id} overflows the float range on [{span.a!r}, {span.b!r}]")
 
 
 def composite_perturbed_trapezoid(ft: FunctionTriple, nodes) -> CompositeResult:

@@ -345,6 +345,26 @@ def test_empty_required_list_is_bad_input(capsys, argv, option):
         assert err == f"error: {option} needs at least one value\n"
 
 
+@pytest.mark.parametrize("argv, option, message", [
+    (("composite", "--function", "exp", "--a", "0", "--b", "1", "--n", "abc"),
+     "--n", "bad integer list 'abc'"),
+    (("means", "--a", "1", "--b", "2", "--p-values", "2,p"), "--p-values", "bad number list '2,p'"),
+    (("sweep", "--props", "2,3.5", "--a", "1", "--b", "2"), "--props", "bad integer list '2,3.5'"),
+    (("sweep", "--props", "2", "--a", "0.5,x", "--b", "2"), "--a", "bad number list '0.5,x'"),
+    (("sweep", "--props", "2", "--a", "1", "--b", "2,,y"), "--b", "bad number list '2,,y'"),
+])
+def test_bad_list_is_named_by_its_option(capsys, argv, option, message):
+    """A list that does not parse exits 2 through argparse with the list's
+    own message, not the name of the parsing helper."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"usage: quadcert {argv[0]} ")
+    assert captured.err.endswith(f"error: argument {option}: {message}\n")
+    assert "_list" not in captured.err and "Traceback" not in captured.err
+
+
 def test_csv_float_formatting_round_trips(capsys):
     _, out, _ = run_cli(capsys, "props", "--prop", "2", "--a", "0.1", "--b", "0.30000000000000004",
                         "--format", "csv")

@@ -280,6 +280,48 @@ def test_uniform_matches_validated_points(span, n, xi_policy, seed):
         _uniform_outcome(lambda: Partition(*_reference_uniform(a, b, n, xi_policy, seed)))
 
 
+@st.composite
+def _near_the_node_bound(draw):
+    """(a, b, n) with b - a a few ulps of a, or near the width above which
+    `composite._proven_uniform` accepts, 16 * n * (u * M + 2**-1074)."""
+    n = draw(st.sampled_from((1, 7, 4097, 10**6)))
+    a = draw(st.sampled_from((0.0, -0.0)) | st.floats(5e-324, 1e-307)
+             | st.floats(-_MAX, -1e307) | st.floats(1e307, _MAX) | st.floats(-1e6, 1e6))
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 64)) * math.ulp(a)
+    else:
+        width = draw(st.floats(0.25, 4.0)) * 16.0 * n * (abs(a) * 2**-53 + 2**-1074)
+    return a, a + width, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(span=_near_the_node_bound(), message=st.none())
+@example(span=(1.0, math.nextafter(1.0, 2.0), 4),
+         message="nodes must be strictly increasing, got 1.0 >= 1.0")
+@example(span=(0.0, 1.5e308, 2), message="partition values must be finite")  # a node overflows
+@example(span=(1e308, 1.5e308, 1), message="partition values must be finite")  # lo + hi does
+@example(span=(-1.5e308, 1.5e308, 1), message=None)  # 4*n*M overflows, the nodes do not
+@example(span=(0.0, 5e-323, 3), message=None)  # subnormal: below the bound, yet increasing
+def test_node_bound_accepts_only_valid_nodes(span, message):
+    """Where the bound accepts (a, b, n), the nodes are finite and strictly
+    increasing and lo + hi is finite at both ends. Where it does not, the
+    nodes are computed and checked as given nodes are, with their error."""
+    a, b, n = span
+    assume(a < b and math.isfinite(b))
+    if composite._proven_uniform(a, b, n):
+        assert message is None
+        nodes = Partition.uniform(a, b, n).nodes
+        column = np.array(nodes)
+        assert np.isfinite(column).all() and (column[:-1] < column[1:]).all()
+        assert math.isfinite(nodes[0] + nodes[1]) and math.isfinite(nodes[-2] + nodes[-1])
+    elif n <= 4097:
+        outcome = _uniform_outcome(lambda: Partition.uniform(a, b, n))
+        assert outcome == _uniform_outcome(
+            lambda: Partition(*_reference_uniform(a, b, n, "midpoint", 0)))
+        if message is not None:
+            assert outcome == (ParameterError, message)
+
+
 def _reference_kernel(ft, part):
     """The rule as a per-subinterval loop with six scalar calls each:
     (approx, remainder_bound, values, bounds)."""
@@ -302,14 +344,16 @@ def _bits(values):
     return tuple(map(float.hex, values))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000,
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000,
                                _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 @pytest.mark.parametrize("xi_policy", ["midpoint", "right", "random"])
 def test_kernel_matches_per_subinterval_reference(corpus, rng, xi_policy, n):
     """Column-wise partitions and sums are bit-identical to the loop, also
-    across block boundaries."""
-    for ft, lo, hi in corpus + [(SINE, -3.0, 3.0)]:
-        iv = random_interval(rng, lo + 0.05, hi - 0.05)
+    across block boundaries. On [0.1, 0.7] at n = 3, (n * a) / n is not a
+    and (n * b) / n is not b, so the end nodes must come from the formula."""
+    spans = [(ft, random_interval(rng, lo + 0.05, hi - 0.05))
+             for ft, lo, hi in corpus + [(SINE, -3.0, 3.0)]]
+    for ft, iv in spans + [(SINE, Interval(0.1, 0.7))]:
         seed = int(rng.integers(1 << 30))
         part = Partition.uniform(iv.a, iv.b, n, xi_policy=xi_policy, seed=seed)
         nodes, xi = _reference_uniform(iv.a, iv.b, n, xi_policy, seed)
@@ -357,18 +401,37 @@ def test_right_blocks_among_other_blocks_match_the_reference():
 
 def test_result_retains_16_bytes_per_subinterval():
     """A result keeps its two columns as packed doubles, 8 B per entry,
-    where boxed floats in tuples took 32 B per entry."""
+    where boxed floats in tuples took 32 B per entry. A row writes into one
+    buffer per column, sized once, and hands it over: it peaks at 24 B per
+    subinterval, where joining per-block chunks held the columns twice,
+    34-36 B."""
     n = 200_000
     ft = register_builtin("exp")
-    part = Partition.uniform(0.5, 2.0, n)  # the cheapest policy to trace
+    for policy in XI_POLICIES:
+        part = Partition.uniform(0.5, 2.0, n, policy, seed=5)
+        tracemalloc.start()
+        try:
+            res = composite_generalized(ft, part)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res[2]) == len(res[3]) == 8 * n
+        assert retained <= 16 * n + 64 * _BLOCK
+        assert peak <= 24 * n, policy
+
+
+@pytest.mark.parametrize("xi_policy", XI_POLICIES)
+def test_uniform_partition_holds_no_nodes(xi_policy):
+    """A uniform partition over float endpoints stores (a, b, n), where its
+    node tuple took 32 B per node."""
     tracemalloc.start()
     try:
-        res = composite_generalized(ft, part)
-        retained, _ = tracemalloc.get_traced_memory()
+        part = Partition.uniform(0.5, 2.0, 10**6, xi_policy, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(res[2]) == len(res[3]) == 8 * n
-    assert retained <= 16 * n + 64 * _BLOCK
+    assert peak < 4096
+    assert part[0] == (0.5, 2.0, 10**6)
 
 
 def test_cli_import_leaves_array_out():

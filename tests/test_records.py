@@ -200,13 +200,15 @@ def test_composite_results_copy_and_rebuild_equal():
 @pytest.mark.parametrize("policy", ["midpoint", "right", "random"])
 def test_policy_partitions_copy_as_stored(policy, monkeypatch):
     """Copies, pickles and ``_replace`` of a uniform partition keep its
-    ``(policy, seed)`` instead of materialising the points, so they equal
-    it, hash as it does and draw the same points. ``_replace`` over new
-    nodes validates them once and draws no points; new points make a
-    given-points partition."""
+    ``(a, b, n)`` and ``(policy, seed)`` instead of materialising the nodes
+    and points, so they equal it, hash as it does and draw the same points.
+    ``_replace`` over new nodes validates them once and draws no points; it
+    equals a uniform partition with those nodes, as equality compares nodes
+    by value. New points make a given-points partition."""
     part = Partition.uniform(0.0, 1.0, 4, policy, seed=3)
     for copied in _copies(part):
         assert copied == part and hash(copied) == hash(part)
+        assert copied[0] == part[0] == (0.0, 1.0, 4)
         assert copied[1] == part[1] and copied[1][0] == policy
         assert copied.xi == part.xi
     assert len({part, *_copies(part)}) == 1
@@ -225,6 +227,9 @@ def test_policy_partitions_copy_as_stored(policy, monkeypatch):
     assert same == part and hash(same) == hash(part) and same[1] == part[1]
     assert validated == [fewer] and fewer[1] == part[1]
     assert fewer == Partition.uniform(0.0, 1.0, 2, policy, seed=3)
+    assert not fewer != Partition.uniform(0.0, 1.0, 2, policy, seed=3)
+    # the nodes (0.0, 1.0, 2.0) are not those of a = 0.0, b = 1.0, n = 2
+    assert part._replace(nodes=(0.0, 1.0, 2.0)) != Partition.uniform(0.0, 1.0, 2, policy, seed=3)
     assert fewer.xi == Partition.uniform(0.0, 1.0, 2, policy, seed=3).xi
     assert part._replace(xi=part.xi) == given and given._replace() == given
     for record in (part, given):
