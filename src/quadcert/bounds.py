@@ -84,11 +84,23 @@ def _hypothesis_flags(ft, iv, params, q=None):
     return (("abs_f2_convex" if q is None else "abs_f2_pow_q_convex", convex),)
 
 
-def _record_method(params, est):
-    """How an estimated norm was obtained, and its density if sampled."""
-    params["norm_method"] = est.method
-    if est.samples is not None:
-        params["norm_samples"] = est.samples
+def _admit_norm(params, est, supplied, name):
+    """The norm a certificate uses: the estimate ``est`` when nothing is
+    supplied, recording its ``norm_method`` (and ``norm_samples``) in
+    ``params``; otherwise the supplied value, recorded as ``norm_method``
+    "supplied", which must be finite and at least the estimate. For plain
+    callables a sampled sup is a lower bound, so there the check is
+    necessary, not sufficient."""
+    if supplied is None:
+        params["norm_method"] = est.method
+        if est.samples is not None:
+            params["norm_samples"] = est.samples
+        return est.value
+    if not est.value <= supplied < math.inf:
+        raise ParameterError(f"{name}={supplied!r} must be finite and >= the "
+                             f"{est.method} {est.kind} {est.value!r}")
+    params["norm_method"] = "supplied"
+    return supplied
 
 
 def bound_convex(ft: FunctionTriple, iv: Interval, x: float) -> Certificate:
@@ -160,19 +172,13 @@ def bound_ostrowski(ft: FunctionTriple, iv: Interval, x: float,
     `oracle.estimate_norm`: exact for registry functions, sampled for plain
     callables. The params record its ``norm_method``, plus ``norm_samples``
     for a sampled one. A supplied value must be finite and at least that
-    estimate.
+    estimate, and is recorded as ``norm_method`` "supplied".
     """
     require_domain(ft, iv)
     if not iv.a <= x <= iv.b:
         raise ParameterError(f"x={x!r} outside [{iv.a!r}, {iv.b!r}]")
     params: dict = {}
-    est = oracle.estimate_norm(ft, iv, "sup_f1")
-    if f1_sup is None:
-        f1_sup = est.value
-        _record_method(params, est)
-    elif not est.value <= f1_sup < math.inf:
-        raise ParameterError(
-            f"f1_sup={f1_sup!r} must be finite and >= the {est.method} sup|f'| {est.value!r}")
+    f1_sup = _admit_norm(params, oracle.estimate_norm(ft, iv, "sup_f1"), f1_sup, "f1_sup")
     params["f1_sup"] = f1_sup
     fx = ft.f(x)
     avg = (0.25 + ((x - iv.a) / iv.length - 0.5) ** 2) * iv.length * f1_sup
@@ -191,13 +197,13 @@ def bound_cerone_dragomir(ft: FunctionTriple, iv: Interval, case: str,
       lp:  bound_total = (b-a)^(2+1/q) / (8(2q+1)^(1/q)) * ||f''||_p,
            with p > 1 and 1/p + 1/q = 1
       l1:  bound_total = (b-a)^2/8 * integral of |f''|
-    Omitted norms come from `oracle.estimate_norm` and are recorded in the
-    certificate params for auditability, with their ``norm_method``: sup|f''|
-    and the L1 norm are exact for registry functions; sup|f''| is sampled
-    for plain callables (then ``norm_samples`` records the density); the
-    other p-norms come from quadrature. A supplied norm must be finite and
-    not negative, may be 0 only where the estimated sup|f''| is 0, and in
-    case inf may not be below that sup.
+    The norm comes from one `oracle.estimate_norm` call and is recorded in
+    the certificate params for auditability, with its ``norm_method``:
+    sup|f''| and the L1 norm are exact for registry functions; sup|f''| is
+    sampled for plain callables (then ``norm_samples`` records the
+    density); the other p-norms come from quadrature. A supplied norm must
+    be finite and at least that estimate of the same norm, and is recorded
+    as ``norm_method`` "supplied".
     """
     require_domain(ft, iv)
     if case not in CD_CASES:
@@ -207,22 +213,10 @@ def bound_cerone_dragomir(ft: FunctionTriple, iv: Interval, case: str,
         hp = HolderPair(p, q)
         params["p"] = hp.p
         params["q"] = hp.q
-
-    if norm is None:
-        if case == "inf":
-            est = oracle.estimate_norm(ft, iv, "sup_f2")
-        elif case == "lp":
-            est = oracle.estimate_norm(ft, iv, "lp_f2", p=hp.p)
-        else:
-            est = oracle.estimate_norm(ft, iv, "l1_f2")
-        norm = est.value
-        _record_method(params, est)
+        est = oracle.estimate_norm(ft, iv, "lp_f2", p=hp.p)
     else:
-        sup = oracle.estimate_norm(ft, iv, "sup_f2")
-        if not ((sup.value if case == "inf" else 0.0) <= norm < math.inf
-                and (norm > 0.0 or sup.value == 0.0)):
-            raise ParameterError(
-                f"norm={norm!r} does not fit f'', whose {sup.method} sup|f''| is {sup.value!r}")
+        est = oracle.estimate_norm(ft, iv, "sup_f2" if case == "inf" else "l1_f2")
+    norm = _admit_norm(params, est, norm, "norm")
     params["norm"] = norm
 
     try:

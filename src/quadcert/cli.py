@@ -132,9 +132,8 @@ def _build_certificate(args, ft, iv):
     if family == "power_mean":
         return bounds.bound_power_mean(ft, iv, _need(args, "x"), _need(args, "q"))
     if family == "ostrowski":
-        return bounds.bound_ostrowski(ft, iv, _need(args, "x"), f1_sup=args.f1_sup)
-    return bounds.bound_cerone_dragomir(ft, iv, _need(args, "case"),
-                                        norm=args.norm, p=args.p, q=args.q)
+        return bounds.bound_ostrowski(ft, iv, _need(args, "x"))
+    return bounds.bound_cerone_dragomir(ft, iv, _need(args, "case"), p=args.p, q=args.q)
 
 
 def _cmd_certify(args):
@@ -337,10 +336,6 @@ def build_parser():
     sp.add_argument("--p", type=float, help="Holder exponent (holder, cerone_dragomir lp)")
     sp.add_argument("--q", type=float, help="conjugate/power-mean exponent")
     sp.add_argument("--case", choices=bounds.CD_CASES, help="cerone_dragomir norm case")
-    sp.add_argument("--f1-sup", dest="f1_sup", type=float,
-                    help="sup|f'| for ostrowski (estimated when omitted)")
-    sp.add_argument("--norm", type=float,
-                    help="f'' norm for cerone_dragomir (estimated when omitted)")
     add_oracle_options(sp)
     sp.set_defaults(handler=_cmd_certify)
 

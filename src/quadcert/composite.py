@@ -135,9 +135,9 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
     policy as ``(name, seed)`` instead and draws the points where they are
     used: the kernel draws them block by block and never holds them all,
     and ``.xi``, iteration and unpacking materialise them as a tuple on
-    each access. `uniform` over float endpoints stores ``(a, b, n)`` in
-    place of its nodes too: the kernel computes them block by block, and
-    ``.nodes`` materialises them on each access. Copying, pickling and
+    each access. `uniform` stores ``(a, b, n)`` in place of its nodes
+    too: the kernel computes them block by block, and ``.nodes``
+    materialises them on each access. Copying, pickling and
     ``_replace`` keep what is stored. Equality and hashing compare the
     nodes by value and the points as stored, so such a partition equals
     one with the same nodes and policy, not one built from its points.
@@ -257,10 +257,7 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         """n equal subintervals of [a, b] with intermediate points chosen by
         policy: the subinterval midpoint, the right node, or uniform random
         within the admissible right half (deterministic under the integer
-        ``seed``).
-
-        Float endpoints, float subclasses among them, are stored as
-        ``(float(a), float(b), n)``; others give a tuple of float nodes."""
+        ``seed``). The endpoints are stored as ``(float(a), float(b), n)``."""
         try:
             n = operator.index(n)
         except TypeError:
@@ -275,11 +272,8 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
             raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
         if xi_policy not in XI_POLICIES:
             raise ParameterError(f"unknown xi policy {xi_policy!r}; expected one of {XI_POLICIES}")
-        if isinstance(a, float) and isinstance(b, float):
-            nodes = (float(a), float(b), n)
-        else:
-            nodes = tuple(map(float, _nodes_of((a, b, n))))
-        return cls._of_policy(nodes, xi_policy, seed if xi_policy == "random" else None)
+        return cls._of_policy((float(a), float(b), n), xi_policy,
+                              seed if xi_policy == "random" else None)
 
 
 def _pack(entries):

@@ -154,15 +154,14 @@ def _require_q(q):
 
 def check_proposition(prop_id: int, a: float, b: float,
                       p: float | None = None, q: float | None = None,
-                      p_holder: float | None = None,
                       corrected: bool = False) -> PropositionReport:
     """Evaluate mean inequality 1..6 at (a, b).
 
     Exponent handling: propositions 1, 3, 4 need a finite p > 1; for 3 and 4
     the Holder exponent and q form a `HolderPair`, which derives q when it is
-    not given (proposition 4 reuses p as both the power of x and the Holder
-    exponent unless ``p_holder`` is passed). Propositions 5 and 6 take a free
-    finite q >= 1 (default 1); unused exponents are ignored as vestigial.
+    not given (proposition 4 takes p as both the power of x and the Holder
+    exponent, as printed). Propositions 5 and 6 take a free finite q >= 1
+    (default 1); unused exponents are ignored as vestigial.
 
     ``corrected=True`` evaluates the perturbed-trapezoid variant of
     propositions 1, 3 and 5 (the statement with the derivative-correction
@@ -177,14 +176,14 @@ def check_proposition(prop_id: int, a: float, b: float,
             f"need 0 < a < b (negative powers of a appear), got a={a!r}, b={b!r}")
     _require_finite(a, b)
     try:
-        return _evaluate(prop_id, a, b, p, q, p_holder, corrected)
+        return _evaluate(prop_id, a, b, p, q, corrected)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ParameterError(
             f"proposition {prop_id} {_float_failure(exc)} at a={a!r}, b={b!r}, "
             f"p={p!r}, q={q!r}") from None
 
 
-def _evaluate(prop_id, a, b, p, q, p_holder, corrected):
+def _evaluate(prop_id, a, b, p, q, corrected):
     if prop_id == 1:
         pv = _require_p(p)
         lpp = (b ** (pv + 1.0) - a ** (pv + 1.0)) / ((pv + 1.0) * (b - a))
@@ -213,16 +212,12 @@ def _evaluate(prop_id, a, b, p, q, p_holder, corrected):
         return _report(3, abs(lhs), rhs, {"a": a, "b": b, "p": pv, "q": qv}, note)
 
     if prop_id == 4:
-        pf = _require_p(p)
-        ph, qv = map(float, HolderPair(pf if p_holder is None else _require_p(p_holder), q))
-        lpp = (b ** (pf + 1.0) - a ** (pf + 1.0)) / ((pf + 1.0) * (b - a))
-        lhs = abs(lpp - _amean(a, b) ** pf)
-        rhs = (pf * (pf - 1.0) * (b - a) ** 2 / (8.0 * (2.0 * ph + 1.0) ** (1.0 / ph))
-               * _amean(a ** (qv * (pf - 2.0)), b ** (qv * (pf - 2.0))) ** (1.0 / qv))
-        params = {"a": a, "b": b, "p": pf, "q": qv}
-        if p_holder is not None:
-            params["p_holder"] = ph
-        return _report(4, lhs, rhs, params, _MIDPOINT_NOTE)
+        pv, qv = map(float, HolderPair(_require_p(p), q))
+        lpp = (b ** (pv + 1.0) - a ** (pv + 1.0)) / ((pv + 1.0) * (b - a))
+        lhs = abs(lpp - _amean(a, b) ** pv)
+        rhs = (pv * (pv - 1.0) * (b - a) ** 2 / (8.0 * (2.0 * pv + 1.0) ** (1.0 / pv))
+               * _amean(a ** (qv * (pv - 2.0)), b ** (qv * (pv - 2.0))) ** (1.0 / qv))
+        return _report(4, lhs, rhs, {"a": a, "b": b, "p": pv, "q": qv}, _MIDPOINT_NOTE)
 
     if prop_id == 5:
         qv = _require_q(q)

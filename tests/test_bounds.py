@@ -3,14 +3,15 @@ oracle, algebraic reductions, endpoint/midpoint closed forms, and
 hypothesis flags."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (INTERIOR_PEAK, SINGLE_SPECS, plain_callables, random_interval, random_x,
-                      single_cases)
+from conftest import (INTERIOR_PEAK, SINGLE_SPECS, convex_corpus, plain_callables,
+                      random_interval, random_x, single_cases)
 from quadcert.bounds import (
     HolderPair,
     bound_cerone_dragomir,
@@ -19,9 +20,9 @@ from quadcert.bounds import (
     bound_ostrowski,
     bound_power_mean,
 )
-from quadcert.errors import ParameterError
+from quadcert.errors import IntegrationError, ParameterError
 from quadcert.functions import Interval, parse_function_spec, register_builtin
-from quadcert.oracle import integrate
+from quadcert.oracle import estimate_norm, integrate
 from quadcert.rules import perturbed_trapezoid_rule
 
 POWER2 = register_builtin("power", [2.0])
@@ -258,8 +259,9 @@ def test_ostrowski_inconsistent_sup_rejected():
     ft = parse_function_spec(INTERIOR_PEAK)
     with pytest.raises(ParameterError):
         bound_ostrowski(ft, UNIT, 0.5, f1_sup=0.9996)
-    assert bound_ostrowski(ft, UNIT, 0.5, f1_sup=1.0).params == {"f1_sup": 1.0}
-    with pytest.raises(ParameterError, match="the sampled sup"):
+    assert bound_ostrowski(ft, UNIT, 0.5, f1_sup=1.0).params == {"norm_method": "supplied",
+                                                                 "f1_sup": 1.0}
+    with pytest.raises(ParameterError, match="the sampled sup_f1"):
         bound_ostrowski(plain_callables(ft), UNIT, 0.5, f1_sup=0.9996)
 
 
@@ -367,11 +369,15 @@ def test_cerone_dragomir_validation():
     assert cert.bound_total == 0.0
     for case in ("inf", "l1"):
         for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ParameterError, match="does not fit f''"):
+            with pytest.raises(ParameterError, match="must be finite and >= the exact"):
                 bound_cerone_dragomir(linear, UNIT, case, norm=bad)
-    with pytest.raises(ParameterError):
-        bound_cerone_dragomir(POWER2, UNIT, "inf", norm=1.9)  # below sup|f''| = 2
-    assert bound_cerone_dragomir(POWER2, UNIT, "l1", norm=1.9).params["norm"] == 1.9
+    for case in ("inf", "l1"):  # 1.9 is below both sup|f''| = 2 and its L1 norm 2
+        kind = "sup_f2" if case == "inf" else "l1_f2"
+        with pytest.raises(ParameterError, match=rf"^norm=1\.9 must be finite and >= the exact "
+                                                 rf"{kind} 2\.0$"):
+            bound_cerone_dragomir(POWER2, UNIT, case, norm=1.9)
+    assert bound_cerone_dragomir(POWER2, UNIT, "l1", norm=2.0).params == {
+        "case": "l1", "norm_method": "supplied", "norm": 2.0}
     with pytest.raises(ParameterError):
         bound_cerone_dragomir(POWER2, UNIT, "lp", norm=0.0, p=2.0)
 
@@ -385,9 +391,80 @@ NINE_ROOTS = ("poly:33822867456,-186025771008,440842321920,-588597166080,4855018
 def test_zero_norm_needs_f2_to_vanish():
     ft = parse_function_spec(NINE_ROOTS)
     assert [ft.f2(i / 8.0) for i in range(9)] == [0.0] * 9
-    for case, kwargs in (("inf", {}), ("lp", {"p": 2.0}), ("l1", {})):
-        with pytest.raises(ParameterError, match=r"exact sup\|f''\| is 136636372\.4"):
-            bound_cerone_dragomir(ft, UNIT, case, norm=0.0, **kwargs)
+    for case, kind in (("inf", r"exact sup_f2 136636372\.4"), ("l1", "exact l1_f2 ")):
+        with pytest.raises(ParameterError, match=f"norm=0.0 must be finite and >= the {kind}"):
+            bound_cerone_dragomir(ft, UNIT, case, norm=0.0)
+    # a supplied Lp norm is checked against the Lp quadrature, which cannot
+    # meet the oracle's absolute tolerance on this f'' (ROADMAP item 3)
+    with pytest.raises(IntegrationError):
+        bound_cerone_dragomir(ft, UNIT, "lp", norm=0.0, p=2.0)
+
+
+# ---------------------------------------------------------- supplied norms
+
+CORPUS = {ft.id: (ft, lo, hi) for ft, lo, hi in convex_corpus()}
+# the norm each certificate uses: Ostrowski's, then the three Cerone-Dragomir cases
+NORM_OF = {"ostrowski": "sup_f1", "inf": "sup_f2", "lp": "lp_f2", "l1": "l1_f2"}
+
+
+@st.composite
+def corpus_intervals(draw):
+    """(spec, plain, a, b): a corpus function, whether to take its
+    plain-callable copy, and an interval of its range."""
+    spec = draw(st.sampled_from(sorted(CORPUS)))
+    _, lo, hi = CORPUS[spec]
+    a = draw(st.floats(lo, hi - 0.05))
+    return spec, draw(st.booleans()), a, draw(st.floats(a + 0.05, hi))
+
+
+def _supplied_certificate(ft, iv, which, p, supplied=None):
+    if which == "ostrowski":
+        return bound_ostrowski(ft, iv, iv.b, f1_sup=supplied)
+    return bound_cerone_dragomir(ft, iv, which, norm=supplied, p=p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=corpus_intervals(), which=st.sampled_from(sorted(NORM_OF)),
+       p=st.sampled_from((1.5, 2.0, 3.0)), supplied=st.none() | st.floats(0.0, 100.0),
+       scale=st.just(1.0) | st.floats(0.0, 2.0), ulps=st.integers(-2, 2))
+# a 1e-9 L1 norm of exp gave a bound 1.25e-10 below the error 0.0739
+@example(inputs=("exp", False, 0.0, 1.0), which="l1", p=2.0, supplied=1e-9, scale=1.0, ulps=0)
+# 1.9 is below the exact L1 norm 2.0 of f'' = 2, yet sup-based checks let it pass
+@example(inputs=("power:2", False, 0.0, 1.0), which="l1", p=2.0, supplied=1.9, scale=1.0,
+         ulps=0)
+# one ulp below a sampled sup is refused
+@example(inputs=("power:2", True, 0.0, 1.0), which="ostrowski", p=2.0, supplied=None,
+         scale=1.0, ulps=-1)
+def test_supplied_norm_is_admitted_from_the_estimate_up(inputs, which, p, supplied, scale, ulps):
+    """A supplied norm below the package's estimate of the same norm is
+    refused. The estimate itself, or any finite value above it, is recorded
+    as supplied and gives a bound no smaller than the default certificate's.
+    Without a drawn value the supplied one is the estimate times ``scale``,
+    moved by ``ulps`` units in the last place."""
+    spec, plain, a, b = inputs
+    ft = plain_callables(CORPUS[spec][0]) if plain else CORPUS[spec][0]
+    iv = Interval(a, b)
+    try:
+        est = estimate_norm(ft, iv, NORM_OF[which], p=p if which == "lp" else None).value
+    except IntegrationError:
+        # an Lp quadrature that misses the oracle's absolute tolerance
+        # (ROADMAP item 3) fails with a supplied norm too
+        with pytest.raises(IntegrationError):
+            _supplied_certificate(ft, iv, which, p, supplied or 1.0)
+        return
+    if supplied is None:
+        supplied = est * scale
+        for _ in range(abs(ulps)):
+            supplied = math.nextafter(supplied, math.copysign(math.inf, ulps))
+    if supplied < est:
+        with pytest.raises(ParameterError,
+                           match=f"must be finite and >= the .* {re.escape(repr(est))}$"):
+            _supplied_certificate(ft, iv, which, p, supplied)
+        return
+    cert = _supplied_certificate(ft, iv, which, p, supplied)
+    assert cert.params["norm_method"] == "supplied"
+    assert "norm_samples" not in cert.params
+    assert cert.bound_total >= _supplied_certificate(ft, iv, which, p).bound_total
 
 
 # ------------------------------------------------------------- certificates

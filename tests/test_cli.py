@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quadcert
-from conftest import INTERIOR_PEAK
 from quadcert.bounds import CD_CASES
 from quadcert.cli import (COMPOSITE_RULES, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, FAMILIES,
                           _holds, main)
@@ -263,6 +262,23 @@ def test_tol_only_where_the_oracle_runs(capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option,family", [
+    ("--f1-sup", ("--family", "ostrowski", "--x", "0.75")),
+    ("--norm", ("--family", "cerone_dragomir", "--case", "l1")),
+])
+def test_certify_takes_no_norm(capsys, option, family):
+    """certify computes every norm it uses, so argparse rejects a supplied
+    one."""
+    argv = ["certify", "--function", "exp", "--a", "0", "--b", "1", *family]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, "1"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quadcert ") and f"unrecognized arguments: {option} 1" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("means", "--a", "1", "--b", "1e10", "--p-values=400"),
     ("props", "--prop", "1", "--a", "1", "--b", "1000", "--p", "400"),
@@ -389,41 +405,25 @@ def _cli_exponents():
     return st.none() | st.floats(0.5, 5.0) | st.sampled_from((math.nan, math.inf))
 
 
-def _supplied_norms():
-    return st.none() | st.sampled_from((math.nan, math.inf, -1.0, 0.0)) | st.floats(0.0, 5.0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(spec=st.sampled_from(CLI_SPECS), a=_cli_floats(), b=_cli_floats(), x=_cli_floats(),
        family=st.sampled_from(FAMILIES), p=_cli_exponents(), q=_cli_exponents(),
-       case=st.none() | st.sampled_from(CD_CASES), f1_sup=_supplied_norms(),
-       norm=_supplied_norms())
-@example(spec="exp", a=0.0, b=1e-300, x=9e-301, family="ostrowski", p=None, q=None, case=None,
-         f1_sup=None, norm=None)
+       case=st.none() | st.sampled_from(CD_CASES))
+@example(spec="exp", a=0.0, b=1e-300, x=9e-301, family="ostrowski", p=None, q=None, case=None)
 # (b-a)^2 * sup|f'| overflows: the bound was printed as Infinity, exit 0
-@example(spec="exp", a=-1e300, b=0.0, x=0.0, family="ostrowski", p=None, q=None, case=None,
-         f1_sup=None, norm=None)
+@example(spec="exp", a=-1e300, b=0.0, x=0.0, family="ostrowski", p=None, q=None, case=None)
 # M_q read inf**0 = 1: bound 0.041667 below the error 0.073926, flag true
-@example(spec="exp", a=0.0, b=1.0, x=1.0, family="power_mean", p=None, q=math.inf, case=None,
-         f1_sup=None, norm=None)
-@example(spec="exp", a=0.0, b=1.0, x=1.0, family="power_mean", p=None, q=math.nan, case=None,
-         f1_sup=None, norm=None)
-@example(spec="exp", a=0.0, b=1.0, x=1.0, family="holder", p=math.inf, q=None, case=None,
-         f1_sup=None, norm=None)
-@example(spec="exp", a=0.0, b=1.0, x=0.5, family="ostrowski", p=None, q=None, case=None,
-         f1_sup=math.nan, norm=None)
-@example(spec=INTERIOR_PEAK, a=0.0, b=1.0, x=0.5, family="ostrowski", p=None, q=None, case=None,
-         f1_sup=0.9996, norm=None)
-@example(spec="poly:1,0", a=0.0, b=1.0, x=None, family="cerone_dragomir", p=None, q=None,
-         case="inf", f1_sup=None, norm=-1.0)
-def test_certify_exit_code_contract(spec, a, b, x, family, p, q, case, f1_sup, norm):
+@example(spec="exp", a=0.0, b=1.0, x=1.0, family="power_mean", p=None, q=math.inf, case=None)
+@example(spec="exp", a=0.0, b=1.0, x=1.0, family="power_mean", p=None, q=math.nan, case=None)
+@example(spec="exp", a=0.0, b=1.0, x=1.0, family="holder", p=math.inf, q=None, case=None)
+def test_certify_exit_code_contract(spec, a, b, x, family, p, q, case):
     """Every certify input exits 0, 1 or 2 without a traceback, exits 1
-    exactly when the JSON row says the bound does not hold, and prints a
-    finite, non-negative bound whenever it prints one."""
+    exactly when the JSON row says the bound does not hold, and then with
+    a false hypothesis flag, and prints a finite, non-negative bound
+    whenever it prints one."""
     argv = ["certify", f"--function={spec}", f"--a={a!r}", f"--b={b!r}",
             f"--family={family}", "--format=json"]
-    argv += [f"--{name}={value!r}" for name, value in
-             (("x", x), ("p", p), ("q", q), ("f1-sup", f1_sup), ("norm", norm))
+    argv += [f"--{name}={value!r}" for name, value in (("x", x), ("p", p), ("q", q))
              if value is not None]
     if case is not None:
         argv.append(f"--case={case}")
@@ -431,6 +431,8 @@ def test_certify_exit_code_contract(spec, a, b, x, family, p, q, case, f1_sup, n
     if payload is not None:
         assert payload["holds"] is (code == EXIT_OK)
         assert 0.0 <= payload["bound_total"] < math.inf
+        if code == EXIT_VIOLATION:
+            assert not all(flag["satisfied"] for flag in payload["hypothesis_flags"])
 
 
 def _run_contract(argv):

@@ -103,7 +103,12 @@ def test_uniform_constructor():
                            match=rf"^need an integer seed, got {re.escape(repr(seed))}$"):
             Partition.uniform(0.0, 1.0, 4, xi_policy="random", seed=seed)
     assert Partition.uniform(0.0, 1.0, 8, "random", seed=np.int64(7)) == r1
-    # endpoints that are not floats give float nodes
+    # endpoints of any real type are stored as floats
+    for lo, hi in ((0, 1), (Fraction(0), Fraction(1)), (np.float64(0.0), np.float64(1.0))):
+        for n in (1, 3, 4):
+            part = Partition.uniform(lo, hi, n, "right")
+            assert part[0] == (0.0, 1.0, n) and all(x.__class__ is float for x in part[0][:2])
+            assert part == Partition.uniform(0.0, 1.0, n, "right")
     as_numpy = Partition.uniform(np.float64(0.5), np.float64(2.0), 6)
     assert as_numpy == Partition.uniform(0.5, 2.0, 6)
     assert all(x.__class__ is float for x in as_numpy.nodes)

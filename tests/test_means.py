@@ -204,14 +204,6 @@ def test_prop_rhs_matches_midpoint_bounds(rng):
                 bound_power_mean(neglog, iv, iv.midpoint, q).bound_avg, rel=1e-13)
 
 
-def test_prop4_separate_holder_exponent():
-    merged = check_proposition(4, 1.0, 2.0, p=2.0)
-    assert merged.params["q"] == pytest.approx(2.0)
-    split = check_proposition(4, 1.0, 2.0, p=2.0, p_holder=3.0)
-    assert split.params["q"] == pytest.approx(1.5)
-    assert split.rhs != merged.rhs
-
-
 def test_proposition_validation():
     with pytest.raises(ParameterError):
         check_proposition(7, 1.0, 2.0)
@@ -234,8 +226,6 @@ def test_proposition_validation():
         for prop in (3, 4):
             with pytest.raises(ParameterError, match="both must be finite"):
                 check_proposition(prop, 1.0, 2.0, p=2.0, q=bad)
-        with pytest.raises(ParameterError, match="both must be finite"):
-            check_proposition(4, 1.0, 2.0, p=2.0, p_holder=3.0, q=bad)
         for prop in (5, 6):
             with pytest.raises(ParameterError, match="needs a finite q >= 1"):
                 check_proposition(prop, 1.0, 2.0, q=bad)
