@@ -88,10 +88,10 @@ def _pow_column(xs, coef, expo):
     may have overflowed."""
     if coef == 0.0:
         return [0.0] * len(xs)
-    col = list(map(math.pow, xs, repeat(expo)))
+    powers = map(math.pow, xs, repeat(expo))
     if coef == 1.0:
-        return col
-    col = list(map(operator.mul, repeat(coef), col))
+        return list(powers)
+    col = list(map(operator.mul, repeat(coef), powers))
     if abs(coef) > 1.0 and (total := sum(col)) - total:
         raise OverflowError
     return col

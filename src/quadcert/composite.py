@@ -13,12 +13,12 @@ import math
 import operator
 import random
 import struct
-from itertools import pairwise, repeat
+from itertools import count, islice, pairwise, repeat
 
 from ._backend import column
 from .errors import DomainError, ParameterError
 from .functions import FunctionTriple, Interval, record_base, require_domain
-from .kernel import convex_bounds, overflow_error
+from .kernel import _mirrored_bounds, _right_bounds, convex_bounds, overflow_error
 from .rules import mirror_points, two_point_totals
 
 XI_POLICIES = ("midpoint", "right", "random")
@@ -64,12 +64,25 @@ def _subintervals(nodes):
 def _nodes_of(nodes, start=0, stop=None):
     """Nodes ``start`` to ``stop - 1`` of a partition's stored nodes: a slice
     of the tuple, or, of a stored ``(a, b, n)``, a list of the expression
-    `Partition.uniform` gives, ((n - i) * a + i * b) / n."""
+    `Partition.uniform` gives, ((n - i) * a + i * b) / n.
+
+    n - i and i run as float counts, and n is converted once: they are
+    integers of at most 2**53, exact as floats, so each term is the same
+    IEEE operation on the same operands as the expression over ints."""
     if not _is_uniform(nodes):
         return nodes[start:stop]
     a, b, n = nodes
     stop = n + 1 if stop is None else min(stop, n + 1)
-    return [((n - i) * a + i * b) / n for i in range(start, stop)]
+    fn, counts = float(n), islice(count(float(start)), stop - start)
+    return [(j * a + i * b) / fn for j, i in zip(count(float(n - start), -1.0), counts)]
+
+
+def _node_blocks(nodes):
+    """(start, lows) per block of ``_BLOCK`` subintervals of a partition's
+    stored nodes: its nodes ``start`` to ``start + _BLOCK`` (`_nodes_of`),
+    so that consecutive blocks share a node."""
+    for start in range(0, _subintervals(nodes), _BLOCK):
+        yield start, _nodes_of(nodes, start, start + _BLOCK + 1)
 
 
 def _proven_uniform(a, b, n):
@@ -102,28 +115,91 @@ def _draw(policy, rng, nodes):
     return [(mid := 0.5 * (lo + hi)) + draw() * (hi - mid) for lo, hi in pairwise(nodes)]
 
 
+def _halves_exact(lows):
+    """Whether 0.5 * s is exact for every s = lo + hi of a block of strictly
+    increasing nodes with finite sums: s does not decrease along the block,
+    so |s| >= 2**-1021 at both ends, with the same sign, holds throughout,
+    and halving such an s rounds nothing."""
+    return lows[0] + lows[1] >= 2.0**-1021 or lows[-2] + lows[-1] <= -2.0**-1021
+
+
 def _blocks(nodes, stored):
-    """(lows, xs) per block of subintervals: the block's nodes, from the
-    stored ``nodes`` (`_nodes_of`), and its intermediate points, sliced
-    from ``stored`` or drawn by its policy.
+    """(lows, xs, mirrored) per block of subintervals: the block's nodes,
+    from the stored ``nodes`` (`_node_blocks`), its intermediate points,
+    sliced from ``stored`` or drawn by its policy, and whether every mirror
+    lo + hi - x (`rules.mirror_points`) is known to equal its x without
+    computing it.
+
+    That is known of a midpoint block whose halves are exact
+    (`_halves_exact`) and where no x is hi: there x = s/2 for s = lo + hi,
+    and s - s/2 is s/2 exactly (Sterbenz). Where x is hi, adjacent nodes
+    whose sum rounds to 2*hi, `mirror_points` takes lo as its mirror.
 
     A random point mid + u*(hi - mid) is at least mid, but rounding could
-    carry it past hi: a block where it does raises the validation error."""
+    carry it past hi: a block where it does raises the validation error.
+    That cannot happen in a block whose first node is >= 0, which skips the
+    scans: there s is in [hi, 2*hi], so mid is in [hi/2, hi] and
+    d = hi - mid is exact (Sterbenz, or both multiples of 2**-1074 below
+    2**-1021 where halving s rounds), fl(u*d) <= d for u < 1, and
+    mid + fl(u*d) rounds to at most mid + d = hi."""
     if not _is_policy(stored):
         for start in range(0, len(stored), _BLOCK):
-            yield nodes[start:start + _BLOCK + 1], stored[start:start + _BLOCK]
+            yield nodes[start:start + _BLOCK + 1], stored[start:start + _BLOCK], False
         return
     policy, seed = stored
     rng = random.Random(seed)
-    for start in range(0, _subintervals(nodes), _BLOCK):
-        lows = _nodes_of(nodes, start, start + _BLOCK + 1)
+    for start, lows in _node_blocks(nodes):
         xs = _draw(policy, rng, lows)
-        if policy == "random":
+        mirrored = False
+        if policy == "midpoint":
+            mirrored = _halves_exact(lows) and not any(map(operator.eq, xs, lows[1:]))
+        elif policy == "random" and not lows[0] >= 0.0:
             if not all(map(math.isfinite, xs)):
                 raise ParameterError("partition values must be finite")
             if not all(map(operator.le, xs, lows[1:])):
                 raise _outside(lows, xs, start)
-        yield lows, xs
+        yield lows, xs, mirrored
+
+
+def _first_fault(blocks, misfit=None):
+    """The ParameterError of the first check that fails over ``blocks`` of
+    (start, lows, xs), or None: a node or point that is not finite, in any
+    block, then the first pair of nodes out of order, then ``misfit``, then
+    the first point outside its right half. A block adds its points'
+    check only while every pair so far is in order."""
+    unordered = outside = None
+    for start, lows, xs in blocks:
+        if not (all(map(math.isfinite, lows)) and all(map(math.isfinite, xs))):
+            return ParameterError("partition values must be finite")
+        if unordered is not None:
+            continue
+        # Whole-column checks first; the offending entry is located only
+        # when one fails, so the messages name the first bad pair or point.
+        highs = lows[1:]
+        if not all(map(operator.lt, lows, highs)):
+            lo, hi = next((lo, hi) for lo, hi in zip(lows, highs) if not lo < hi)
+            unordered = ParameterError(f"nodes must be strictly increasing, got {lo!r} >= {hi!r}")
+        elif outside is None and not (all(map(operator.le, xs, highs))
+                                      and all(map(operator.le, _midpoints(lows), xs))):
+            outside = _outside(lows, xs, start)
+    return unordered or misfit or outside
+
+
+def _in_order(lows):
+    """Whether the nodes ``lows`` are finite and strictly increasing."""
+    return all(map(math.isfinite, lows)) and all(map(operator.lt, lows, lows[1:]))
+
+
+def _admits_policy(nodes):
+    """Whether stored nodes are finite and strictly increasing, with lo + hi
+    finite at both ends, checked block by block, one block held at a
+    time. A stored tuple is one block, as its full slice is itself."""
+    n = _subintervals(nodes)
+    size = _BLOCK if _is_uniform(nodes) else n
+    return (all(_in_order(_nodes_of(nodes, start, start + size + 1))
+                for start in range(0, n, size))
+            and math.isfinite(sum(_nodes_of(nodes, 0, 2)))
+            and math.isfinite(sum(_nodes_of(nodes, n - 1, n + 1))))
 
 
 class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
@@ -169,7 +245,7 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         if not _is_policy(stored):
             return stored
         out = []
-        for _, xs in _blocks(self[0], stored):
+        for _, xs, _ in _blocks(self[0], stored):
             out += xs
         return tuple(out)
 
@@ -214,42 +290,36 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         wrappers. perfbench's tracer wraps it by this name as
         ``composite.Partition.init``.
 
-        Stored ``(a, b, n)`` needs no pass over its nodes where
-        `_proven_uniform` holds; otherwise its nodes are computed and
-        checked as stored ones are. A policy's points need no check once
-        the nodes are finite and strictly increasing and lo + hi is finite
-        at both ends: lo + hi grows with i, so it is finite throughout,
-        0.5 * (lo + hi) then lies in [lo, hi], and a random point
-        mid + u*(hi - mid), u >= 0, is at least mid. Otherwise the points
-        are drawn and checked as given points are, so the error is the one
-        they raise."""
+        Stored ``(a, b, n)`` needs n <= 2**53, and no pass over its nodes
+        where `_proven_uniform` holds; otherwise its nodes are computed and
+        checked block by block, never as a whole tuple, with the errors and
+        the order of checks of given nodes. A policy's points need no check
+        once the nodes are finite and strictly increasing and lo + hi is
+        finite at both ends: lo + hi grows with i, so it is finite
+        throughout, 0.5 * (lo + hi) then lies in [lo, hi], and a random
+        point mid + u*(hi - mid), u >= 0, is at least mid. Otherwise the
+        points are drawn block by block and checked as given points are, so
+        the error is the one they raise (`_first_fault`)."""
         nodes, xi = self[0], self[1]
         if _is_uniform(nodes):
+            if nodes[2] > 2**53:
+                raise ParameterError(f"need n <= 2**53 subintervals, got {nodes[2]!r}")
             if _proven_uniform(*nodes):
                 return
-            nodes = tuple(_nodes_of(nodes))
-        if _is_policy(xi):
-            if (len(nodes) > 1 and all(map(math.isfinite, nodes))
-                    and all(map(operator.lt, nodes, nodes[1:]))
-                    and math.isfinite(nodes[0] + nodes[1])
-                    and math.isfinite(nodes[-2] + nodes[-1])):
-                return
-            xi = _draw(xi[0], random.Random(xi[1]), nodes)
-        if len(nodes) < 2:
+        if _subintervals(nodes) < 1:
             raise ParameterError("a partition needs at least two nodes")
-        if not (all(map(math.isfinite, nodes)) and all(map(math.isfinite, xi))):
-            raise ParameterError("partition values must be finite")
-        # Whole-column checks first; the offending entry is located only
-        # when one fails, so the messages name the first bad pair or point.
-        rights = nodes[1:]
-        if not all(map(operator.lt, nodes, rights)):
-            lo, hi = next((lo, hi) for lo, hi in zip(nodes, rights) if not lo < hi)
-            raise ParameterError(f"nodes must be strictly increasing, got {lo!r} >= {hi!r}")
-        if len(xi) != len(nodes) - 1:
-            raise ParameterError(
+        if _is_policy(xi):
+            if _admits_policy(nodes):
+                return
+            policy, rng = xi[0], random.Random(xi[1])
+            fault = _first_fault((start, lows, _draw(policy, rng, lows))
+                                 for start, lows in _node_blocks(nodes))
+        else:
+            misfit = None if len(xi) == len(nodes) - 1 else ParameterError(
                 f"expected {len(nodes) - 1} intermediate points, got {len(xi)}")
-        if not (all(map(operator.le, xi, rights)) and all(map(operator.le, _midpoints(nodes), xi))):
-            raise _outside(nodes, xi)
+            fault = _first_fault([(0, nodes, xi)], misfit)
+        if fault is not None:
+            raise fault
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int, xi_policy: str = "midpoint",
@@ -257,7 +327,8 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         """n equal subintervals of [a, b] with intermediate points chosen by
         policy: the subinterval midpoint, the right node, or uniform random
         within the admissible right half (deterministic under the integer
-        ``seed``). The endpoints are stored as ``(float(a), float(b), n)``."""
+        ``seed``). The endpoints are stored as ``(float(a), float(b), n)``,
+        with 1 <= n <= 2**53."""
         try:
             n = operator.index(n)
         except TypeError:
@@ -384,9 +455,16 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
       n + 1 points in all;
     - otherwise over the n points and their n mirrors.
 
-    f'' is evaluated once per node. Raises DomainError when a value or bound
-    is not finite, and ParameterError when a bound overflows, or when a
-    random point drawn here falls outside its right half.
+    f'' is evaluated once per node. Each block skips the work its shape
+    makes exactly redundant, so the bits are those of the formulas above:
+    a midpoint block whose halves are exact takes its mirrors as its points
+    without computing them (`_blocks`); a random block whose first node is
+    >= 0 skips the checks that its points are finite and at most hi; and
+    where every mirror is its xi, or every xi is hi, the bound drops the
+    cube that is a zero (`kernel._mirrored_bounds`, `kernel._right_bounds`).
+    Raises DomainError when a value or bound is not finite, and
+    ParameterError when a bound overflows, or when a random point drawn
+    here falls outside its right half.
     """
     nodes = part[0]
     n = _subintervals(nodes)
@@ -394,10 +472,11 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
     require_domain(ft, span)
     values, bounds = _column_buffer(n), _column_buffer(n)
     g_last = carry = None
-    for lows, xs in _blocks(nodes, part[1]):
+    for lows, xs, mirrored in _blocks(nodes, part[1]):
         highs = lows[1:]
         within = (lows[0], lows[-1])
-        if xs == highs:
+        right = not mirrored and xs == highs
+        if right:
             # Each mirror is its lo. The first node, unless the block before
             # carried it, runs after the others, so an error at a point is
             # raised before one at a mirror, as on other rows.
@@ -410,8 +489,10 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
             carry = fx[-1], dx[-1]
         else:
             carry = None
-            mirrors = mirror_points(lows, highs, xs)
-            if all(map(operator.eq, mirrors, xs)):
+            if not mirrored:
+                mirrors = mirror_points(lows, highs, xs)
+                mirrored = all(map(operator.eq, mirrors, xs))
+            if mirrored:
                 # f'(x) - f'(x) is +0.0 wherever f' is finite: skip f'.
                 fx = fm = column(ft.f, xs, within)
                 dx = dm = repeat(0.0)
@@ -429,7 +510,12 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
         g_last = g[-1]
         values.write(_pack(two_point_totals(lows, highs, xs, fx, fm, dx, dm)))
         try:
-            bounds.write(_pack(convex_bounds(lows, highs, xs, g)))
+            if right:
+                bounds.write(_pack(_right_bounds(lows, highs, g)))
+            elif mirrored:
+                bounds.write(_pack(_mirrored_bounds(highs, xs, g)))
+            else:
+                bounds.write(_pack(convex_bounds(lows, highs, xs, g)))
         except OverflowError:
             raise overflow_error("composite bound", span, n=n) from None
     values, bounds = values.getvalue(), bounds.getvalue()

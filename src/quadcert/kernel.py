@@ -47,6 +47,32 @@ def convex_bounds(lows, highs, xs, g):
             for lo, hi, x, glo, ghi in zip(lows, highs, xs, g, g[1:])]
 
 
+# convex_bounds of blocks whose shape makes one of its cubes a zero. The
+# cube kept is of a difference that is >= 0 and never -0.0, and adding
+# +-0.0 to it changes no bit, so these give the bits of convex_bounds, and
+# an OverflowError rises from the same cube as there.
+
+def _mirrored_bounds(highs, xs, g):
+    """convex_bounds where every mirror fl(s - x), s = fl(lo + hi), equals its
+    x and no x is hi: (hi - x)**3 * (|f''(lo)| + |f''(hi)|) / 6.
+
+    Such an x is mid = fl(s/2), so (x - mid)**3 is a zero. For x > 0,
+    fl(s - x) > 0 needs s > x, so x, being >= mid, is in [s/2, s] where s/2
+    is exact, and s - x is then exact (Sterbenz); for x < 0, s - x <= s/2
+    <= x, so fl(s - x) = x forces x = s/2. Where s/2 rounds, |s| < 2**-1021
+    and s - x is exact, so x = s/2 would be a float. x = 0 needs s = 0."""
+    return [(hi - x) ** 3 * (glo + ghi) / 6.0 for hi, x, glo, ghi in zip(highs, xs, g, g[1:])]
+
+
+def _right_bounds(lows, highs, g):
+    """convex_bounds where every x equals hi: (hi - mid)**3 * (|f''(lo)| +
+    |f''(hi)|) / 6. (hi - x)**3 is a zero, and x - mid is hi - mid, which
+    validation keeps >= 0; it is never -0.0, as mid is +0.0 only where
+    lo + hi >= 0, and then hi > 0."""
+    return [(hi - 0.5 * (lo + hi)) ** 3 * (glo + ghi) / 6.0
+            for lo, hi, glo, ghi in zip(lows, highs, g, g[1:])]
+
+
 def overflow_error(subject, iv, **named):
     """ParameterError for a bound quantity that overflows the float range
     on ``iv``, naming the arguments it was taken at."""

@@ -49,7 +49,7 @@ def two_point_totals(lows, highs, xs, fx, fm, dx, dm):
     """Two-point rule values in total form from f and f' at x (fx, dx) and at its
     mirror (fm, dm, see `mirror_points`); run per block by the composite rules, on
     one-element columns by the rules."""
-    return [(hh := 0.5 * (hi - lo)) * (u + v) - hh * (x - (lo + 3.0 * hi) / 4.0) * (du - dv)
+    return [(hh := 0.5 * (hi - lo)) * (u + v) - hh * (x - (lo + 3.0 * hi) * 0.25) * (du - dv)
             for lo, hi, x, u, v, du, dv in zip(lows, highs, xs, fx, fm, dx, dm)]
 
 

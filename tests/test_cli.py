@@ -301,6 +301,14 @@ def test_overflow_is_a_usage_error(capsys, argv):
     assert "out of range" not in err and "math range error" not in err
 
 
+def test_composite_refuses_more_than_2_53_subintervals(capsys):
+    """n above 2**53 is bad input, refused before any node is computed."""
+    code, out, err = run_cli(capsys, "composite", "--function", "exp", "--a", "0", "--b", "1",
+                             "--n", str(2**60))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: need n <= 2**53 subintervals, got {2**60}\n"
+
+
 def test_cli_import_leaves_numpy_out():
     """numpy is test-only; the exact sup norms need neither fractions nor
     decimal. The records are named tuples, so start-up skips dataclasses

@@ -30,7 +30,7 @@ from quadcert.composite import (
 from quadcert.errors import DomainError, ParameterError
 from quadcert.functions import FunctionTriple, Interval, register_builtin
 from quadcert.oracle import integrate
-from quadcert.rules import generalized_rule, perturbed_trapezoid_rule
+from quadcert.rules import generalized_rule, mirror_points, perturbed_trapezoid_rule
 
 POWER2 = register_builtin("power", [2.0])
 
@@ -402,6 +402,132 @@ def test_right_blocks_among_other_blocks_match_the_reference():
     approx, bound, values, bounds = _reference_kernel(ft, part)
     assert _bits((res.approx, res.remainder_bound)) == _bits((approx, bound))
     assert _bits(res.values) == _bits(values) and _bits(res.bounds) == _bits(bounds)
+
+
+def _assert_matches_reference(ft, part, *results):
+    approx, bound, values, bounds = _reference_kernel(ft, part)
+    for res in results:
+        assert _bits((res.approx, res.remainder_bound)) == _bits((approx, bound))
+        assert _bits(res.values) == _bits(values) and _bits(res.bounds) == _bits(bounds)
+
+
+def _midpoint_partition(nodes):
+    """The given-points partition of the midpoints of ``nodes``."""
+    return Partition(nodes, [0.5 * (lo + hi) for lo, hi in zip(nodes, nodes[1:])])
+
+
+def test_adjacent_float_midpoints_match_the_reference():
+    """Between adjacent floats, lo + hi rounds to 2*lo or 2*hi, so each
+    midpoint is lo or hi, and where it is hi its mirror is lo, not itself.
+    A midpoint block that took every mirror as its point without ruling
+    out x == hi would move value 1 of the first three nodes to
+    1.3389122130186548e-16."""
+    ft = register_builtin("reciprocal")
+    nodes = [float.fromhex("0x1.a88c9c45b7682p+0")]
+    while len(nodes) < 2 * _BLOCK + 4:
+        nodes.append(math.nextafter(nodes[-1], math.inf))
+    assert nodes[2] == float.fromhex("0x1.a88c9c45b7684p+0")
+    first = composite_midpoint(ft, nodes[:3])
+    assert first.values[1] == 1.338912213018655e-16
+    _assert_matches_reference(ft, _midpoint_partition(nodes[:3]), first)
+    part = _midpoint_partition(nodes)
+    _assert_matches_reference(ft, part, composite_midpoint(ft, nodes),
+                              composite_generalized(ft, part))
+
+
+@pytest.mark.parametrize("span,n", [
+    ((-2.0**-1020, 2.0**-1020), 2 * _BLOCK + 3), ((-2.0**-1021, 3 * 2.0**-1021), 2 * _BLOCK + 3),
+    ((0.0, 2.0**-1015), 2 * _BLOCK + 3), ((-1e-319, 3e-319), 2 * _BLOCK + 3),
+    # lo + hi = 3 * 2**-1074 halves to 2 * 2**-1074, whose mirror is 2**-1074
+    ((2.0**-1074 - 2.0**-1021, 2.0**-1021 + 2.0**-1073), 1),
+])
+@pytest.mark.parametrize("xi_policy", XI_POLICIES)
+def test_subnormal_sums_match_the_reference(span, n, xi_policy):
+    """Spans, about 0 or on one side, where lo + hi is below 2**-1021 in some
+    blocks: halving it may round there, so those midpoint blocks compute
+    their mirrors, while the others take them as their points. f = 1e308 x
+    keeps a value that a rounded half would move above the underflow."""
+    for ft in (register_builtin("exp"), POWER2, SINE, register_builtin("poly", [1e308, 0.0])):
+        part = Partition.uniform(*span, n, xi_policy, seed=11)
+        _assert_matches_reference(ft, part, composite_generalized(ft, part))
+
+
+def test_neglog_midpoint_at_one_matches_the_reference():
+    """f = -log x is -0.0 at 1.0: the value of the subinterval whose
+    midpoint is 1.0 has the sign the per-subinterval loop gives it."""
+    ft = register_builtin("neglog")
+    for part in (Partition.uniform(0.5, 1.5, 1), Partition.uniform(0.5, 1.5, 2 * _BLOCK + 3)):
+        assert 1.0 in part.xi
+        _assert_matches_reference(ft, part, composite_generalized(ft, part),
+                                  composite_midpoint(ft, part.nodes))
+
+
+@pytest.mark.parametrize("span", [(0.0, 1.0), (-0.0, 1.0), (-2.0, -0.5), (-1.0, 2.0)])
+def test_random_rows_about_zero_match_the_reference(span):
+    """Random blocks whose first node is >= 0 skip the checks that their
+    points are finite and at most hi; blocks on negative nodes keep them.
+    Rows start at 0.0 and -0.0, lie below 0 or cross it."""
+    for seed, ft in enumerate((register_builtin("exp"), register_builtin("power", [3.0]), SINE)):
+        part = Partition.uniform(*span, 2 * _BLOCK + 3, "random", seed=seed)
+        _assert_matches_reference(ft, part, composite_generalized(ft, part))
+
+
+def test_midpoint_blocks_skip_the_mirror_pass(monkeypatch):
+    """A midpoint block whose sums halve exactly computes no mirrors; one
+    with an x at hi, from adjacent nodes, does."""
+    calls = []
+    monkeypatch.setattr(composite, "mirror_points",
+                        lambda *columns: calls.append(len(columns[2])) or mirror_points(*columns))
+    ft = register_builtin("exp")
+    composite_generalized(ft, Partition.uniform(0.5, 2.0, 2 * _BLOCK + 3))
+    composite_midpoint(ft, Partition.uniform(-2.0, -0.5, 2 * _BLOCK + 3).nodes)
+    assert calls == []
+    after = math.nextafter(1.0, 2.0)
+    composite_midpoint(ft, (1.0, after, math.nextafter(after, 2.0)))
+    assert calls == [2]
+
+
+def test_subintervals_above_2_53_are_refused():
+    """n above 2**53, where n - i, i and n stop being exact floats, is
+    refused before a node is computed; `.nodes` would take 32 B a node."""
+    for n in (2**53 + 1, 2**60):
+        with pytest.raises(ParameterError, match=rf"^need n <= 2\*\*53 subintervals, got {n}$"):
+            Partition.uniform(0.0, 1.0, n)
+
+
+def test_unproven_uniform_nodes_are_checked_a_block_at_a_time():
+    """Where the rounding bound fails, the nodes are computed and checked
+    one block at a time: 2**20 subintervals peak under two blocks of
+    floats in a list, where their tuple would take 32 MB."""
+    n = 2**20
+    span = (1.0, 1.0 + 2**-31)  # nodes 1 + i * 2**-51: valid, yet below the bound
+    assert not composite._proven_uniform(*span, n)
+    tracemalloc.start()
+    try:
+        part = Partition.uniform(*span, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 32 * (_BLOCK + 1)
+    assert part[0] == (*span, n)
+
+
+def test_validation_order_holds_across_blocks():
+    """Nodes that fail the policy check are checked block by block in the
+    order of given points: a value that is not finite, in any block, then
+    the first pair out of order, then the first point outside its half."""
+    base = [float(i) for i in range(3 * _BLOCK)]
+    unordered = base[:5] + [4.0] + base[6:]
+    with pytest.raises(ParameterError, match=r"^partition values must be finite$"):
+        composite_midpoint(CONST, unordered[:-1] + [math.inf])
+    huge = [1e308, 1.7e308]  # the last lo + hi overflows
+    with pytest.raises(ParameterError,
+                       match=r"^nodes must be strictly increasing, got 4\.0 >= 4\.0$"):
+        composite_perturbed_trapezoid(CONST, unordered[:-2] + huge)
+    nodes = base[:-2] + huge
+    with pytest.raises(ParameterError, match=rf"^xi\[{len(nodes) - 2}\]=1\.7e\+308 outside the "
+                                             r"admissible right half \[inf, 1\.7e\+308\]$"):
+        composite_perturbed_trapezoid(CONST, nodes)
 
 
 def test_result_retains_16_bytes_per_subinterval():
