@@ -13,11 +13,11 @@ import math
 import operator
 import random
 import struct
-from itertools import count, islice, pairwise, repeat
+from itertools import chain, count, islice, pairwise, repeat
 
 from ._backend import column
 from .errors import DomainError, ParameterError
-from .functions import FunctionTriple, Interval, record_base, require_domain
+from .functions import FunctionTriple, Interval, require_domain
 from .kernel import _mirrored_bounds, _right_bounds, convex_bounds, overflow_error
 from .rules import mirror_points, two_point_totals
 
@@ -202,93 +202,69 @@ def _admits_policy(nodes):
             and math.isfinite(sum(_nodes_of(nodes, n - 1, n + 1))))
 
 
-class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
-    """Division nodes x_0 < ... < x_n, a tuple of floats, with intermediate
-    points xi_i.
+def _floats(values):
+    """``values`` as a tuple of floats. A value too large for a float is not
+    finite, so it gets the error an infinite one gets."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ParameterError("partition values must be finite") from None
 
-    A partition built from given points stores them as tuples of floats.
-    One built by `uniform`, or by the composite wrappers, stores its xi
-    policy as ``(name, seed)`` instead and draws the points where they are
-    used: the kernel draws them block by block and never holds them all,
-    and ``.xi``, iteration and unpacking materialise them as a tuple on
-    each access. `uniform` stores ``(a, b, n)`` in place of its nodes
-    too: the kernel computes them block by block, and ``.nodes``
-    materialises them on each access. Copying, pickling and
-    ``_replace`` keep what is stored. Equality and hashing compare the
-    nodes by value and the points as stored, so such a partition equals
-    one with the same nodes and policy, not one built from its points.
+
+class Partition:
+    """Division nodes x_0 < ... < x_n with intermediate points xi_i.
+
+    ``Partition(nodes, xi)`` stores the given nodes and points as tuples of
+    floats. `uniform` stores ``(a, b, n)`` in place of the nodes, and it
+    and the composite wrappers store the xi policy as ``(name, seed)`` in
+    place of the points: the kernel computes them block by block and never
+    holds them all, and ``.nodes`` and ``.xi`` build them as tuples on each
+    access. Equality, hashing, copies and pickles go by what is stored, so
+    a uniform partition does not equal one of its nodes and points given in
+    full; pickle protocols 0 and 1 refuse it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_nodes", "_xi")
 
-    def __new__(cls, nodes, xi):
-        self = tuple.__new__(cls, (tuple(map(float, nodes)), tuple(map(float, xi))))
+    def __init__(self, nodes, xi):
+        self._nodes, self._xi = _floats(nodes), _floats(xi)
         self.__post_init__()
-        return self
 
     @classmethod
     def _of_policy(cls, nodes, policy, seed=None):
         """Partition of the float tuple ``nodes``, or of the uniform nodes of
         ``(a, b, n)``, with the points of ``policy``; ``seed`` seeds the
         random one."""
-        self = tuple.__new__(cls, (nodes, (policy, seed)))
+        self = object.__new__(cls)
+        self._nodes, self._xi = nodes, (policy, seed)
         self.__post_init__()
         return self
 
     @property
     def nodes(self) -> tuple:
-        return tuple(_nodes_of(self[0]))
+        return tuple(_nodes_of(self._nodes))
 
     @property
     def xi(self) -> tuple:
-        stored = self[1]
-        if not _is_policy(stored):
-            return stored
-        out = []
-        for _, xs, _ in _blocks(self[0], stored):
-            out += xs
-        return tuple(out)
-
-    def __iter__(self):
-        # unpacking, _asdict and a _replace of xi see the nodes and points
-        return iter((self.nodes, self.xi))
+        if not _is_policy(self._xi):
+            return self._xi
+        return tuple(chain.from_iterable(xs for _, xs, _ in _blocks(self._nodes, self._xi)))
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
-        # (0.0, 1.0, 2) as (a, b, n) equals the node tuple (0.0, 1.0, 2.0)
-        same_form = _is_uniform(self[0]) == _is_uniform(other[0])
-        return self[1] == other[1] and (
-            same_form and self[0] == other[0] or self.nodes == other.nodes)
-
-    def __ne__(self, other):
-        return not self == other
+        return self._nodes == other._nodes and self._xi == other._xi
 
     def __hash__(self):
-        return hash((self.nodes, self[1]))
-
-    def _replace(self, **changes):
-        """Copy with ``changes`` to its fields, as a NamedTuple's. A policy
-        partition given no new ``xi`` keeps its policy and seed and draws no
-        points; over new ``nodes`` it is validated once, as `uniform` is."""
-        stored = self[1]
-        if not (_is_policy(stored) and changes.keys() <= {"nodes"}):
-            return super()._replace(**changes)
-        return self._of_policy(tuple(map(float, changes["nodes"])), *stored) if changes else self
-
-    def __reduce__(self):
-        stored = self[1]
-        if _is_policy(stored):
-            return self._of_policy, (self[0], *stored)
-        return self.__class__, tuple(self)
+        return hash((self._nodes, self._xi))
 
     def __repr__(self):
         return f"Partition(nodes={self.nodes!r}, xi={self.xi!r})"
 
     def __post_init__(self):
-        """Validation, run once by ``__new__``, `uniform` and the composite
-        wrappers. perfbench's tracer wraps it by this name as
-        ``composite.Partition.init``.
+        """Validation, run once by each constructor: ``__init__``,
+        `uniform` and the composite wrappers. perfbench's tracer wraps it by
+        this name as ``composite.Partition.init``.
 
         Stored ``(a, b, n)`` needs n <= 2**53, and no pass over its nodes
         where `_proven_uniform` holds; otherwise its nodes are computed and
@@ -300,7 +276,7 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         point mid + u*(hi - mid), u >= 0, is at least mid. Otherwise the
         points are drawn block by block and checked as given points are, so
         the error is the one they raise (`_first_fault`)."""
-        nodes, xi = self[0], self[1]
+        nodes, xi = self._nodes, self._xi
         if _is_uniform(nodes):
             if nodes[2] > 2**53:
                 raise ParameterError(f"need n <= 2**53 subintervals, got {nodes[2]!r}")
@@ -328,7 +304,7 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
         policy: the subinterval midpoint, the right node, or uniform random
         within the admissible right half (deterministic under the integer
         ``seed``). The endpoints are stored as ``(float(a), float(b), n)``,
-        with 1 <= n <= 2**53."""
+        with 1 <= n <= 2**53, and a < b is decided on those floats."""
         try:
             n = operator.index(n)
         except TypeError:
@@ -339,11 +315,12 @@ class Partition(record_base("Partition", [("nodes", tuple), ("xi", tuple)])):
             raise ParameterError(f"need an integer seed, got {seed!r}") from None
         if n < 1:
             raise ParameterError(f"need n >= 1 subintervals, got {n!r}")
+        a, b = _floats((a, b))
         if not a < b:
             raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
         if xi_policy not in XI_POLICIES:
             raise ParameterError(f"unknown xi policy {xi_policy!r}; expected one of {XI_POLICIES}")
-        return cls._of_policy((float(a), float(b), n), xi_policy,
+        return cls._of_policy((a, b, n), xi_policy,
                               seed if xi_policy == "random" else None)
 
 
@@ -370,8 +347,7 @@ def _unpacked(stored):
     return tuple(memoryview(stored).cast("d"))
 
 
-class CompositeResult(record_base("CompositeResult", [("approx", float), ("remainder_bound", float),
-                                                      ("values", tuple), ("bounds", tuple)])):
+class CompositeResult:
     """Composite approximation with its summed remainder bound.
 
     ``values`` and ``bounds`` hold the per-subinterval rule values and
@@ -379,47 +355,53 @@ class CompositeResult(record_base("CompositeResult", [("approx", float), ("remai
     are their exact-rounded sums (``math.fsum``), so results do not depend
     on how the per-subinterval work is scheduled.
 
-    Every result stores the two columns as packed doubles (``bytes``, 8 B
-    per entry, where a float in a tuple takes 32 B), so a caller that reads
-    only the sums never holds the tuples. ``.values``, ``.bounds``,
-    ``per_interval``, iteration and unpacking, ``repr``, ``_asdict``,
-    ``_replace``, pickling and copying materialise them as tuples on each
-    access; the constructor, and so ``_replace``, pickling and copying,
-    packs them again.
-
-    The constructor refuses columns of unequal length, and stores the sums
-    as given, without recomputing them: a caller that builds one sets them.
+    The two columns are stored as packed doubles (``bytes``, 8 B per entry,
+    where a float in a tuple takes 32 B), so a caller that reads only the
+    sums never holds the tuples; ``.values`` and ``.bounds`` build them on
+    each access. The constructor packs the columns, refusing ones of unequal
+    length, and stores the sums as given: a caller that builds one sets
+    them. Equality, hashing, copies and pickles go by what is stored;
+    pickle protocols 0 and 1 refuse it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_approx", "_remainder_bound", "_values", "_bounds")
 
-    def __new__(cls, approx, remainder_bound, values, bounds):
+    def __init__(self, approx, remainder_bound, values, bounds):
         if len(values) != len(bounds):
             raise ParameterError(
                 f"need one bound per value, got {len(values)} values and {len(bounds)} bounds")
-        return tuple.__new__(cls, (approx, remainder_bound, _pack(values), _pack(bounds)))
+        self._approx, self._remainder_bound = approx, remainder_bound
+        self._values, self._bounds = _pack(values), _pack(bounds)
 
     @classmethod
     def _of_packed(cls, approx, remainder_bound, values, bounds):
         """Result of columns already packed as doubles."""
-        return tuple.__new__(cls, (approx, remainder_bound, values, bounds))
+        self = object.__new__(cls)
+        self._approx, self._remainder_bound = approx, remainder_bound
+        self._values, self._bounds = values, bounds
+        return self
+
+    approx = property(operator.attrgetter("_approx"))
+    remainder_bound = property(operator.attrgetter("_remainder_bound"))
 
     @property
     def values(self) -> tuple:
-        return _unpacked(self[2])
+        return _unpacked(self._values)
 
     @property
     def bounds(self) -> tuple:
-        return _unpacked(self[3])
+        return _unpacked(self._bounds)
 
-    @property
-    def per_interval(self) -> tuple:
-        """(value, bound) pairs, one per subinterval."""
-        return tuple(zip(self.values, self.bounds))
+    def _stored(self):
+        return self._approx, self._remainder_bound, self._values, self._bounds
 
-    def __iter__(self):
-        # unpacking, _replace, _asdict, copying and pickling see the tuples
-        return iter((self.approx, self.remainder_bound, self.values, self.bounds))
+    def __eq__(self, other):
+        if not isinstance(other, CompositeResult):
+            return NotImplemented
+        return self._stored() == other._stored()
+
+    def __hash__(self):
+        return hash(self._stored())
 
     def __repr__(self):
         return (f"CompositeResult(approx={self.approx!r}, remainder_bound="
@@ -466,13 +448,13 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
     ParameterError when a bound overflows, or when a random point drawn
     here falls outside its right half.
     """
-    nodes = part[0]
+    nodes = part._nodes
     n = _subintervals(nodes)
     span = Interval(*_nodes_of(nodes, 0, 1), *_nodes_of(nodes, n, n + 1))
     require_domain(ft, span)
     values, bounds = _column_buffer(n), _column_buffer(n)
     g_last = carry = None
-    for lows, xs, mirrored in _blocks(nodes, part[1]):
+    for lows, xs, mirrored in _blocks(nodes, part._xi):
         highs = lows[1:]
         within = (lows[0], lows[-1])
         right = not mirrored and xs == highs
@@ -549,10 +531,10 @@ def composite_perturbed_trapezoid(ft: FunctionTriple, nodes) -> CompositeResult:
     h^2/8 times the first-derivative jump, with remainder bound
     h^3/48 * (|f''(lo)| + |f''(hi)|).
     """
-    return composite_generalized(ft, Partition._of_policy(tuple(map(float, nodes)), "right"))
+    return composite_generalized(ft, Partition._of_policy(_floats(nodes), "right"))
 
 
 def composite_midpoint(ft: FunctionTriple, nodes) -> CompositeResult:
     """Composite midpoint rule: h * f(mid) per subinterval, remainder bound
     h^3/48 * (|f''(lo)| + |f''(hi)|)."""
-    return composite_generalized(ft, Partition._of_policy(tuple(map(float, nodes)), "midpoint"))
+    return composite_generalized(ft, Partition._of_policy(_floats(nodes), "midpoint"))

@@ -63,6 +63,13 @@ def test_partition_validation():
                        match=r"^xi\[1\]=2\.5 outside the admissible right half \[1\.5, 2\.0\]$"):
         Partition((0.0, 1.0, 2.0, 3.0), (0.75, 2.5, 2.25))
     assert Partition((0, 0.5, 1), (0.25, 0.75)).nodes == (0.0, 0.5, 1.0)
+    # a value too large for a float is not finite
+    with pytest.raises(ParameterError, match=r"^partition values must be finite$"):
+        Partition.uniform(0, 10**400, 4)
+    with pytest.raises(ParameterError, match=r"^partition values must be finite$"):
+        Partition([0, 10**400], [1])
+    with pytest.raises(ParameterError, match=r"^partition values must be finite$"):
+        composite_midpoint(POWER2, [0, 10**400])
 
 
 CONST = register_builtin("poly", [1.0])
@@ -107,7 +114,8 @@ def test_uniform_constructor():
     for lo, hi in ((0, 1), (Fraction(0), Fraction(1)), (np.float64(0.0), np.float64(1.0))):
         for n in (1, 3, 4):
             part = Partition.uniform(lo, hi, n, "right")
-            assert part[0] == (0.0, 1.0, n) and all(x.__class__ is float for x in part[0][:2])
+            assert part._nodes == (0.0, 1.0, n)
+            assert all(x.__class__ is float for x in part._nodes[:2])
             assert part == Partition.uniform(0.0, 1.0, n, "right")
     as_numpy = Partition.uniform(np.float64(0.5), np.float64(2.0), 6)
     assert as_numpy == Partition.uniform(0.5, 2.0, 6)
@@ -215,7 +223,6 @@ def test_per_interval_consistency():
     assert res.approx == math.fsum(res.values)
     assert res.remainder_bound == math.fsum(res.bounds)
     assert all(b >= 0.0 for b in res.bounds)
-    assert res.per_interval == tuple(zip(res.values, res.bounds))
 
 
 # f(x) = sin x as plain callables, outside the registry.
@@ -378,16 +385,15 @@ def test_kernel_matches_per_subinterval_reference(corpus, rng, xi_policy, n):
 
 @pytest.mark.parametrize("xi_policy", XI_POLICIES)
 def test_packed_columns_read_as_the_reference(xi_policy):
-    """A kernel-built result stores packed doubles; its tuples, its pairs
-    and its unpacked fields are bit for bit the reference loop's."""
+    """A kernel-built result stores packed doubles; its sums and the tuples
+    it builds from them are bit for bit the reference loop's."""
     ft = register_builtin("exp")
     part = Partition.uniform(0.5, 2.0, 2 * _BLOCK + 3, xi_policy, seed=5)
     res = composite_generalized(ft, part)
     approx, bound, values, bounds = _reference_kernel(ft, part)
-    assert [_bits(pair) for pair in res.per_interval] == list(map(_bits, zip(values, bounds)))
-    got_approx, got_bound, got_values, got_bounds = res
-    assert _bits((got_approx, got_bound)) == _bits((approx, bound))
-    assert _bits(got_values) == _bits(values) and _bits(got_bounds) == _bits(bounds)
+    assert res._values.__class__ is res._bounds.__class__ is bytes
+    assert _bits((res.approx, res.remainder_bound)) == _bits((approx, bound))
+    assert _bits(res.values) == _bits(values) and _bits(res.bounds) == _bits(bounds)
 
 
 def test_right_blocks_among_other_blocks_match_the_reference():
@@ -509,7 +515,7 @@ def test_unproven_uniform_nodes_are_checked_a_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 32 * (_BLOCK + 1)
-    assert part[0] == (*span, n)
+    assert part._nodes == (*span, n)
 
 
 def test_validation_order_holds_across_blocks():
@@ -546,7 +552,7 @@ def test_result_retains_16_bytes_per_subinterval():
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(res[2]) == len(res[3]) == 8 * n
+        assert len(res._values) == len(res._bounds) == 8 * n
         assert retained <= 16 * n + 64 * _BLOCK
         assert peak <= 24 * n, policy
 
@@ -562,18 +568,20 @@ def test_uniform_partition_holds_no_nodes(xi_policy):
     finally:
         tracemalloc.stop()
     assert peak < 4096
-    assert part[0] == (0.5, 2.0, 10**6)
+    assert part._nodes == (0.5, 2.0, 10**6)
 
 
-def test_cli_import_leaves_array_out():
-    """Packed results need only struct and memoryview, which interpreter
-    start-up has loaded; array is an extension module that each cold CLI
-    process would pay to load."""
+@pytest.mark.parametrize("module", ["array", "dataclasses"])
+def test_cli_import_leaves_out(module):
+    """Modules each cold CLI process would pay to load. Packed results need
+    only struct and memoryview, which interpreter start-up has loaded, not
+    the array extension module. The composite records are plain slotted
+    classes, not dataclasses, whose import pulls in inspect."""
     src = str(Path(composite.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, quadcert.cli; print('array' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, quadcert.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
 
@@ -713,7 +721,7 @@ def test_determinism():
     r2 = composite_generalized(ft, part)
     assert r1.approx == r2.approx
     assert r1.remainder_bound == r2.remainder_bound
-    assert r1.per_interval == r2.per_interval
+    assert r1.values == r2.values and r1.bounds == r2.bounds
 
 
 def test_domain_enforcement():

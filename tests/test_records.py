@@ -3,6 +3,7 @@ field-by-field repr, defaults and validation messages callers rely on."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -88,8 +89,8 @@ def test_keyword_construction_and_defaults():
     assert KernelSpec(iv=Interval(0.0, 1.0), x=1.0).t1 == 0.0
     assert HolderPair(p=3.0, q=1.5).q == 1.5
     assert Partition(nodes=(0.0, 2.0), xi=(2.0,)).xi == (2.0,)
-    assert CompositeResult(approx=1.0, remainder_bound=0.0, values=(0.25, 0.75),
-                           bounds=(0.0, 0.0)).per_interval == ((0.25, 0.0), (0.75, 0.0))
+    res = CompositeResult(approx=1.0, remainder_bound=0.0, values=(0.25, 0.75), bounds=(0.0, 0.0))
+    assert res.values == (0.25, 0.75) and res.bounds == (0.0, 0.0)
     assert QuadratureEstimate(value=1.0, abs_error_estimate=0.0, subdivisions=1).subdivisions == 1
     assert PropositionReport(prop_id=1, lhs=0.0, rhs=1.0, holds=True, slack=1.0,
                              params={}, hypothesis_note="").holds
@@ -135,8 +136,10 @@ def test_partition_keeps_post_init_in_its_class_dict():
     (lambda: Partition([0.0, 1.0], []), "expected 1 intermediate points, got 0"),
     (lambda: Partition([0.0, 1.0, 2.0], [1.0, 1.2]),
      r"xi\[1\]=1.2 outside the admissible right half \[1.5, 2.0\]"),
-    (lambda: Partition.uniform(0.0, 1.0, 4)._replace(nodes=(0.0, 0.0)),
+    (lambda: composite_midpoint(register_builtin("exp"), (0.0, 0.0)),
      "nodes must be strictly increasing, got 0.0 >= 0.0"),
+    (lambda: Partition.uniform(Fraction(1, 10**400), Fraction(2, 10**400), 4),
+     r"need a < b, got \[0.0, 0.0\]"),
     (lambda: CompositeResult(5.0, 0.0, (1.0, 2.0), (0.5,)),
      "need one bound per value, got 2 values and 1 bounds"),
 ])
@@ -155,34 +158,31 @@ def test_records_are_tuples_and_replace_validates():
         HolderPair(2.0, 2.0)._replace(q=3.0)
     with pytest.raises(ParameterError, match=r"x=0.5 outside"):
         KernelSpec(Interval(0.0, 1.0), 0.75)._replace(iv=Interval(0.0, 2.0), x=0.5)
-    assert Partition([0, 1], [1])._replace(nodes=[0, 2]).nodes == (0.0, 2.0)
     cert = Certificate(RULE, 0.1, 0.1, "convex")._replace(bound_avg=0.2)
     assert cert.bound_avg == 0.2 and cert.params == {}
 
 
+def _copies(record):
+    return copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
+
+
 def test_kernel_built_composite_result_reads_as_built_from_tuples():
     """A result of the composite kernel stores its columns as packed doubles,
-    yet its repr, fields, _asdict, _replace, pickle and copies are those of
-    the record built from its tuples, and it hashes as a record does."""
+    yet its repr, fields, pickle and copies are those of the record built
+    from its tuples, and it hashes as a record does."""
     ft = register_builtin("power", [2.0])
     first, second = (composite_midpoint(ft, (0.0, 0.5, 1.0)) for _ in range(2))
-    assert first[2].__class__ is first[3].__class__ is bytes
-    as_tuples = CompositeResult(*first)
+    assert first._values.__class__ is first._bounds.__class__ is bytes
+    as_tuples = CompositeResult(first.approx, first.remainder_bound, first.values, first.bounds)
     assert repr(first) == repr(as_tuples) == (
         "CompositeResult(approx=0.3125, remainder_bound=0.020833333333333332, "
         "values=(0.03125, 0.28125), bounds=(0.010416666666666666, 0.010416666666666666))")
-    assert first == second and hash(first) == hash(second)
-    for name in CompositeResult._fields + ("per_interval",):
+    assert first == second == as_tuples and hash(first) == hash(second) == hash(as_tuples)
+    for name in ("approx", "remainder_bound", "values", "bounds"):
         with pytest.raises(AttributeError):
             setattr(first, name, 0.0)
-    assert first._asdict() == as_tuples._asdict()
-    assert first._replace(approx=2.0) == as_tuples._replace(approx=2.0)
-    for copied in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
+    for copied in _copies(first):
         assert copied == as_tuples and repr(copied) == repr(first)
-
-
-def _copies(record):
-    return copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
 
 
 def test_composite_results_copy_and_rebuild_equal():
@@ -191,47 +191,59 @@ def test_composite_results_copy_and_rebuild_equal():
     ft = register_builtin("power", [2.0])
     for built in (composite_midpoint(ft, (0.0, 0.5, 1.0)),
                   CompositeResult(1.0, 0.5, (1.0, 0.0), (0.5, 0.25))):
-        for copied in (*_copies(built), built._replace(), CompositeResult(*built),
-                       CompositeResult._make(built)):
-            assert copied[2].__class__ is copied[3].__class__ is bytes
+        rebuilt = CompositeResult(approx=built.approx, remainder_bound=built.remainder_bound,
+                                  values=built.values, bounds=built.bounds)
+        for copied in (*_copies(built), rebuilt):
+            assert copied._values.__class__ is copied._bounds.__class__ is bytes
             assert copied == built and hash(copied) == hash(built)
 
 
 @pytest.mark.parametrize("policy", ["midpoint", "right", "random"])
 def test_policy_partitions_copy_as_stored(policy, monkeypatch):
-    """Copies, pickles and ``_replace`` of a uniform partition keep its
-    ``(a, b, n)`` and ``(policy, seed)`` instead of materialising the nodes
-    and points, so they equal it, hash as it does and draw the same points.
-    ``_replace`` over new nodes validates them once and draws no points; it
-    equals a uniform partition with those nodes, as equality compares nodes
-    by value. New points make a given-points partition."""
+    """Copies and pickles of a uniform partition keep its ``(a, b, n)`` and
+    ``(policy, seed)`` instead of materialising the nodes and points, so
+    they equal it, hash as it does and draw the same points. Equality and
+    hashing compare what is stored and compute no node or point, so a
+    partition of the same nodes and points, given in full, is another
+    partition."""
     part = Partition.uniform(0.0, 1.0, 4, policy, seed=3)
-    for copied in _copies(part):
-        assert copied == part and hash(copied) == hash(part)
-        assert copied[0] == part[0] == (0.0, 1.0, 4)
-        assert copied[1] == part[1] and copied[1][0] == policy
-        assert copied.xi == part.xi
-    assert len({part, *_copies(part)}) == 1
     given = Partition(part.nodes, part.xi)
+    with monkeypatch.context() as patched:
+        # a node or point computed here would raise TypeError
+        patched.setattr(composite, "_nodes_of", None)
+        patched.setattr(composite, "_draw", None)
+        copies = _copies(part)
+        for copied in copies:
+            assert copied == part and hash(copied) == hash(part)
+            assert copied._nodes == part._nodes == (0.0, 1.0, 4)
+            assert copied._xi == part._xi and copied._xi[0] == policy
+        assert len({part, *copies}) == 1
+        assert part != given
+    for copied in copies:
+        assert copied.xi == part.xi
     for copied in _copies(given):
         assert copied == given and hash(copied) == hash(given)
 
-    validated = []
-    original = vars(Partition)["__post_init__"]
-    with monkeypatch.context() as patched:
-        patched.setattr(composite, "_draw", None)  # a draw would raise TypeError
-        patched.setattr(Partition, "__post_init__",
-                        lambda self: validated.append(self) or original(self))
-        same = part._replace()
-        fewer = part._replace(nodes=(0.0, 0.5, 1.0))
-    assert same == part and hash(same) == hash(part) and same[1] == part[1]
-    assert validated == [fewer] and fewer[1] == part[1]
-    assert fewer == Partition.uniform(0.0, 1.0, 2, policy, seed=3)
-    assert not fewer != Partition.uniform(0.0, 1.0, 2, policy, seed=3)
-    # the nodes (0.0, 1.0, 2.0) are not those of a = 0.0, b = 1.0, n = 2
-    assert part._replace(nodes=(0.0, 1.0, 2.0)) != Partition.uniform(0.0, 1.0, 2, policy, seed=3)
-    assert fewer.xi == Partition.uniform(0.0, 1.0, 2, policy, seed=3).xi
-    assert part._replace(xi=part.xi) == given and given._replace() == given
-    for record in (part, given):
-        with pytest.raises(ValueError, match=r"unexpected field names: \['seed'\]"):
-            record._replace(seed=4)
+
+def test_composite_records_pickle_whole_or_not_at_all():
+    """At every pickle protocol a partition or a result either loads equal
+    to the original and reads as it does, or is refused by ``dumps``:
+    protocols 0 and 1 cannot store slots. Neither record is a tuple."""
+    ft = register_builtin("power", [2.0])
+    records = (Partition.uniform(0.0, 1.0, 4, "random", seed=3), Partition([0, 0.5, 1], [0.5, 1]),
+               composite_midpoint(ft, (0.0, 0.5, 1.0)),
+               CompositeResult(1.0, 0.5, (1.0, 0.0), (0.5, 0.25)))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for record in records:
+            try:
+                data = pickle.dumps(record, protocol)
+            except TypeError:
+                assert protocol < 2, (protocol, record)
+                continue
+            loaded = pickle.loads(data)
+            assert loaded == record and repr(loaded) == repr(record), (protocol, record)
+            fields = ("nodes", "xi") if isinstance(record, Partition) else ("values", "bounds")
+            for name in fields:
+                assert getattr(loaded, name) == getattr(record, name), (protocol, name)
+    with pytest.raises(TypeError):
+        Partition.uniform(0, 1, 4)[0]
