@@ -8,11 +8,9 @@ established, even though the composite sum itself could be formed for any
 placement.
 """
 
-import io
 import math
 import operator
 import random
-import struct
 from itertools import chain, count, islice, pairwise, repeat
 
 from ._backend import column
@@ -204,11 +202,19 @@ def _admits_policy(nodes):
 
 def _floats(values):
     """``values`` as a tuple of floats. A value too large for a float is not
-    finite, so it gets the error an infinite one gets."""
+    finite, so it gets the error an infinite one gets. ldexp(v, 0) is v
+    converted as a real number is, by ``__float__`` or ``__index__``, where
+    float(v) would also parse a str, bytes or buffer; None, complex and
+    text are not real numbers."""
+    values = tuple(values)
+    if set(map(type, values)) <= {float}:
+        return values
     try:
-        return tuple(map(float, values))
+        return tuple(map(math.ldexp, values, repeat(0)))
     except OverflowError:
         raise ParameterError("partition values must be finite") from None
+    except TypeError:
+        raise ParameterError("partition values must be real numbers") from None
 
 
 class Partition:
@@ -324,109 +330,58 @@ class Partition:
                               seed if xi_policy == "random" else None)
 
 
-def _pack(entries):
-    """A column of floats as packed native doubles."""
-    return struct.pack(f"{len(entries)}d", *entries)
-
-
-def _column_buffer(n):
-    """A buffer for a column of n packed doubles, allocated once at its
-    full size and positioned at its start. Its getvalue() hands over the
-    buffer without a copy, where joining per-block chunks held a column
-    twice; and it never grows, where growing reallocates, and so may copy,
-    at each step."""
-    buffer = io.BytesIO()
-    buffer.seek(8 * n - 1)
-    buffer.write(b"\0")
-    buffer.seek(0)
-    return buffer
-
-
-def _unpacked(stored):
-    """A packed column as a tuple of floats."""
-    return tuple(memoryview(stored).cast("d"))
-
-
 class CompositeResult:
     """Composite approximation with its summed remainder bound.
 
-    ``values`` and ``bounds`` hold the per-subinterval rule values and
-    remainder bounds, in partition order. ``approx`` and ``remainder_bound``
-    are their exact-rounded sums (``math.fsum``), so results do not depend
-    on how the per-subinterval work is scheduled.
-
-    The two columns are stored as packed doubles (``bytes``, 8 B per entry,
-    where a float in a tuple takes 32 B), so a caller that reads only the
-    sums never holds the tuples; ``.values`` and ``.bounds`` build them on
-    each access. The constructor packs the columns, refusing ones of unequal
-    length, and stores the sums as given: a caller that builds one sets
-    them. Equality, hashing, copies and pickles go by what is stored;
-    pickle protocols 0 and 1 refuse it.
+    ``approx`` and ``remainder_bound`` are the correctly rounded sums
+    (``math.fsum``) of the rule values and the remainder bounds of the
+    subintervals, so results do not depend on how the per-subinterval work
+    is scheduled. A result holds these two floats and no per-subinterval
+    column; the constructor stores them as given. Equality, hashing, copies
+    and pickles go by the two sums; pickle protocols 0 and 1 refuse it.
     """
 
-    __slots__ = ("_approx", "_remainder_bound", "_values", "_bounds")
+    __slots__ = ("_approx", "_remainder_bound")
 
-    def __init__(self, approx, remainder_bound, values, bounds):
-        if len(values) != len(bounds):
-            raise ParameterError(
-                f"need one bound per value, got {len(values)} values and {len(bounds)} bounds")
+    def __init__(self, approx, remainder_bound):
         self._approx, self._remainder_bound = approx, remainder_bound
-        self._values, self._bounds = _pack(values), _pack(bounds)
-
-    @classmethod
-    def _of_packed(cls, approx, remainder_bound, values, bounds):
-        """Result of columns already packed as doubles."""
-        self = object.__new__(cls)
-        self._approx, self._remainder_bound = approx, remainder_bound
-        self._values, self._bounds = values, bounds
-        return self
 
     approx = property(operator.attrgetter("_approx"))
     remainder_bound = property(operator.attrgetter("_remainder_bound"))
 
-    @property
-    def values(self) -> tuple:
-        return _unpacked(self._values)
-
-    @property
-    def bounds(self) -> tuple:
-        return _unpacked(self._bounds)
-
-    def _stored(self):
-        return self._approx, self._remainder_bound, self._values, self._bounds
-
     def __eq__(self, other):
         if not isinstance(other, CompositeResult):
             return NotImplemented
-        return self._stored() == other._stored()
+        return (self.approx, self.remainder_bound) == (other.approx, other.remainder_bound)
 
     def __hash__(self):
-        return hash(self._stored())
+        return hash((self.approx, self.remainder_bound))
 
     def __repr__(self):
-        return (f"CompositeResult(approx={self.approx!r}, remainder_bound="
-                f"{self.remainder_bound!r}, values={self.values!r}, bounds={self.bounds!r})")
+        return f"CompositeResult(approx={self.approx!r}, remainder_bound={self.remainder_bound!r})"
 
 
-def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResult:
-    """Two-point rule with derivative correction summed over the partition.
+def _span(nodes):
+    """The interval from the first to the last of a partition's stored nodes."""
+    n = _subintervals(nodes)
+    return Interval(*_nodes_of(nodes, 0, 1), *_nodes_of(nodes, n, n + 1))
 
-    Per subinterval [lo, hi] with intermediate point xi:
+
+def _block_columns(ft, part):
+    """(values, bounds) per block of subintervals of ``part``: lists of the
+    rule value and the remainder bound of each subinterval, in partition
+    order. Per subinterval [lo, hi] with intermediate point xi:
       value = h/2 * [f(xi) + f(lo+hi-xi)]
               - h/2 * (xi - (lo+3hi)/4) * [f'(xi) - f'(lo+hi-xi)]
       bound = [(hi-xi)^3 + (xi-mid)^3] * (|f''(lo)| + |f''(hi)|) / 6
     where the mirror lo+hi-xi of xi = hi is lo itself (`rules.mirror_points`).
 
-    The partition is processed in blocks of subintervals, each evaluator
-    running as one column per block (`_backend.column`); the points of a
-    policy partition, and the nodes of a stored ``(a, b, n)``, are computed
-    per block, and each block's values and bounds are packed into doubles
-    and written to one buffer per column, sized once, as soon as they are
-    computed. Validation
-    has placed a block's nodes and points in [lows[0], lows[-1]], so their
-    columns are given that range in place of a domain pass over the points;
-    mirrors are given their own min and max. f and f' are evaluated once
-    per distinct point:
+    Each evaluator runs as one column per block (`_backend.column`); the
+    points of a policy partition, and the nodes of a stored ``(a, b, n)``,
+    are computed per block. Validation has placed a block's nodes and
+    points in [lows[0], lows[-1]], so their columns are given that range in
+    place of a domain pass over the points; mirrors are given their own min
+    and max. f and f' are evaluated once per distinct point:
 
     - in a block where every mirror lo+hi-xi equals its xi (the midpoint
       rule), one column of f serves both, and f' is not evaluated, since
@@ -444,17 +399,14 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
     >= 0 skips the checks that its points are finite and at most hi; and
     where every mirror is its xi, or every xi is hi, the bound drops the
     cube that is a zero (`kernel._mirrored_bounds`, `kernel._right_bounds`).
-    Raises DomainError when a value or bound is not finite, and
-    ParameterError when a bound overflows, or when a random point drawn
-    here falls outside its right half.
+    Raises DomainError where an evaluator does, and ParameterError when a
+    bound overflows, or when a random point drawn here falls outside its
+    right half.
     """
-    nodes = part._nodes
-    n = _subintervals(nodes)
-    span = Interval(*_nodes_of(nodes, 0, 1), *_nodes_of(nodes, n, n + 1))
+    span = _span(part._nodes)
     require_domain(ft, span)
-    values, bounds = _column_buffer(n), _column_buffer(n)
     g_last = carry = None
-    for lows, xs, mirrored in _blocks(nodes, part._xi):
+    for lows, xs, mirrored in _blocks(part._nodes, part._xi):
         highs = lows[1:]
         within = (lows[0], lows[-1])
         right = not mirrored and xs == highs
@@ -490,38 +442,106 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
             g = [g_last]
             g += map(abs, column(ft.f2, highs, within))
         g_last = g[-1]
-        values.write(_pack(two_point_totals(lows, highs, xs, fx, fm, dx, dm)))
         try:
-            if right:
-                bounds.write(_pack(_right_bounds(lows, highs, g)))
-            elif mirrored:
-                bounds.write(_pack(_mirrored_bounds(highs, xs, g)))
-            else:
-                bounds.write(_pack(convex_bounds(lows, highs, xs, g)))
+            bounds = (_right_bounds(lows, highs, g) if right
+                      else _mirrored_bounds(highs, xs, g) if mirrored
+                      else convex_bounds(lows, highs, xs, g))
         except OverflowError:
-            raise overflow_error("composite bound", span, n=n) from None
-    values, bounds = values.getvalue(), bounds.getvalue()
-    doubles = memoryview(values).cast("d"), memoryview(bounds).cast("d")
+            raise overflow_error("composite bound", span, n=_subintervals(part._nodes)) from None
+        yield two_point_totals(lows, highs, xs, fx, fm, dx, dm), bounds
+
+
+def _total(floats):
+    """math.fsum of ``floats``, or inf where it raises: on an intermediate
+    overflow, or on inf - inf."""
     try:
-        approx, total = map(math.fsum, doubles)
+        return math.fsum(floats)
     except (OverflowError, ValueError):
-        approx = total = math.inf
+        return math.inf
+
+
+def _exact_parts(column):
+    """Floats whose exact sum is the exact sum of ``column``.
+
+    Where no entry is negative, two parts do: the plain sum s, and math.fsum
+    of the column less s, which is that remainder correctly rounded, or inf
+    where the column's sum overflows (`_total`). Every entry, and s, which
+    is at least the least entry, is a multiple of u = ulp(least entry), and
+    so is the remainder. Summing m entries in turn errs by less than
+    1.02 * m * 2**-53 * s < 1.02 * m * ulp(s) (the compensated sum of
+    Python 3.12 and later errs less), so the remainder is a float, and the
+    second part exact, where m * ulp(s) <= 2**52 * u.
+
+    Otherwise each part is math.fsum of the column less the parts before
+    it: that remainder is exact, so the part is it correctly rounded, and
+    the next remainder, a multiple of 2**-1074, is at most half an ulp of
+    the part. These parts end at the first that is zero or not finite; the
+    first is math.fsum of the column, or inf where that raises. So
+    math.fsum of the parts of several columns is that of the columns
+    joined, signed zeros and non-finite sums included."""
+    total = sum(column)
+    if total and math.isfinite(total) and (least := min(column)) >= 0.0 \
+            and len(column) * math.ulp(total) <= 2.0**52 * math.ulp(least):
+        return [total, _total(chain(column, (-total,)))]
+    parts = [_total(column)]
+    while parts[-1] and math.isfinite(parts[-1]):
+        parts.append(math.fsum(chain(column, map(operator.neg, parts))))
+    return parts
+
+
+def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResult:
+    """Two-point rule with derivative correction summed over the partition;
+    the per-subinterval formulas, and how each block of subintervals is
+    computed, are those of `_block_columns`.
+
+    Each block's values and bounds are reduced as soon as they are
+    computed, so a row of any n holds one block's work, and its result its
+    two sums. The values of all blocks run through one math.fsum, and each
+    block's bounds become their exact parts (`_exact_parts`), summed once
+    at the end, so both sums are bit for bit math.fsum of the whole column.
+    Raises DomainError when a value or bound is not finite, naming the
+    first such subinterval, or, when every entry is finite, when a sum
+    overflows; an error raised while a block is computed comes first.
+    """
+    bound_parts, fault = [], None
+
+    def block_values():
+        nonlocal fault
+        try:
+            for start, (values, bounds) in zip(count(0, _BLOCK), _block_columns(ft, part)):
+                bound_parts.extend(parts := _exact_parts(bounds))
+                # parts[0] is not finite where a bound is not, or they overflow
+                if fault is None and not math.isfinite(sum(values) + parts[0]):
+                    fault = _not_finite(ft, part._nodes, start, values, bounds)
+                yield values
+        except (OverflowError, ValueError) as error:
+            # It comes first. Kept from math.fsum, which would take it for
+            # its own: DomainError and ParameterError are ValueErrors.
+            fault = error
+
+    blocks = block_values()
+    approx = _total(chain.from_iterable(blocks))
+    for _ in blocks:  # an overflow stops math.fsum; the later blocks still run
+        pass
+    if fault is not None:
+        raise fault
+    total = _total(bound_parts)
     if not (math.isfinite(approx) and math.isfinite(total)):
-        raise _not_finite(ft, nodes, span, *doubles)
-    return CompositeResult._of_packed(approx, total, values, bounds)
+        span = _span(part._nodes)
+        raise DomainError(
+            f"composite sum of {ft.id} overflows the float range on [{span.a!r}, {span.b!r}]")
+    return CompositeResult(approx, total)
 
 
-def _not_finite(ft, nodes, span, values, bounds):
-    """DomainError naming the first subinterval whose value or bound is not
-    finite, or the whole partition, ``span``, when only the sum overflows."""
-    for i, (value, bound) in enumerate(zip(values, bounds)):
+def _not_finite(ft, nodes, start, values, bounds):
+    """DomainError naming the first subinterval of a block, numbered from
+    ``start``, whose value or bound is not finite, or None."""
+    for i, (value, bound) in enumerate(zip(values, bounds), start):
         if not (math.isfinite(value) and math.isfinite(bound)):
             lo, hi = _nodes_of(nodes, i, i + 2)
             return DomainError(
                 f"composite rule of {ft.id} is not finite on subinterval {i}, "
                 f"[{lo!r}, {hi!r}]: value {value!r}, bound {bound!r}")
-    return DomainError(
-        f"composite sum of {ft.id} overflows the float range on [{span.a!r}, {span.b!r}]")
 
 
 def composite_perturbed_trapezoid(ft: FunctionTriple, nodes) -> CompositeResult:

@@ -44,8 +44,7 @@ RECORDS = {
         lambda: Partition([0, 1], [1]), "Partition(nodes=(0.0, 1.0), xi=(1.0,))",
         "nodes", True),
     "CompositeResult": (
-        lambda: CompositeResult(1.0, 0.5, (1.0,), (0.5,)),
-        "CompositeResult(approx=1.0, remainder_bound=0.5, values=(1.0,), bounds=(0.5,))",
+        lambda: CompositeResult(1.0, 0.5), "CompositeResult(approx=1.0, remainder_bound=0.5)",
         "approx", True),
     "Certificate": (
         lambda: Certificate(RULE, 0.1, 0.1, "convex"),
@@ -89,8 +88,8 @@ def test_keyword_construction_and_defaults():
     assert KernelSpec(iv=Interval(0.0, 1.0), x=1.0).t1 == 0.0
     assert HolderPair(p=3.0, q=1.5).q == 1.5
     assert Partition(nodes=(0.0, 2.0), xi=(2.0,)).xi == (2.0,)
-    res = CompositeResult(approx=1.0, remainder_bound=0.0, values=(0.25, 0.75), bounds=(0.0, 0.0))
-    assert res.values == (0.25, 0.75) and res.bounds == (0.0, 0.0)
+    res = CompositeResult(approx=1.0, remainder_bound=0.0)
+    assert res.approx == 1.0 and res.remainder_bound == 0.0
     assert QuadratureEstimate(value=1.0, abs_error_estimate=0.0, subdivisions=1).subdivisions == 1
     assert PropositionReport(prop_id=1, lhs=0.0, rhs=1.0, holds=True, slack=1.0,
                              params={}, hypothesis_note="").holds
@@ -140,8 +139,6 @@ def test_partition_keeps_post_init_in_its_class_dict():
      "nodes must be strictly increasing, got 0.0 >= 0.0"),
     (lambda: Partition.uniform(Fraction(1, 10**400), Fraction(2, 10**400), 4),
      r"need a < b, got \[0.0, 0.0\]"),
-    (lambda: CompositeResult(5.0, 0.0, (1.0, 2.0), (0.5,)),
-     "need one bound per value, got 2 values and 1 bounds"),
 ])
 def test_records_validate_with_the_same_messages(build, message):
     with pytest.raises(ParameterError, match=message):
@@ -167,34 +164,31 @@ def _copies(record):
 
 
 def test_kernel_built_composite_result_reads_as_built_from_tuples():
-    """A result of the composite kernel stores its columns as packed doubles,
-    yet its repr, fields, pickle and copies are those of the record built
-    from its tuples, and it hashes as a record does."""
+    """A result of the composite kernel holds its two sums and nothing
+    else: its repr, fields, pickle and copies are those of the record
+    built from the tuple of its sums, and it hashes as a record does."""
     ft = register_builtin("power", [2.0])
     first, second = (composite_midpoint(ft, (0.0, 0.5, 1.0)) for _ in range(2))
-    assert first._values.__class__ is first._bounds.__class__ is bytes
-    as_tuples = CompositeResult(first.approx, first.remainder_bound, first.values, first.bounds)
-    assert repr(first) == repr(as_tuples) == (
-        "CompositeResult(approx=0.3125, remainder_bound=0.020833333333333332, "
-        "values=(0.03125, 0.28125), bounds=(0.010416666666666666, 0.010416666666666666))")
-    assert first == second == as_tuples and hash(first) == hash(second) == hash(as_tuples)
+    sums = (first.approx, first.remainder_bound)
+    as_tuple = CompositeResult(*sums)
+    assert repr(first) == repr(as_tuple) == (
+        "CompositeResult(approx=0.3125, remainder_bound=0.020833333333333332)")
+    assert first == second == as_tuple and hash(first) == hash(second) == hash(as_tuple)
     for name in ("approx", "remainder_bound", "values", "bounds"):
         with pytest.raises(AttributeError):
             setattr(first, name, 0.0)
     for copied in _copies(first):
-        assert copied == as_tuples and repr(copied) == repr(first)
+        assert copied == as_tuple and repr(copied) == repr(first)
 
 
 def test_composite_results_copy_and_rebuild_equal():
-    """Every result stores packed doubles, so copies, pickles and a result
+    """Every result stores its two sums, so copies, pickles and a result
     rebuilt from its fields equal the original and hash as it does."""
     ft = register_builtin("power", [2.0])
-    for built in (composite_midpoint(ft, (0.0, 0.5, 1.0)),
-                  CompositeResult(1.0, 0.5, (1.0, 0.0), (0.5, 0.25))):
-        rebuilt = CompositeResult(approx=built.approx, remainder_bound=built.remainder_bound,
-                                  values=built.values, bounds=built.bounds)
+    for built in (composite_midpoint(ft, (0.0, 0.5, 1.0)), CompositeResult(1.0, 0.5)):
+        rebuilt = CompositeResult(approx=built.approx, remainder_bound=built.remainder_bound)
         for copied in (*_copies(built), rebuilt):
-            assert copied._values.__class__ is copied._bounds.__class__ is bytes
+            assert (copied.approx, copied.remainder_bound) == (built.approx, built.remainder_bound)
             assert copied == built and hash(copied) == hash(built)
 
 
@@ -231,8 +225,7 @@ def test_composite_records_pickle_whole_or_not_at_all():
     protocols 0 and 1 cannot store slots. Neither record is a tuple."""
     ft = register_builtin("power", [2.0])
     records = (Partition.uniform(0.0, 1.0, 4, "random", seed=3), Partition([0, 0.5, 1], [0.5, 1]),
-               composite_midpoint(ft, (0.0, 0.5, 1.0)),
-               CompositeResult(1.0, 0.5, (1.0, 0.0), (0.5, 0.25)))
+               composite_midpoint(ft, (0.0, 0.5, 1.0)), CompositeResult(1.0, 0.5))
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         for record in records:
             try:
@@ -242,7 +235,8 @@ def test_composite_records_pickle_whole_or_not_at_all():
                 continue
             loaded = pickle.loads(data)
             assert loaded == record and repr(loaded) == repr(record), (protocol, record)
-            fields = ("nodes", "xi") if isinstance(record, Partition) else ("values", "bounds")
+            fields = (("nodes", "xi") if isinstance(record, Partition)
+                      else ("approx", "remainder_bound"))
             for name in fields:
                 assert getattr(loaded, name) == getattr(record, name), (protocol, name)
     with pytest.raises(TypeError):
