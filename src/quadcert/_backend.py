@@ -83,11 +83,15 @@ def _powerlike(coef, expo, lo, hi, overflow):
 
 
 def _pow_column(xs, coef, expo):
-    """coef * x**expo over a column: the formula of `_powerlike`. Raises
-    OverflowError, so that `column` runs the scalar map, where the product
-    may have overflowed."""
+    """coef * x**expo over a column: the formula of `_powerlike`. A zero
+    coef gives zeros, as the scalar form does, and expo 0 gives coef at
+    every x, as math.pow(x, 0.0) is 1.0 for every x. Raises OverflowError,
+    so that `column` runs the scalar map, where the product may have
+    overflowed."""
     if coef == 0.0:
         return [0.0] * len(xs)
+    if expo == 0.0:
+        return [coef] * len(xs)
     powers = map(math.pow, xs, repeat(expo))
     if coef == 1.0:
         return list(powers)
@@ -250,6 +254,13 @@ def column(fn, xs, within):
     return list(map(fn, xs))
 
 
+def same_column(f, g):
+    """Whether ``g``'s column is ``f``'s over the same points: both carry an
+    equal ``batch``, so their values are equal (`make_func`)."""
+    batch = getattr(f, "batch", None)
+    return batch is not None and batch == getattr(g, "batch", None)
+
+
 def make_func(kind, params, deriv, lo, hi):
     """Build a scalar evaluator for one derivative of a registry function.
 
@@ -261,8 +272,12 @@ def make_func(kind, params, deriv, lo, hi):
     callable raises DomainError outside the domain, and where the value
     overflows the float range, rather than raising OverflowError or
     returning a non-finite value. For every kind but poly it also carries
-    the ``batch`` tuple that `column` runs. Every evaluator g but neglog's
-    f carries two exact answers about g on a concrete [a, b]:
+    the ``batch`` tuple that `column` runs. Evaluators with equal ``batch``
+    have equal values, and raise at the same points: the batch names the
+    formula, its arguments and its domain. Only exp's f, f' and f'' share
+    one, so the composite kernel evaluates f's column once for all three
+    where they run over the same points (`same_column`). Every evaluator g
+    but neglog's f carries two exact answers about g on a concrete [a, b]:
 
     - ``cuts = (points, args)``: ``points(a, b, *args)`` returns sorted
       points of [a, b], a and b included, between consecutive ones of which

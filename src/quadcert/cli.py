@@ -279,6 +279,8 @@ def _cmd_sweep(args):
                     for q in args.q_values or [None]:
                         try:
                             report = means.check_proposition(prop, a, b, p=p, q=q)
+                            corrected = means.check_proposition(
+                                prop, a, b, p=p, q=q, corrected=True) if args.corrected else None
                         except ParameterError as exc:
                             # e.g. a non-conjugate (p, q) cell hitting a
                             # Holder-based proposition in a mixed grid
@@ -292,10 +294,8 @@ def _cmd_sweep(args):
                         rows.append(_prop_row(report, "stated" if args.corrected else None))
                         if not report.holds:
                             violations += 1
-                        if args.corrected:
-                            rows.append(_prop_row(
-                                means.check_proposition(prop, a, b, p=p, q=q, corrected=True),
-                                "corrected"))
+                        if corrected is not None:
+                            rows.append(_prop_row(corrected, "corrected"))
     if not seen and last_error is not None:
         raise ParameterError(f"no valid grid cells: {last_error}")
     summary = {"total": len(seen), "holds": len(seen) - violations,

@@ -11,13 +11,13 @@ placement.
 import math
 import operator
 import random
-from itertools import chain, count, islice, pairwise, repeat
+from itertools import chain, count, islice, repeat
 
-from ._backend import column
+from ._backend import column, same_column
 from .errors import DomainError, ParameterError
 from .functions import FunctionTriple, Interval, require_domain
 from .kernel import _mirrored_bounds, _right_bounds, convex_bounds, overflow_error
-from .rules import mirror_points, two_point_totals
+from .rules import mirror_points, mirrored_totals, two_point_totals
 
 XI_POLICIES = ("midpoint", "right", "random")
 
@@ -28,8 +28,8 @@ _BLOCK = 4096
 
 
 def _midpoints(nodes):
-    """Lazy 0.5 * (lo + hi) over consecutive nodes."""
-    return map(operator.mul, repeat(0.5), map(operator.add, nodes, nodes[1:]))
+    """0.5 * (lo + hi) over consecutive nodes."""
+    return [0.5 * (lo + hi) for lo, hi in zip(nodes, nodes[1:])]
 
 
 def _outside(nodes, xi, start=0):
@@ -64,15 +64,16 @@ def _nodes_of(nodes, start=0, stop=None):
     of the tuple, or, of a stored ``(a, b, n)``, a list of the expression
     `Partition.uniform` gives, ((n - i) * a + i * b) / n.
 
-    n - i and i run as float counts, and n is converted once: they are
-    integers of at most 2**53, exact as floats, so each term is the same
-    IEEE operation on the same operands as the expression over ints."""
+    n - i runs as one float count j, with i = n - j, and n is converted
+    once: they are integers of at most 2**53, exact as floats, as is their
+    difference, so each term is the same IEEE operation on the same
+    operands as the expression over ints."""
     if not _is_uniform(nodes):
         return nodes[start:stop]
     a, b, n = nodes
     stop = n + 1 if stop is None else min(stop, n + 1)
-    fn, counts = float(n), islice(count(float(start)), stop - start)
-    return [(j * a + i * b) / fn for j, i in zip(count(float(n - start), -1.0), counts)]
+    fn, counts = float(n), islice(count(float(n - start), -1.0), stop - start)
+    return [(j * a + (fn - j) * b) / fn for j in counts]
 
 
 def _node_blocks(nodes):
@@ -106,11 +107,11 @@ def _draw(policy, rng, nodes):
     """The points of ``policy`` over consecutive ``nodes``; random ones come
     from ``rng``, in subinterval order."""
     if policy == "midpoint":
-        return list(_midpoints(nodes))
+        return _midpoints(nodes)
     if policy == "right":
         return nodes[1:]
     draw = rng.random
-    return [(mid := 0.5 * (lo + hi)) + draw() * (hi - mid) for lo, hi in pairwise(nodes)]
+    return [(mid := 0.5 * (lo + hi)) + draw() * (hi - mid) for lo, hi in zip(nodes, nodes[1:])]
 
 
 def _halves_exact(lows):
@@ -184,8 +185,12 @@ def _first_fault(blocks, misfit=None):
 
 
 def _in_order(lows):
-    """Whether the nodes ``lows`` are finite and strictly increasing."""
-    return all(map(math.isfinite, lows)) and all(map(operator.lt, lows, lows[1:]))
+    """Whether the nodes ``lows``, at least one, are finite and strictly
+    increasing. Strictly increasing pairs admit no NaN, which compares
+    false, and infinities only at the ends, so only the ends need a
+    finiteness test."""
+    return (all(map(operator.lt, lows, lows[1:]))
+            and math.isfinite(lows[0]) and math.isfinite(lows[-1]))
 
 
 def _admits_policy(nodes):
@@ -385,26 +390,32 @@ def _block_columns(ft, part):
 
     - in a block where every mirror lo+hi-xi equals its xi (the midpoint
       rule), one column of f serves both, and f' is not evaluated, since
-      its difference is 0;
+      its difference is +0.0: the value is h/2 * 2f(xi), with the
+      correction kept only where that is a zero (`rules.mirrored_totals`);
     - in a block where every xi is hi (the right policy), each node is the
       xi of one subinterval and the mirror of the next, so f and f' run
       over the nodes, and the last one is carried into the next block,
       n + 1 points in all;
     - otherwise over the n points and their n mirrors.
 
-    f'' is evaluated once per node. Each block skips the work its shape
-    makes exactly redundant, so the bits are those of the formulas above:
-    a midpoint block whose halves are exact takes its mirrors as its points
-    without computing them (`_blocks`); a random block whose first node is
-    >= 0 skips the checks that its points are finite and at most hi; and
-    where every mirror is its xi, or every xi is hi, the bound drops the
-    cube that is a zero (`kernel._mirrored_bounds`, `kernel._right_bounds`).
+    f'' is evaluated once per node. Where f' or f'' carries the ``batch`` of
+    f, their values are equal (`_backend.make_func`), so f's column serves
+    for them over the same points: f' everywhere, f'' at the nodes of a
+    right block (exp's three). f's column runs first, so an error is still
+    raised as f's. Each block skips the work its shape makes exactly
+    redundant, so the bits are those of the formulas above: a midpoint
+    block whose halves are exact takes its mirrors as its points without
+    computing them (`_blocks`); a random block whose first node is >= 0
+    skips the checks that its points are finite and at most hi; and where
+    every mirror is its xi, or every xi is hi, the bound drops the cube
+    that is a zero (`kernel._mirrored_bounds`, `kernel._right_bounds`).
     Raises DomainError where an evaluator does, and ParameterError when a
     bound overflows, or when a random point drawn here falls outside its
     right half.
     """
     span = _span(part._nodes)
     require_domain(ft, span)
+    f1_is_f, f2_is_f = same_column(ft.f, ft.f1), same_column(ft.f, ft.f2)
     g_last = carry = None
     for lows, xs, mirrored in _blocks(part._nodes, part._xi):
         highs = lows[1:]
@@ -416,31 +427,38 @@ def _block_columns(ft, part):
             # raised before one at a mirror, as on other rows.
             fx = column(ft.f, highs, within)
             fm = column(ft.f, lows[:1], within) if carry is None else [carry[0]]
-            dx = column(ft.f1, highs, within)
-            dm = column(ft.f1, lows[:1], within) if carry is None else [carry[1]]
             fm += fx[:-1]
-            dm += dx[:-1]
+            if f1_is_f:
+                dx, dm = fx, fm
+            else:
+                dx = column(ft.f1, highs, within)
+                dm = column(ft.f1, lows[:1], within) if carry is None else [carry[1]]
+                dm += dx[:-1]
             carry = fx[-1], dx[-1]
+            values = two_point_totals(lows, highs, xs, fx, fm, dx, dm)
         else:
             carry = None
             if not mirrored:
                 mirrors = mirror_points(lows, highs, xs)
                 mirrored = all(map(operator.eq, mirrors, xs))
             if mirrored:
-                # f'(x) - f'(x) is +0.0 wherever f' is finite: skip f'.
-                fx = fm = column(ft.f, xs, within)
-                dx = dm = repeat(0.0)
+                values = mirrored_totals(lows, highs, xs, column(ft.f, xs, within))
             else:
                 # lo, hi and x are finite, so no mirror is NaN, and its
                 # column lies in [min, max] of its entries.
                 around = (min(mirrors), max(mirrors))
                 fx, fm = column(ft.f, xs, within), column(ft.f, mirrors, around)
-                dx, dm = column(ft.f1, xs, within), column(ft.f1, mirrors, around)
+                if f1_is_f:
+                    dx, dm = fx, fm
+                else:
+                    dx, dm = column(ft.f1, xs, within), column(ft.f1, mirrors, around)
+                values = two_point_totals(lows, highs, xs, fx, fm, dx, dm)
+        shared = right and f2_is_f  # f at every node of the block is fm + fx[-1:]
         if g_last is None:
-            g = list(map(abs, column(ft.f2, lows, within)))
+            g = list(map(abs, fm + fx[-1:] if shared else column(ft.f2, lows, within)))
         else:
             g = [g_last]
-            g += map(abs, column(ft.f2, highs, within))
+            g += map(abs, fx if shared else column(ft.f2, highs, within))
         g_last = g[-1]
         try:
             bounds = (_right_bounds(lows, highs, g) if right
@@ -448,7 +466,7 @@ def _block_columns(ft, part):
                       else convex_bounds(lows, highs, xs, g))
         except OverflowError:
             raise overflow_error("composite bound", span, n=_subintervals(part._nodes)) from None
-        yield two_point_totals(lows, highs, xs, fx, fm, dx, dm), bounds
+        yield values, bounds
 
 
 def _total(floats):

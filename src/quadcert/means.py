@@ -131,6 +131,8 @@ class PropositionReport(NamedTuple):
 
 
 def _report(prop_id, lhs, rhs, params, note):
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise OverflowError  # a side overflowed to inf without raising
     return PropositionReport(prop_id, lhs, rhs, lhs <= rhs + PROP_TOL, rhs - lhs, params, note)
 
 

@@ -4,7 +4,7 @@ them live in `quadcert.bounds`.
 """
 
 import operator
-from itertools import compress, count
+from itertools import compress, count, repeat
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -38,7 +38,7 @@ def mirror_points(lows, highs, xs):
     (lo + hi) - hi rounds away from lo, to 0 when lo < ulp(hi)/2. Only the
     entries where x is hi are patched; the composite kernel takes a block
     with every x at hi without mirrors."""
-    out = list(map(operator.sub, map(operator.add, lows, highs), xs))
+    out = [lo + hi - x for lo, hi, x in zip(lows, highs, xs)]
     if any(map(operator.eq, xs, highs)):
         for i in compress(count(), map(operator.eq, xs, highs)):
             out[i] = lows[i]
@@ -51,6 +51,26 @@ def two_point_totals(lows, highs, xs, fx, fm, dx, dm):
     one-element columns by the rules."""
     return [(hh := 0.5 * (hi - lo)) * (u + v) - hh * (x - (lo + 3.0 * hi) * 0.25) * (du - dv)
             for lo, hi, x, u, v, du, dv in zip(lows, highs, xs, fx, fm, dx, dm)]
+
+
+def mirrored_totals(lows, highs, xs, fx):
+    """two_point_totals of a block where every mirror is its x: bit for bit
+    two_point_totals(lows, highs, xs, fx, fx, repeat(0.0), repeat(0.0)),
+    as f and f' at each mirror are those at x, with the correction term
+    computed only where it can change a bit. The block is consecutive
+    subintervals with x in [lo, hi], so lows[0] and highs[-1] bound all.
+
+    f'(x) - f'(x) is +0.0, so the correction hh * (x - (lo + 3hi)/4) * 0.0
+    is +-0.0 wherever its other factors are finite, and subtracting it
+    changes only a value hh * 2f(x) that is a zero, whose sign it decides:
+    there the full expression runs. Within [-2**510, 2**510] every factor
+    is finite; a block beyond, where lo + 3hi or the product can overflow
+    and the correction be NaN, runs two_point_totals."""
+    if not -2.0**510 <= lows[0] <= highs[-1] <= 2.0**510:
+        return two_point_totals(lows, highs, xs, fx, fx, repeat(0.0), repeat(0.0))
+    return [v if (v := (hh := 0.5 * (hi - lo)) * (u + u))
+            else v - hh * (x - (lo + 3.0 * hi) * 0.25) * 0.0
+            for lo, hi, x, u in zip(lows, highs, xs, fx)]
 
 
 def generalized_rule(ft: FunctionTriple, iv: Interval, x: float) -> RuleValue:

@@ -176,6 +176,12 @@ def test_sweep_skips_invalid_grid_cells(capsys):
     assert code == EXIT_OK
     assert json.loads(out)["summary"] == {"total": 1, "holds": 1, "violations": 0,
                                           "skipped_invalid": 1}
+    # and one whose side overflows to inf without raising, stated or corrected
+    code, out, _ = run_cli(capsys, "sweep", "--props", "1", "--a", "5e-324,1", "--b", "1e10",
+                           "--p", "1.0625", "--corrected", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"] == {"total": 1, "holds": 1, "violations": 0,
+                                          "skipped_invalid": 1}
     # so is a cell with an infinite end
     code, out, _ = run_cli(capsys, "sweep", "--props", "2", "--a", "1", "--b", "inf,3",
                            "--format", "json")
@@ -502,6 +508,7 @@ def test_means_exit_code_contract(a, b, ps):
 @example(prop=3, a=1.0, b=2.0, p=2.0, q=math.nan, corrected=False)
 @example(prop=1, a=1.0, b=2.0, p=math.inf, q=None, corrected=False)
 @example(prop=4, a=1.0, b=2.0, p=math.inf, q=None, corrected=False)
+@example(prop=1, a=5e-324, b=1e10, p=1.0625, q=None, corrected=False)  # rhs overflows to inf
 def test_props_exit_code_contract(prop, a, b, p, q, corrected):
     argv = ["props", f"--prop={prop}", f"--a={a!r}", f"--b={b!r}", "--format=json"]
     argv += [f"--{name}={value!r}" for name, value in (("p", p), ("q", q)) if value is not None]
@@ -521,6 +528,9 @@ def test_props_exit_code_contract(prop, a, b, p, q, corrected):
          p_values=[2.0], q_values=[0.0], corrected=False)
 @example(props=[5], a_values=[5e-324], b_values=[1e-10], p_values=[1.357020493300074],
          q_values=[], corrected=False)
+# rhs overflows to inf at a = 5e-324: that cell is skipped as bad input
+@example(props=[1], a_values=[5e-324, 1.0], b_values=[1e10], p_values=[1.0625], q_values=[],
+         corrected=True)
 def test_sweep_exit_code_contract(props, a_values, b_values, p_values, q_values, corrected):
     argv = ["sweep", f"--props={','.join(map(str, props))}", f"--a={_float_arg(a_values)}",
             f"--b={_float_arg(b_values)}", f"--p={_float_arg(p_values)}",

@@ -3,6 +3,7 @@ the single-interval rule, validity sweeps, convergence order, and
 determinism."""
 
 import math
+import operator
 import os
 import random
 import re
@@ -18,9 +19,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_interval, single_cases
 from quadcert import composite
+from quadcert._backend import same_column
 from quadcert.bounds import bound_convex, bound_power_mean
 from quadcert.composite import (
     _BLOCK,
+    _in_order,
     XI_POLICIES,
     Partition,
     composite_generalized,
@@ -28,7 +31,7 @@ from quadcert.composite import (
     composite_perturbed_trapezoid,
 )
 from quadcert.errors import DomainError, ParameterError
-from quadcert.functions import FunctionTriple, Interval, register_builtin
+from quadcert.functions import FunctionTriple, Interval, parse_function_spec, register_builtin
 from quadcert.oracle import integrate
 from quadcert.rules import generalized_rule, mirror_points, perturbed_trapezoid_rule
 
@@ -675,12 +678,13 @@ def test_each_point_evaluated_once(n):
 
 @pytest.mark.parametrize("n", [1, 7, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_columns_cover_each_point_once(monkeypatch, n):
-    """The registry evaluators run as columns: f'' over the n+1 nodes, f
-    over n points on midpoint rows, n+1 on right rows and 2n otherwise, f'
-    over none on midpoint rows, n+1 on right rows and 2n otherwise."""
-    ft = register_builtin("exp")
-    names = {id(ft.f): "f", id(ft.f1): "f1", id(ft.f2): "f2"}
-    points = dict.fromkeys(names.values(), 0)
+    """The registry evaluators run as columns: f over n points on midpoint
+    rows, n+1 on right rows and 2n otherwise; f' over none on midpoint
+    rows, n+1 on right rows and 2n otherwise; f'' over the n+1 nodes.
+    exp's f' and f'' carry f's ``batch``, so f's column serves for them
+    over its points: f' runs on no row, and f'' not on right rows. power:3
+    shares no column."""
+    names, points = {}, {}
     column = composite.column
 
     def counting_column(fn, xs, *within):
@@ -688,17 +692,23 @@ def test_columns_cover_each_point_once(monkeypatch, n):
         return column(fn, xs, *within)
 
     monkeypatch.setattr(composite, "column", counting_column)
-    rows = [
-        (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n, 0),
-        (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes),
-         n + 1, n + 1),
-        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)),
-         2 * n, 2 * n),
-    ]
-    for row, f_points, f1_points in rows:
-        points.update(f=0, f1=0, f2=0)
-        row()
-        assert points == {"f": f_points, "f1": f1_points, "f2": n + 1}
+    for spec, shared in (("power:3", False), ("exp", True)):
+        ft = parse_function_spec(spec)
+        assert same_column(ft.f, ft.f1) is same_column(ft.f, ft.f2) is shared
+        names.update({id(ft.f): "f", id(ft.f1): "f1", id(ft.f2): "f2"})
+        rows = [  # points of f, f' and f'', unshared and shared
+            (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes),
+             (n, 0, n + 1), (n, 0, n + 1)),
+            (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes),
+             (n + 1, n + 1, n + 1), (n + 1, 0, 0)),
+            (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)),
+             (2 * n, 2 * n, n + 1), (2 * n, 0, n + 1)),
+        ]
+        for row, unshared_points, shared_points in rows:
+            points.update(f=0, f1=0, f2=0)
+            row()
+            assert (points["f"], points["f1"], points["f2"]) == (
+                shared_points if shared else unshared_points)
 
 
 def _f1_fails(x):
@@ -855,3 +865,31 @@ def test_domain_enforcement():
     recip = register_builtin("reciprocal")
     with pytest.raises(DomainError):
         composite_midpoint(recip, (-1.0, 1.0))
+
+
+def _in_order_two_scans(lows):
+    """The node check as two whole scans: every node finite, every pair in
+    order."""
+    return all(map(math.isfinite, lows)) and all(map(operator.lt, lows, lows[1:]))
+
+
+_NOT_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8,
+                      unique=True).map(sorted),
+       specials=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(_NOT_FINITE)), max_size=2),
+       shuffled=st.booleans())
+# finite ends whose difference, and whose neighbours' sum, overflows
+@example(nodes=[-1.7976931348623157e308, 1.7976931348623157e308], specials=[], shuffled=False)
+@example(nodes=[-1.7e308, 0.0, 1.7e308], specials=[(1, math.nan)], shuffled=False)
+def test_in_order_is_the_two_scan_check(nodes, specials, shuffled):
+    """`_in_order` tests the pairs, then only the ends for finiteness, and
+    gives the verdict of the two whole scans wherever NaN or an infinity
+    stands, and on lists out of order."""
+    for i, special in specials:
+        nodes.insert(min(i, len(nodes)), special)
+    if shuffled:
+        nodes.reverse()
+    assert _in_order(nodes) is _in_order_two_scans(nodes)

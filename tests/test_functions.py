@@ -148,6 +148,8 @@ def _assert_column_is_scalar_map(fn, xs):
 # at 5.77 it is finite, but two such values sum to inf
 @example(spec="power:400", deriv="f2", xs=[5.7, 5.77, 5.8, 5.75])
 @example(spec="power:400", deriv="f2", xs=[5.77, 5.77, 5.75])
+# f'' of power:2 is 2 * x**0, a constant column
+@example(spec="power:2", deriv="f2", xs=[0.0, -0.0, 5e-324, -1e308, 1e308, 710.0])
 def test_column_is_the_scalar_map(spec, deriv, xs):
     """`_backend.column` gives list(map(fn, xs)) bit for bit, or the same
     error with the same message."""
@@ -165,7 +167,44 @@ def test_column_special_points_at_every_position(spec):
             for i in range(len(base) + 1):
                 _assert_column_is_scalar_map(fn, base[:i] + [special] + base[i:])
     assert parse_function_spec("power:1").f2.batch[1][0] == 0.0
+    assert parse_function_spec("power:2").f2.batch[1] == (2.0, 0.0)
     assert not hasattr(parse_function_spec("poly:1,0,-3").f, "batch")
+
+
+DERIVATIVE_PAIRS = (("f", "f1"), ("f", "f2"), ("f1", "f2"))
+
+
+def _scalar_outcome(fn, x):
+    """The value by float.hex, or the type of the error: the message names
+    the derivative."""
+    try:
+        return float.hex(fn(x))
+    except Exception as exc:  # compared, not handled
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from(COLUMN_SPECS),
+       x=st.one_of(st.sampled_from(SPECIAL_X), st.floats(allow_nan=True, allow_infinity=True),
+                   st.floats(700.0, 720.0)))
+def test_equal_batch_means_equal_values(spec, x):
+    """Two derivatives of a registry function with equal ``batch`` have the
+    same value at every point, and raise at the same points, so the
+    composite kernel may evaluate one column for both (`same_column`)."""
+    ft = parse_function_spec(spec)
+    for one, other in DERIVATIVE_PAIRS:
+        g, h = getattr(ft, one), getattr(ft, other)
+        if _backend.same_column(g, h):
+            assert _scalar_outcome(g, x) == _scalar_outcome(h, x)
+
+
+def test_only_exp_shares_columns():
+    """Of the registry's kinds, exp's f, f' and f'' alone share a ``batch``;
+    callables without one share nothing."""
+    sharing = {(spec, pair) for spec in COLUMN_SPECS for pair in DERIVATIVE_PAIRS
+               if _backend.same_column(*(getattr(parse_function_spec(spec), d) for d in pair))}
+    assert sharing == {("exp", pair) for pair in DERIVATIVE_PAIRS}
+    assert not _backend.same_column(math.exp, math.exp)
 
 
 def test_parse_leaves_no_reference_cycles():

@@ -204,6 +204,15 @@ def test_prop_rhs_matches_midpoint_bounds(rng):
                 bound_power_mean(neglog, iv, iv.midpoint, q).bound_avg, rel=1e-13)
 
 
+def test_proposition_side_that_overflows_to_inf_is_bad_input():
+    """a ** (p - 2) of a subnormal a times (b - a) ** 2 overflows to inf
+    without raising; a side that is not finite raises, as one that raises
+    OverflowError does."""
+    with pytest.raises(ParameterError, match=r"^proposition 1 overflows the float range at "
+                                             r"a=5e-324, b=10000000000\.0, p=1\.0625, q=None$"):
+        check_proposition(1, 5e-324, 1e10, p=1.0625)
+
+
 def test_proposition_validation():
     with pytest.raises(ParameterError):
         check_proposition(7, 1.0, 2.0)

@@ -2,6 +2,7 @@
 exactness on degree <= 1 polynomials."""
 
 import math
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,10 @@ from quadcert.oracle import integrate
 from quadcert.rules import (
     generalized_rule,
     midpoint_rule,
+    mirrored_totals,
     perturbed_trapezoid_rule,
     trapezoid_rule,
+    two_point_totals,
 )
 
 
@@ -155,3 +158,61 @@ def test_perturbed_trapezoid_takes_f_at_a(a):
     ft, iv = register_builtin("reciprocal"), Interval(a, 1.0)
     old = (0.5 * (ft.f(a) + ft.f(1.0)) - iv.length / 8.0 * (ft.f1(1.0) - ft.f1(a))) * iv.length
     assert abs(perturbed_trapezoid_rule(ft, iv).value_total - old) <= 4 * math.ulp(old)
+
+
+def _adjacent_floats(start, count):
+    """``count`` consecutive floats from ``start`` up."""
+    floats = [start]
+    while len(floats) < count:
+        floats.append(math.nextafter(floats[-1], math.inf))
+    return floats
+
+
+# Strictly increasing nodes of a block: any finite floats, including ones
+# where lo + 3hi overflows, multiples of the least subnormal, and adjacent
+# floats, where x - (lo + 3hi)/4 can round to 0.
+_BLOCK_NODES = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=8, unique=True),
+    st.lists(st.integers(-40, 40).map(lambda k: k * 5e-324), min_size=2, max_size=8, unique=True),
+    st.builds(_adjacent_floats, st.floats(-1e300, 1e300) | st.sampled_from((0.0, 5e-324, 1.0)),
+              st.integers(2, 8)),
+).map(sorted)
+_F_VALUES = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324)),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _assert_mirrored_is_reference(nodes, xs, fx):
+    lows, highs = nodes[:-1], nodes[1:]
+    reference = two_point_totals(lows, highs, xs, fx, fx, repeat(0.0), repeat(0.0))
+    assert list(map(float.hex, mirrored_totals(lows, highs, xs, fx))) == list(
+        map(float.hex, reference))
+
+
+@settings(max_examples=400, deadline=None)
+@given(nodes=_BLOCK_NODES, data=st.data())
+def test_mirrored_totals_are_two_point_totals(nodes, data):
+    """mirrored_totals gives the bits of two_point_totals with f' at 0 on
+    both sides, signed zeros and non-finite corrections included, for x
+    anywhere in its subinterval."""
+    xs = [data.draw(st.one_of(st.sampled_from((lo, hi, 0.5 * (lo + hi))), st.floats(lo, hi))
+                    .filter(lambda x, lo=lo, hi=hi: lo <= x <= hi))
+          for lo, hi in zip(nodes, nodes[1:])]
+    _assert_mirrored_is_reference(nodes, xs, data.draw(st.lists(_F_VALUES, min_size=len(xs),
+                                                                max_size=len(xs))))
+
+
+@pytest.mark.parametrize("nodes,x,correction", [
+    ((0.0, 1.0), 0.5, -0.0),
+    # h/2 rounds to 0, and x - (lo + 3hi)/4 to 0
+    ((5e-324, 1e-323), 1e-323, 0.0),
+    ((0.0, 1.0), 1.0, 0.0),
+    # lo + 3hi overflows, so the correction is NaN
+    ((7e307, 8e307), 7.5e307, math.nan),
+])
+def test_mirrored_totals_keep_the_zeros_of_two_point_totals(nodes, x, correction):
+    """Where f is a zero, the sign of the correction h/2 * (x - (lo + 3hi)/4)
+    * 0.0 decides the sign of the value; where it is NaN, so is the value."""
+    lo, hi = nodes
+    assert float.hex(0.5 * (hi - lo) * (x - (lo + 3.0 * hi) * 0.25) * 0.0) == float.hex(correction)
+    for f in (0.0, -0.0, 1.0):
+        _assert_mirrored_is_reference(list(nodes), [x], [f])
