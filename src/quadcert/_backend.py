@@ -13,6 +13,18 @@ _MAX_SEGMENTS = 4096
 # Below this, a float value of P in `_poly_convex` may have lost its sign.
 _TINY = 2.0 ** -969
 
+# Unit roundoff, and the smallest normal float: an operation whose result is
+# at least this large errs by at most u relative, one below it by at most
+# u * _NORMAL absolute.
+_U = 2.0 ** -53
+_NORMAL = 2.0 ** -1022
+# Assumed accuracy of each call of math.exp, expm1, log, log1p and pow: at
+# most one ulp, glibc's documented figure. One ulp is at most 2u relative,
+# so the closed-form integrals count `_CALL` units of u per call.
+_LIBM_ULPS = 1.0
+_CALL = 2.0 * _LIBM_ULPS
+_NAN = (math.nan, math.nan)
+
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]. Abscissae are symmetric,
 # so only the nonnegative half is stored; the Gauss weights belong to the
 # odd-indexed Kronrod nodes plus the centre.
@@ -79,7 +91,143 @@ def _powerlike(coef, expo, lo, hi, overflow):
     # the cut keeps every root of f'' among the cuts of f'.
     fn.cuts = (_zero_cut if expo > 1.0 else _ends, ())
     fn.abs_pow_convex = (_power_convex, (0.0 if coef == 0.0 else expo,))
+    # rk = (e + 1) - k, exactly (Fast2Sum), for the closed form's k = e + 1
+    k = expo + 1.0
+    rk = 1.0 - (k - expo) if abs(expo) >= 1.0 else expo - (k - 1.0)
+    fn.integral = (_pow_integral, (coef, expo, rk, lo))
     return fn
+
+
+# Closed-form integrals, the ``integral`` attributes of `make_func`. Each
+# returns ``(value, bound)``: the integral over [a, b] and a bound on its
+# rounding, (units + 2) * u * size. ``size`` is the sum of the magnitudes
+# of the value's terms, and ``units`` counts, to first order, their
+# relative errors: 1 for each rounded + - * /, `_CALL` for each libm call,
+# and a libm call's condition number times the error of its argument. The
+# 2 more cover the second-order terms and the rounding of the bound. The
+# relative model holds for results of at least `_NORMAL`: a form checks
+# that what it rounds stays there, or adds an allowance for what falls
+# below. Where it cannot, it returns (nan, nan), and where the value
+# leaves the float range it raises OverflowError or returns inf, so that
+# `oracle.integrate` runs GK15 instead.
+
+def _exp_integral(a, b):
+    """e**b - e**a as e**a * expm1(b - a). d = b - a rounds, and expm1
+    would scale that relative error by its condition number at d, up to
+    1 + d. So the exact rounding error r of d (Fast2Sum) is added back to
+    first order, as e**d * r = (expm1(d) + 1) * r, which leaves second-order
+    terms only."""
+    d = b - a
+    big, small = (b, -a) if abs(b) >= abs(a) else (-a, b)
+    r = small - (d - big)
+    ea = math.exp(a)
+    e = math.expm1(d)
+    value = ea * (e + (e + 1.0) * r)
+    if not min(ea, e, value) >= _NORMAL:
+        return _NAN
+    return value, (5.0 + 2.0 * _CALL) * _U * value
+
+
+def _pow_positive(a, b, coef, k, rk):
+    """coef * (b**k - a**k) / k for 0 < a < b, as coef * a**k * expm1(k *
+    log1p(t)) / k with t = (b - a) / a, and as coef * log1p(t) for k = 0:
+    no difference of nearby powers. log1p's condition number at t > 0 is
+    at most 1, and expm1's at y is at most 1 + max(y, 0). The exponent is
+    k + rk, and k = 0 only where rk is 0. A nonzero rk moves the value by a
+    relative rk * d(ln value)/dk, at most |rk| (|ln a| + log1p(t) + 2/|k|),
+    which the bound counts twice to cover its second order."""
+    t = (b - a) / a
+    lg = math.log1p(t)
+    if k == 0.0:
+        value = coef * lg
+        if not (t < math.inf and abs(value) >= _NORMAL):
+            return _NAN
+        return value, (5.0 + _CALL) * _U * abs(value)
+    y = k * lg
+    e = math.expm1(y)
+    p = math.pow(a, k)
+    cp = coef * p
+    cpe = cp * e
+    value = cpe / k
+    if not (t < math.inf and min(p, abs(cp), abs(cpe), abs(value)) >= _NORMAL):
+        return _NAN
+    units = 5.0 + 2.0 * _CALL + (1.0 + max(y, 0.0)) * (3.0 + _CALL)
+    if rk:
+        units += 2.0 * abs(rk) * (abs(math.log(a)) + lg + 2.0 / abs(k)) / _U
+    return value, units * _U * abs(value)
+
+
+def _pow_integral(a, b, coef, expo, rk, lo):
+    """The integral of coef * x**expo over [a, b] inside the domain (lo,
+    inf), with rk = (expo + 1) - k exactly for the float k = expo + 1."""
+    if not lo < a:
+        return _NAN
+    if coef == 0.0:
+        return 0.0, 0.0
+    k = expo + 1.0
+    if a > 0.0:
+        return _pow_positive(a, b, coef, k, rk)
+    # Only integer powers have points x <= 0 in their domain, and below
+    # 2**53 their k >= 1 is exact.
+    if rk:
+        return _NAN
+    if b < 0.0:  # x = -s: coef * (-1)**expo * s**expo over [-b, -a]
+        return _pow_positive(-b, -a, coef if expo % 2.0 == 0.0 else -coef, k, 0.0)
+    # a <= 0 <= b: [a, b] is as long as its longer end, so b**k - a**k
+    # cancels only where the integral is small against its two terms
+    pb, pa = math.pow(b, k), math.pow(a, k)
+    terms = pb + abs(pa)
+    size = abs(coef) * terms / k
+    if not min(terms, size) >= _NORMAL:
+        return _NAN
+    return coef * (pb - pa) / k, (5.0 + 2.0 * _CALL) * _U * size
+
+
+def _neglog_integral(a, b):
+    """The integral of -ln x over [a, b], 0 < a, as (b - a)(1 - ln b) -
+    a log1p((b - a) / a): the form of b - b ln b - (a - a ln a) that
+    subtracts no nearby logarithms. log1p's condition number is at most 1."""
+    if not a > 0.0:
+        return _NAN
+    d = b - a
+    lnb = math.log(b)
+    right = a * math.log1p(d / a)
+    if not min(d, right) >= _NORMAL:
+        return _NAN
+    return d * (1.0 - lnb) - right, (6.0 + _CALL) * _U * (d * (1.0 + abs(lnb)) + right)
+
+
+def _poly_integral(a, b, coeffs):
+    """The integral of the polynomial ``coeffs`` (highest degree first)
+    over [a, b], as (b - a) * sum c_m S_m / m over its coefficients c_m of
+    x**(m-1), where S_m = sum a**j b**(m-1-j) over j < m, which is
+    (b**m - a**m) / (b - a), by S_(m+1) = b S_m + a**m. No nearby powers
+    are subtracted: where a and b share a sign, so do all the terms of S_m.
+
+    With n coefficients, S_m errs by at most 2n units of its terms'
+    magnitudes, c_m S_m / m by 2 more, the sum by n, and b - a and the last
+    product by 2: 3n + 4. Each of the 4n + 1 products and quotients whose
+    result falls below `_NORMAL` loses at most u * _NORMAL more, which
+    reaches the value multiplied by at most n * (sum |c_m| + 1) * max(1,
+    b - a) * R**(n-1), R = max(1, |a|, |b|): ``underflow`` is twice the
+    sum of those losses.
+    """
+    d = b - a
+    absb = abs(b)
+    s = sabs = total = size = cabs = 0.0
+    p = 1.0
+    n = 0
+    for c in reversed(coeffs):
+        n += 1
+        s = b * s + p
+        sabs = absb * sabs + abs(p)
+        total += c * s / n
+        size += abs(c) * sabs / n
+        cabs += abs(c)
+        p *= a
+    underflow = 2.0 ** -1074 * ((4 * n + 1) * n * (cabs + 1.0) * max(1.0, d)
+                                * max(1.0, -a, b) ** (n - 1))
+    return d * total, (3 * n + 6) * _U * d * size + underflow
 
 
 def _pow_column(xs, coef, expo):
@@ -290,8 +438,22 @@ def make_func(kind, params, deriv, lo, hi):
       or k(k-1) >= 0 with k = q*e, always for exp, and by `_poly_convex`
       for poly, which returns None where its floats overflow.
 
-    Neither tuple holds a reference to the callable, so building one leaves
-    no reference cycle behind.
+    Every evaluator g also carries ``integral = (fn, args)``:
+    ``fn(a, b, *args)`` returns ``(value, bound)``, the integral of
+    g over [a, b] and a bound on its rounding, from `math` alone and from
+    forms that subtract no nearby quantities: e**a * expm1(b - a) for exp;
+    for c*x**e, c * a**k * expm1(k * log1p((b - a)/a)) / k where a > 0, or
+    c * log1p((b - a)/a) for k = 0, with x -> -x where b < 0 and c *
+    (b**k - a**k) / k across 0; for -ln x, (b - a)(1 - ln b) - a *
+    log1p((b - a)/a); for poly, (b - a) * sum c_m/m * sum_j a**j
+    b**(m-1-j). The bound assumes each libm call within `_LIBM_ULPS` ulp.
+    Where a form cannot vouch for its value (an endpoint outside the
+    domain, a result below the normal range), it returns NaN, and where
+    the value leaves the float range, inf or OverflowError:
+    `oracle.integrate` then runs GK15.
+
+    No tuple holds a reference to the callable, so building one leaves no
+    reference cycle behind.
     """
     def overflow(x):
         name = ("f", "f'", "f''")[deriv] + " of " + spec_string(kind, params)
@@ -310,6 +472,7 @@ def make_func(kind, params, deriv, lo, hi):
                 return -math.log(x)
 
             fn.batch = (_neglog_column, (), lo, hi)
+            fn.integral = (_neglog_integral, ())
             return fn
         coef, expo = ((-1.0, -1.0), (1.0, -2.0))[deriv - 1]
         return _powerlike(coef, expo, lo, hi, overflow)
@@ -326,6 +489,7 @@ def make_func(kind, params, deriv, lo, hi):
         fn.batch = (_exp_column, (), lo, hi)
         fn.cuts = (_ends, ())
         fn.abs_pow_convex = (_always_convex, ())
+        fn.integral = (_exp_integral, ())
         return fn
     # poly
     coeffs = params
@@ -344,8 +508,10 @@ def make_func(kind, params, deriv, lo, hi):
             raise overflow(x)
         return acc
 
-    fn.cuts = (_monotone_cuts, (tuple(coeffs),))
-    fn.abs_pow_convex = (_poly_convex, (tuple(coeffs),))
+    args = (tuple(coeffs),)
+    fn.cuts = (_monotone_cuts, args)
+    fn.abs_pow_convex = (_poly_convex, args)
+    fn.integral = (_poly_integral, args)
     return fn
 
 

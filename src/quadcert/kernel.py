@@ -101,8 +101,9 @@ def identity_residual(ft: FunctionTriple, ks: KernelSpec, tol: float = oracle.DE
     Left side: average integral of f minus the generalized rule value.
     Right side: (b-a)^2/2 times the weighted integral of f'' along the
     affine path t*a + (1-t)*b, integrated piece by piece (the weight jumps
-    at the breakpoints). Both sides use the same oracle tolerance, so the
-    residual reflects identity error rather than quadrature asymmetry.
+    at the breakpoints). The left side integrates a registry f in closed
+    form, to within its rounding, and the right side runs GK15 at ``tol``,
+    so the residual reflects identity error rather than quadrature error.
     Expect |residual| below 1e-9 for the smooth registry functions.
     """
     iv = ks.iv

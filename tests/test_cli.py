@@ -11,6 +11,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -305,6 +306,32 @@ def test_overflow_is_a_usage_error(capsys, argv):
     assert code == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1
     assert "out of range" not in err and "math range error" not in err
+
+
+@pytest.mark.parametrize("argv, exact", [
+    (("certify", "--function", "reciprocal", "--a", "1e-15", "--b", "1e15", "--x", "1e15",
+      "--family", "convex"), lambda: 30 * mpmath.log(10)),
+    (("certify", "--function", "power:-3", "--a", "1e-3", "--b", "1e3", "--x", "1e3",
+      "--family", "convex"), lambda: (mpmath.mpf(1e-3) ** -2 - mpmath.mpf(1e3) ** -2) / 2),
+    (("composite", "--function", "exp", "--a", "0", "--b", "700", "--n", "16"),
+     lambda: mpmath.exp(700) - 1),
+])
+def test_registry_integrals_need_no_gk15_tolerance(capsys, argv, exact):
+    """Valid inputs that exited 2 because GK15 could not meet tol=1e-12 on
+    f: the closed form of the registry integral has no tolerance to meet.
+    The actual error is the 50-digit one. (exp on [0, 700] at n = 4 still
+    exits 2, as its bound overflows.)"""
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code in (EXIT_OK, EXIT_VIOLATION), err
+    payload = json.loads(out)
+    if argv[0] == "certify":
+        rows = [(payload["rule_value_total"], payload["actual_error_total"])]
+    else:
+        rows = [(row["approx"], row["actual_error"]) for row in payload["rows"]]
+    with mpmath.workdps(50):
+        for rule, actual in rows:
+            reference = abs(exact() - mpmath.mpf(rule))
+            assert abs(actual - reference) <= 1e-13 * reference
 
 
 def test_composite_refuses_more_than_2_53_subintervals(capsys):

@@ -6,11 +6,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import convex_corpus, plain_callables, random_interval
-from quadcert.errors import IntegrationError, ParameterError
+from quadcert.errors import DomainError, IntegrationError, ParameterError
 from quadcert.functions import FunctionTriple, Interval, parse_function_spec, register_builtin
 from quadcert.oracle import SUP_SAMPLES, _golden_max, estimate_norm, integrate
 
@@ -29,10 +29,12 @@ def test_closed_forms(g, a, b, expected):
 
 
 def test_polynomial_exactness_without_subdivision():
-    """Degree <= 5 polynomials integrate exactly at the first level."""
+    """Degree <= 5 polynomials integrate exactly at the first GK15 level.
+    The poly is wrapped as a plain callable: the registry evaluator has a
+    closed form, which runs no GK15 segment."""
     ft = register_builtin("poly", [3.0, -2.0, 1.0, 0.0, 5.0, -1.0])
     exact = 3.0 / 6.0 - 2.0 / 5.0 + 1.0 / 4.0 + 5.0 / 2.0 - 1.0
-    est = integrate(ft.f, 0.0, 1.0, tol=1e-12)
+    est = integrate(lambda x: ft.f(x), 0.0, 1.0, tol=1e-12)
     assert est.subdivisions == 1
     assert est.value == pytest.approx(exact, rel=1e-13)
 
@@ -264,3 +266,126 @@ def test_holder_norm_ordering(corpus):
             scale = max(n1, mid, length * ninf)
             assert n1 <= mid + 1e-9 * scale
             assert mid <= length * ninf + 1e-9 * scale
+
+
+# ------------------------------------------------------------ closed forms
+
+# Registry functions, with the ranges intervals are drawn from: every kind,
+# fractional, negative, odd and even powers, x**1 and x**0 (whose f'' and
+# f', f'' are 0), and polys. The integer powers and polys draw intervals
+# across 0. For f of power:1.3, 0.3 and 1e-20, k = e + 1 is not a float.
+CLOSED_SPECS = {"exp": (-50.0, 50.0), "reciprocal": (1e-6, 1e6), "neglog": (1e-6, 1e6),
+                "power:2.5": (1e-6, 1e6), "power:-3": (1e-3, 1e3), "power:0.5": (1e-6, 1e6),
+                "power:1.3": (1e-6, 1e6), "power:0.3": (1e-6, 1e6), "power:1e-20": (1e-6, 1e6),
+                "power:0": (-50.0, 50.0), "power:1": (-50.0, 50.0), "power:2": (-50.0, 50.0),
+                "power:3": (-50.0, 50.0), "power:7": (-20.0, 20.0),
+                "poly:3,-2,1,0,5,-1": (-10.0, 10.0), "poly:1,0,-1,0,0": (-10.0, 10.0),
+                "poly:2": (-10.0, 10.0)}
+
+
+def _mp_integral(spec, deriv, a, b):
+    """The integral over [a, b] of the deriv-th derivative of ``spec`` as its
+    evaluator computes it, with the coefficients and exponents it rounded
+    to floats, at 50 digits."""
+    kind, _, tail = spec.partition(":")
+    params = [float(t) for t in tail.split(",")] if tail else []
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        if kind == "exp":  # e**b - e**a would cancel where a and b are near 0
+            return mpmath.exp(a) * mpmath.expm1(b - a)
+        if kind == "neglog" and deriv == 0:
+            return b - b * mpmath.log(b) - (a - a * mpmath.log(a))
+        if kind == "poly":
+            coeffs = params
+            for _ in range(deriv):
+                n = len(coeffs) - 1
+                coeffs = [coeffs[i] * (n - i) for i in range(n)] or [0.0]
+            n = len(coeffs) - 1
+            return sum(mpmath.mpf(c) * (b ** (n - i + 1) - a ** (n - i + 1)) / (n - i + 1)
+                       for i, c in enumerate(coeffs))
+        if kind == "neglog":
+            coef, expo = ((-1.0, -1.0), (1.0, -2.0))[deriv - 1]
+        else:
+            p = params[0] if kind == "power" else -1.0
+            coef, expo = ((1.0, p), (p, p - 1.0), (p * (p - 1.0), p - 2.0))[deriv]
+        if coef == 0.0:
+            return mpmath.mpf(0)
+        k = mpmath.mpf(expo) + 1
+        if k == 0:
+            return coef * (mpmath.log(b) - mpmath.log(a))
+        # x**k for x < 0 only arises for integer k
+        power = lambda x: x ** k if x >= 0 else (-1) ** int(k) * (-x) ** k  # noqa: E731
+        return coef * (power(b) - power(a)) / k
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(spec, deriv, a, b), b - a either from 1 down to 1e-12 of max(|a|, 1)
+    or anywhere in the range."""
+    spec = draw(st.sampled_from(sorted(CLOSED_SPECS)))
+    lo, hi = CLOSED_SPECS[spec]
+    a = draw(st.floats(lo, hi))
+    if draw(st.booleans()):
+        b = a + max(abs(a), 1.0) * 10.0 ** -draw(st.floats(0.0, 12.0))
+    else:
+        b = draw(st.floats(a, hi).filter(lambda b: b > a))
+    return spec, draw(st.integers(0, 2)), a, b
+
+
+def _outcome(g, a, b):
+    try:
+        return integrate(g, a, b)
+    except (DomainError, IntegrationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_form_cases())
+# e**709.9 overflows, so GK15 runs and fails as for a plain callable
+@example(("exp", 0, 0.0, 709.9))
+@example(("exp", 2, 700.0, 709.9))
+@example(("power:2.5", 0, 1e-3, 1.000000000001e-3))
+@example(("poly:3,-2,1,0,5,-1", 0, -1.0, 1.0))
+@example(("exp", 0, -8.568110029432892e-247, 0.0))
+def test_closed_forms_match_mpmath(case):
+    """A registry evaluator is integrated in closed form, with 0
+    subdivisions, within its error estimate of the 50-digit integral. Where
+    the closed form is not finite, GK15 runs: the value or the error is the
+    one a plain callable gets."""
+    spec, deriv, a, b = case
+    g = parse_function_spec(spec)[1 + deriv]
+    fn, args = g.integral
+    try:
+        value, bound = fn(a, b, *args)
+    except OverflowError:
+        value = bound = math.inf
+    if not (math.isfinite(value) and bound < math.inf):
+        assert _outcome(g, a, b) == _outcome(lambda x: g(x), a, b)
+        return
+    est = integrate(g, a, b)
+    assert est == (value, bound, 0)
+    exact = _mp_integral(spec, deriv, a, b)
+    assert abs(mpmath.mpf(est.value) - exact) <= est.abs_error_estimate, (case, est, exact)
+
+
+def test_closed_form_error_estimate_is_honest():
+    """exp on [0, 40]: GK15 took 542 segments and reported an error
+    estimate of 2.2e-14, below the value's one-ulp spacing of 32. The
+    closed form's bound covers its rounding."""
+    est = integrate(register_builtin("exp").f, 0.0, 40.0)
+    assert est.subdivisions == 0
+    assert math.ulp(est.value) == 32.0 <= est.abs_error_estimate <= 16 * 32.0
+    exact = _mp_integral("exp", 0, 0.0, 40.0)
+    assert abs(mpmath.mpf(est.value) - exact) <= est.abs_error_estimate
+
+
+@pytest.mark.parametrize("spec", ["exp", "reciprocal", "neglog", "power:2.5", "poly:1,0,-3"])
+def test_every_registry_evaluator_has_a_closed_form(spec):
+    """0 subdivisions for f, f' and f'' of every kind, whatever the
+    tolerance; a plain callable runs at least one GK15 segment."""
+    ft = parse_function_spec(spec)
+    for g in (ft.f, ft.f1, ft.f2):
+        est = integrate(g, 0.5, 2.0)
+        assert est.subdivisions == 0
+        assert integrate(g, 0.5, 2.0, tol=1.0) == est
+        assert integrate(lambda x, g=g: g(x), 0.5, 2.0).subdivisions >= 1
