@@ -94,7 +94,7 @@ def _powerlike(coef, expo, lo, hi, overflow):
     # rk = (e + 1) - k, exactly (Fast2Sum), for the closed form's k = e + 1
     k = expo + 1.0
     rk = 1.0 - (k - expo) if abs(expo) >= 1.0 else expo - (k - 1.0)
-    fn.integral = (_pow_integral, (coef, expo, rk, lo))
+    fn.integral = (_pow_integral, (coef, expo, k, rk, lo))
     return fn
 
 
@@ -157,14 +157,13 @@ def _pow_positive(a, b, coef, k, rk):
     return value, units * _U * abs(value)
 
 
-def _pow_integral(a, b, coef, expo, rk, lo):
+def _pow_integral(a, b, coef, expo, k, rk, lo):
     """The integral of coef * x**expo over [a, b] inside the domain (lo,
     inf), with rk = (expo + 1) - k exactly for the float k = expo + 1."""
     if not lo < a:
         return _NAN
     if coef == 0.0:
         return 0.0, 0.0
-    k = expo + 1.0
     if a > 0.0:
         return _pow_positive(a, b, coef, k, rk)
     # Only integer powers have points x <= 0 in their domain, and below

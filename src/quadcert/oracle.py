@@ -56,11 +56,12 @@ def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL, *,
     """Integral of g over [a, b].
 
     A g that carries a closed form, every registry evaluator (its
-    ``integral``, see `_backend.make_func`), is integrated by it, with 0
-    subdivisions: the error estimate is then a bound on the closed form's
-    rounding, counted over its terms, which ``tol`` does not bind. Where
-    the closed form cannot vouch for a finite value, as beyond the float
-    range, g runs GK15 like any other callable.
+    ``integral``, a ``(fn, args)`` tuple, see `_backend.make_func`), is
+    integrated by it, with 0 subdivisions: the error estimate is then a
+    bound on the closed form's rounding, counted over its terms, which
+    ``tol`` does not bind. Where the closed form cannot vouch for a finite
+    value, as beyond the float range, g runs GK15 like any other callable,
+    as does a g whose ``integral`` is anything but a pair, such as a method.
 
     Otherwise the integral is adaptive bisection, at least one segment. The
     per-segment error estimate is the nested Gauss/Kronrod rule
@@ -76,7 +77,7 @@ def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL, *,
         raise ParameterError(
             f"tol={tol!r} must be at least 1e-14, the finest tolerance double precision resolves")
     closed = getattr(g, "integral", None)
-    if closed is not None:
+    if type(closed) is tuple and len(closed) == 2:
         try:
             value, bound = closed[0](a, b, *closed[1])
         except OverflowError:

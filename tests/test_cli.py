@@ -319,8 +319,8 @@ def test_overflow_is_a_usage_error(capsys, argv):
 def test_registry_integrals_need_no_gk15_tolerance(capsys, argv, exact):
     """Valid inputs that exited 2 because GK15 could not meet tol=1e-12 on
     f: the closed form of the registry integral has no tolerance to meet.
-    The actual error is the 50-digit one. (exp on [0, 700] at n = 4 still
-    exits 2, as its bound overflows.)"""
+    The actual error is the 50-digit one. exp on [0, 700] is pinned at
+    n = 16: at n = 4 its own remainder bound overflows (below)."""
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     assert code in (EXIT_OK, EXIT_VIOLATION), err
     payload = json.loads(out)
@@ -332,6 +332,17 @@ def test_registry_integrals_need_no_gk15_tolerance(capsys, argv, exact):
         for rule, actual in rows:
             reference = abs(exact() - mpmath.mpf(rule))
             assert abs(actual - reference) <= 1e-13 * reference
+
+
+def test_exp_composite_at_n_4_overflows_its_own_bound(capsys):
+    """exp on [0, 700] at n = 4 still exits 2, no longer from GK15: the
+    remainder bound of the last subinterval, about 87.5**3 * e**700 / 6, is
+    beyond the float range."""
+    code, out, err = run_cli(capsys, "composite", "--function", "exp", "--a", "0",
+                             "--b", "700", "--n", "4")
+    assert code == EXIT_USAGE and out == ""
+    assert "composite rule of exp is not finite on subinterval 3" in err
+    assert "bound inf" in err and "refined" not in err
 
 
 def test_composite_refuses_more_than_2_53_subintervals(capsys):

@@ -14,6 +14,8 @@ from quadcert.errors import DomainError, IntegrationError, ParameterError
 from quadcert.functions import FunctionTriple, Interval, parse_function_spec, register_builtin
 from quadcert.oracle import SUP_SAMPLES, _golden_max, estimate_norm, integrate
 
+# GK15's corpus. The tests wrap these registry evaluators as plain
+# callables: unwrapped, they integrate in closed form and run no GK15 segment.
 CLOSED_FORMS = [
     (register_builtin("power", [2.0]).f, 0.0, 1.0, 1.0 / 3.0),
     (register_builtin("reciprocal").f, 1.0, 2.0, math.log(2.0)),
@@ -23,7 +25,8 @@ CLOSED_FORMS = [
 
 @pytest.mark.parametrize("g,a,b,expected", CLOSED_FORMS)
 def test_closed_forms(g, a, b, expected):
-    est = integrate(g, a, b, tol=1e-12)
+    est = integrate(lambda x: g(x), a, b, tol=1e-12)
+    assert est.subdivisions >= 1
     assert est.value == pytest.approx(expected, abs=1e-12)
     assert est.abs_error_estimate <= 1e-12
 
@@ -45,7 +48,7 @@ def test_monotone_tolerance():
     for g, a, b, expected in CLOSED_FORMS:
         prev = None
         for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
-            err = abs(integrate(g, a, b, tol=tol).value - expected)
+            err = abs(integrate(lambda x: g(x), a, b, tol=tol).value - expected)
             if prev is not None:
                 assert err <= prev + 2e-16 * abs(expected)
             prev = err
@@ -55,7 +58,8 @@ def test_error_estimate_within_tolerance(corpus, rng):
     for ft, lo, hi in corpus:
         a = float(rng.uniform(lo, lo + 0.5))
         b = float(rng.uniform(hi - 0.5, hi))
-        est = integrate(ft.f, a, b, tol=1e-10)
+        est = integrate(plain_callables(ft).f, a, b, tol=1e-10)
+        assert est.subdivisions >= 1
         assert est.abs_error_estimate <= 1e-10
 
 
@@ -389,3 +393,18 @@ def test_every_registry_evaluator_has_a_closed_form(spec):
         assert est.subdivisions == 0
         assert integrate(g, 0.5, 2.0, tol=1.0) == est
         assert integrate(lambda x, g=g: g(x), 0.5, 2.0).subdivisions >= 1
+
+
+def test_an_unrelated_integral_attribute_runs_gk15():
+    """Only a ``(fn, args)`` pair is a closed form: a callable whose
+    ``integral`` is a method, as a spline's is, integrates with GK15."""
+    class Spline:
+        def __call__(self, x):
+            return x * x
+
+        def integral(self, a, b):
+            raise AssertionError("not a closed form of the oracle")
+
+    est = integrate(Spline(), 0.0, 1.0)
+    assert est.subdivisions >= 1
+    assert est.value == pytest.approx(1.0 / 3.0, abs=1e-12)
