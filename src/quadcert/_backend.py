@@ -24,6 +24,9 @@ _NORMAL = 2.0 ** -1022
 _LIBM_ULPS = 1.0
 _CALL = 2.0 * _LIBM_ULPS
 _NAN = (math.nan, math.nan)
+# The largest p * (number of coefficients) of a poly whose |poly|**p
+# `_poly_abs_pow` expands: some p**2 n**2 / 2 products build the power.
+_POLY_POWER_TERMS = 64
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]. Abscissae are symmetric,
 # so only the nonnegative half is stored; the Gauss weights belong to the
@@ -133,27 +136,29 @@ def _pow_positive(a, b, coef, k, rk):
     log1p(t)) / k with t = (b - a) / a, and as coef * log1p(t) for k = 0:
     no difference of nearby powers. log1p's condition number at t > 0 is
     at most 1, and expm1's at y is at most 1 + max(y, 0). The exponent is
-    k + rk, and k = 0 only where rk is 0. A nonzero rk moves the value by a
-    relative rk * d(ln value)/dk, at most |rk| (|ln a| + log1p(t) + 2/|k|),
-    which the bound counts twice to cover its second order."""
+    k + rk. A nonzero rk moves the value by a relative rk * d(ln value)/dk,
+    and d(ln value)/dk is the mean of ln x over [a, b] weighted by x**(k-1),
+    at most |ln a| + log1p(t) in magnitude: the bound counts |rk| times
+    that twice, to cover its second order."""
     t = (b - a) / a
     lg = math.log1p(t)
     if k == 0.0:
         value = coef * lg
         if not (t < math.inf and abs(value) >= _NORMAL):
             return _NAN
-        return value, (5.0 + _CALL) * _U * abs(value)
-    y = k * lg
-    e = math.expm1(y)
-    p = math.pow(a, k)
-    cp = coef * p
-    cpe = cp * e
-    value = cpe / k
-    if not (t < math.inf and min(p, abs(cp), abs(cpe), abs(value)) >= _NORMAL):
-        return _NAN
-    units = 5.0 + 2.0 * _CALL + (1.0 + max(y, 0.0)) * (3.0 + _CALL)
+        units = 5.0 + _CALL
+    else:
+        y = k * lg
+        e = math.expm1(y)
+        p = math.pow(a, k)
+        cp = coef * p
+        cpe = cp * e
+        value = cpe / k
+        if not (t < math.inf and min(p, abs(cp), abs(cpe), abs(value)) >= _NORMAL):
+            return _NAN
+        units = 5.0 + 2.0 * _CALL + (1.0 + max(y, 0.0)) * (3.0 + _CALL)
     if rk:
-        units += 2.0 * abs(rk) * (abs(math.log(a)) + lg + 2.0 / abs(k)) / _U
+        units += 2.0 * abs(rk) * (abs(math.log(a)) + lg) / _U
     return value, units * _U * abs(value)
 
 
@@ -227,6 +232,217 @@ def _poly_integral(a, b, coeffs):
     underflow = 2.0 ** -1074 * ((4 * n + 1) * n * (cabs + 1.0) * max(1.0, d)
                                 * max(1.0, -a, b) ** (n - 1))
     return d * total, (3 * n + 6) * _U * d * size + underflow
+
+
+def _two_product(x, y):
+    """fl(x * y) and its exact rounding error x * y - fl(x * y), by Dekker's
+    split into 26-bit halves (math.fma needs Python 3.13). The error is
+    exact where no partial product leaves the normal range; below it, it
+    errs by subnormals only, and it is NaN where a split overflows."""
+    prod = x * y
+    t = 134217729.0 * x  # 2**27 + 1
+    xh = t - (t - x)
+    xl = x - xh
+    t = 134217729.0 * y
+    yh = t - (t - y)
+    yl = y - yh
+    return prod, ((xh * yh - prod) + xh * yl + xl * yh) + xl * yl
+
+
+# The Lp forms, for `abs_pow_integral`: the integral of |g|**p, p >= 1,
+# under the contract of the closed-form integrals above.
+
+def _exp_abs_pow(a, b, p):
+    """e**(p b) - e**(p a) over p, as e**(p a) * expm1(p (b - a)) / p. The
+    rounding r1 of p a moves e**(p a) by a relative |r1|, to first order.
+    The argument of expm1 errs by r2 + p r0, the roundings of p d and of
+    d = b - a, which expm1 turns into a relative error of that times
+    e**y / expm1(y)."""
+    pa, r1 = _two_product(p, a)
+    d = b - a
+    big, small = (b, -a) if abs(b) >= abs(a) else (-a, b)
+    r0 = small - (d - big)
+    y, r2 = _two_product(p, d)
+    ea = math.exp(pa)
+    e = math.expm1(y)
+    value = ea * e / p
+    if not min(ea, e, value) >= _NORMAL:
+        return _NAN
+    units = 5.0 + 2.0 * _CALL + (abs(r1) + abs(r2 + p * r0) * (e + 1.0) / e) / _U
+    return value, units * _U * value
+
+
+def _powerlike_abs_pow(a, b, p, coef, expo, _k, _rk, lo):
+    """|coef|**p * |x|**q with q = expo * p, on one side of 0 (mirrored
+    where b < 0) as the integral of s**(k-1), k = q + 1, over [s0, s1],
+    anchored at the end where s**k is larger: for k <= 0 by `_pow_positive`
+    at s0, for k > 0 as s1**k * -expm1(-k log1p(t)) / k with t = (s1 -
+    s0) / s0, where expm1's condition number is at most 1 and no end's
+    power leaves the float range before the value does. Across 0, as the
+    sum of the two positive halves, (|a|**k + b**k) / k.
+
+    The rounding of q (Dekker) and of q + 1 (Fast2Sum) is carried in rk,
+    as `_powerlike` carries the rounding of its k; g's own k and rk are
+    unused. The mean of ln s that rk multiplies (see `_pow_positive`) is
+    over [s0, s1], and across 0 over [0, max(|a|, b)], where the domain
+    holds 0, so expo is an integer >= 0 and k >= 1."""
+    if not lo < a:
+        return _NAN
+    if coef == 0.0:
+        return 0.0, 0.0
+    scale = math.pow(abs(coef), p)
+    q, rq = _two_product(expo, p)
+    k = q + 1.0
+    rk = rq + (1.0 - (k - q) if abs(q) >= 1.0 else q - (k - 1.0))
+    if a > 0.0 or b < 0.0:
+        s0, s1 = (a, b) if a > 0.0 else (-b, -a)
+        if k <= 0.0:
+            value, bound = _pow_positive(s0, s1, scale, k, rk)
+            return value, bound + _CALL * _U * value
+        t = (s1 - s0) / s0
+        lg = math.log1p(t)
+        ps = math.pow(s1, k)
+        e = -math.expm1(-k * lg)
+        value = scale * ps * e / k
+        if not (t < math.inf and min(ps, e, value) >= _NORMAL):
+            return _NAN
+        units = 8.0 + 4.0 * _CALL
+        log_mean = abs(math.log(s0)) + lg
+    else:
+        pa, pb = math.pow(-a, k), math.pow(b, k)
+        value = scale * (pa + pb) / k
+        if not min(pa + pb, value) >= _NORMAL:
+            return _NAN
+        units = 5.0 + 3.0 * _CALL
+        log_mean = max(abs(math.log(x)) for x in (-a, b) if x > 0.0) + 1.0 / k
+    if rk:
+        units += 2.0 * abs(rk) * log_mean / _U
+    # across 0, |a|**k or b**k may fall below the normal range, where it errs
+    # by at most _CALL * u * _NORMAL; on one side, the powers are normal
+    return value, units * _U * value + 2.0 * _CALL * _U * _NORMAL * scale / k
+
+
+def _poly_abs_pow(cuts, p, coeffs):
+    """For an integer p, h**p on each piece between the cuts, which h
+    keeps one sign on, is a polynomial. Each piece is halved, and on each
+    half [c, d] h**p is expanded in t = x - m about its midpoint m, which
+    keeps the coefficients near the size of h there: over the crossing
+    polys of the tests, halving cuts the largest bound 30-fold. The
+    coefficients of h(m + t) are each rounded once from their exact values
+    (`_shifted`), those of its power come from `_poly_mul`, and the
+    absolute values of the power's integrals over [c - m, d - m], by
+    `_poly_integral`, are summed.
+
+    Let G(t) be the power of the polynomial of the |coefficients| of h(m +
+    t), with N coefficients, and I the integral of G(|t|) over the half.
+    Each rounded coefficient of h(m + t) errs by at most u times its own
+    magnitude, which moves the power by p units of G, and each coefficient
+    of the rounded power errs by at most (p - 1) n units of the same
+    coefficient of G, with n coefficients in h: those units count I. The
+    rounding of c - m and d - m moves each end by at most u |t|, over
+    which the integrand is at most G(|t|), and |t| G(|t|) <= N I: 2 (N + 1)
+    units of I more. Two adjacent floats may bracket a root across which h
+    changes sign: at an odd p such a half counts 0, with 2 I as its bound.
+    Beyond `_POLY_POWER_TERMS`, and for a p that is not an integer, there
+    is no form here."""
+    n = len(coeffs)
+    if not (float(p).is_integer() and p * n <= _POLY_POWER_TERMS):
+        return _NAN
+    if not any(coeffs):
+        return 0.0, 0.0
+    p = int(p)
+    units = (p - 1) * n + p + 2 * ((n - 1) * p + 2) + 2
+    halved = [cuts[0]]
+    for c, d in pairwise(cuts):
+        m = 0.5 * c + 0.5 * d
+        halved += (m, d) if c < m < d else (d,)
+    value = bound = 0.0
+    for c, d in pairwise(halved):
+        m = 0.5 * c + 0.5 * d
+        h = _shifted(coeffs, m) if m else coeffs
+        habs = [abs(x) + _NORMAL for x in h]  # a coefficient below it errs by u * _NORMAL
+        power, absolute = h, habs
+        for _ in range(p - 1):
+            power = _poly_mul(power, h)
+            absolute = _poly_mul(absolute, habs)
+        lo, hi = c - m, d - m
+        spread = 0.0
+        for x, y in ((max(lo, 0.0), hi), (max(-hi, 0.0), -lo)):
+            if x < y:
+                spread += sum(_poly_integral(x, y, absolute))
+        if p % 2 and d == math.nextafter(c, math.inf):
+            bound += 2.0 * spread
+        else:
+            v, e = _poly_integral(lo, hi, power)
+            value += abs(v)
+            bound += e + units * _U * spread
+    return value, bound + len(halved) * _U * value
+
+
+def _shifted(coeffs, m):
+    """The coefficients of h(m + t) in t for the polynomial h = ``coeffs``
+    (highest degree first), each the float nearest its exact value. With m
+    = M / 2**mu and every coefficient an integer over 2**K, the Horner
+    shift runs exactly on the integer coefficients of 2**K 2**(mu deg)
+    h(y / 2**mu) at y = M + 2**mu t, and int / int rounds once. Raises
+    OverflowError where a coefficient is beyond the float range."""
+    num, den = m.as_integer_ratio()
+    mu = den.bit_length() - 1
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    k = max(d.bit_length() for _, d in ratios) - 1
+    s = [n << (k - d.bit_length() + 1 + mu * j) for j, (n, d) in enumerate(ratios)]
+    for i in range(len(s) - 1, 0, -1):
+        for j in range(1, i + 1):
+            s[j] += num * s[j - 1]
+    return [c / (1 << (k + mu * j)) for j, c in enumerate(s)]
+
+
+def abs_pow_integral(integral, p, cuts):
+    """The integral of |g|**p, p >= 1, over [cuts[0], cuts[-1]] for the
+    registry evaluator g whose closed form is ``integral`` = (fn, args),
+    under the contract of the closed-form integrals: ``(value, bound)``,
+    NaN where a form cannot vouch for its value, and inf or OverflowError
+    beyond the float range. ``cuts`` are g's sign pieces, the cuts of f'
+    for g = f''. exp and c*x**e have a form at every p, poly at an integer
+    p (`_poly_abs_pow`); any other integral has none."""
+    fn, args = integral
+    if fn is _exp_integral:
+        return _exp_abs_pow(cuts[0], cuts[-1], p)
+    if fn is _pow_integral:
+        return _powerlike_abs_pow(cuts[0], cuts[-1], p, *args)
+    if fn is _poly_integral:
+        return _poly_abs_pow(cuts, p, *args)
+    return _NAN
+
+
+def root_enclosure(value, bound, p):
+    """Floats ``(lower, upper)`` around the p-th root of every number in
+    [value - bound, value + bound], p >= 1, for value 0 with bound 0 or
+    value at least `_NORMAL` with a finite bound; None otherwise (a form
+    that cannot vouch for its value), or where upper overflows.
+
+    Each end is math.pow of the rounded end at the rounded 1/p, widened by
+    a relative allowance and then by one ulp. The allowance counts `_CALL`
+    for pow; u/p for the rounding of the end; u |ln s| / p for the rounding
+    of 1/p, which scales the root s**(1/p) by s**(delta/p); and 3 more for
+    the product, the rounding of 1 + units u and the second order. An end
+    below the normal range, where the relative model fails, gives lower
+    0."""
+    if value == 0.0 == bound:
+        return 0.0, 0.0
+    if not (value >= _NORMAL and bound < math.inf):
+        return None
+    r = 1.0 / p
+    hi = value + bound
+    units = _CALL + (1.0 + abs(math.log(hi))) / p + 3.0
+    upper = math.nextafter(math.pow(hi, r) * (1.0 + units * _U), math.inf)
+    if upper == math.inf:
+        return None
+    lo = value - bound
+    if not lo >= _NORMAL:
+        return 0.0, upper
+    units = _CALL + (1.0 + abs(math.log(lo))) / p + 3.0
+    return math.nextafter(math.pow(lo, r) * (1.0 - units * _U), 0.0), upper
 
 
 def _pow_column(xs, coef, expo):

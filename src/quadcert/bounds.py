@@ -88,17 +88,20 @@ def _admit_norm(params, est, supplied, name):
     """The norm a certificate uses: the estimate ``est`` when nothing is
     supplied, recording its ``norm_method`` (and ``norm_samples``) in
     ``params``; otherwise the supplied value, recorded as ``norm_method``
-    "supplied", which must be finite and at least the estimate. For plain
-    callables a sampled sup is a lower bound, so there the check is
-    necessary, not sufficient."""
+    "supplied", which must be finite and at least the estimate, or, for an
+    exact Lp norm, whose value is the upper end of an enclosure, at least
+    the enclosure's lower end. For plain callables a sampled sup is a
+    lower bound, so there the check is necessary, not sufficient."""
     if supplied is None:
         params["norm_method"] = est.method
         if est.samples is not None:
             params["norm_samples"] = est.samples
         return est.value
-    if not est.value <= supplied < math.inf:
-        raise ParameterError(f"{name}={supplied!r} must be finite and >= the "
-                             f"{est.method} {est.kind} {est.value!r}")
+    floor = getattr(est, "lower", None)
+    least = (f"the {est.method} {est.kind} {est.value!r}" if floor is None else
+             f"the lower end of the {est.method} {est.kind} {floor!r}")
+    if not (est.value if floor is None else floor) <= supplied < math.inf:
+        raise ParameterError(f"{name}={supplied!r} must be finite and >= {least}")
     params["norm_method"] = "supplied"
     return supplied
 
@@ -199,11 +202,13 @@ def bound_cerone_dragomir(ft: FunctionTriple, iv: Interval, case: str,
       l1:  bound_total = (b-a)^2/8 * integral of |f''|
     The norm comes from one `oracle.estimate_norm` call and is recorded in
     the certificate params for auditability, with its ``norm_method``:
-    sup|f''| and the L1 norm are exact for registry functions; sup|f''| is
-    sampled for plain callables (then ``norm_samples`` records the
-    density); the other p-norms come from quadrature. A supplied norm must
-    be finite and at least that estimate of the same norm, and is recorded
-    as ``norm_method`` "supplied".
+    sup|f''| and the L1 norm are exact for registry functions, and so is
+    the Lp norm, the upper end of an enclosure, but for a poly at a
+    fractional p; sup|f''| is sampled for plain callables (then
+    ``norm_samples`` records the density); the other p-norms come from
+    quadrature. A supplied norm must be finite and at least that estimate
+    of the same norm, or for an exact Lp norm at least the lower end of
+    its enclosure, and is recorded as ``norm_method`` "supplied".
     """
     require_domain(ft, iv)
     if case not in CD_CASES:

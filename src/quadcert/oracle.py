@@ -36,12 +36,14 @@ class NormEstimate(NamedTuple):
     """Norm of a derivative over an interval, with how it was obtained.
 
     ``method`` is "exact" for the sup norms of registry evaluators, the
-    largest |value| at their monotone cuts, and for the L1 norm of a
-    registry f'', the total variation of f' over its cuts. It is "sampled"
-    for the sup norms of other callables, a lower-bound estimate whose
-    density ``samples`` records, and "quadrature" for the Lp norms and
-    for the L1 norm of other callables, which come from adaptive
-    integration. ``samples`` is None unless the method is "sampled".
+    largest |value| at their monotone cuts, for the L1 norm of a registry
+    f'', the total variation of f' over its cuts, and for the Lp norm of a
+    registry f'' with a closed form, the upper end of an enclosure of the
+    norm. It is "sampled" for the sup norms of other callables, a
+    lower-bound estimate whose density ``samples`` records, and
+    "quadrature" for the other Lp norms and for the L1 norm of other
+    callables, which come from adaptive integration. ``samples`` is None
+    unless the method is "sampled".
     """
 
     kind: str
@@ -49,6 +51,16 @@ class NormEstimate(NamedTuple):
     method: str
     p: float | None = None
     samples: int | None = None
+
+
+class _Enclosed(NormEstimate):
+    """An exact Lp norm: ``value`` is the upper end of an enclosure of the
+    norm, and ``lower``, set once built, its lower end, the least norm a
+    caller may supply (`bounds._admit_norm`). It prints, compares and
+    hashes as the NormEstimate of its fields."""
+
+    def __repr__(self):
+        return repr(NormEstimate(*self))
 
 
 def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL, *,
@@ -187,9 +199,17 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
       sup_f1 / sup_f2: exact, the largest |g| at the cuts of g.
       l1_f2: exact, the total variation of f' over its cuts,
         sum |f'(c_{i+1}) - f'(c_i)|.
-      lp_f2 (finite p >= 1): adaptive integration of |f''|**p between the
-        cuts of f', which hold every sign change of f'', graded towards each
-        root (see `_graded_at_roots`), then the 1/p root.
+      lp_f2 (finite p >= 1): exact, rounded up. The integral of |f''|**p
+        in closed form over the cuts of f', which hold every sign change
+        of f'', with a bound on its rounding (`_backend.abs_pow_integral`),
+        and the 1/p root of its upper end, widened for the rounding of the
+        root (`_backend.root_enclosure`); the estimate carries the lower
+        end of that enclosure too, for `bounds._admit_norm`. For exp and
+        c*x**e at every p, for poly at an integer p with p times its
+        number of coefficients at most 64. Any other poly integrates
+        |f''|**p adaptively between the same cuts, graded towards each
+        root (see `_graded_at_roots`), as does a closed form that cannot
+        vouch for its value, and its method is "quadrature".
     For any other callable, sup norms sample `SUP_SAMPLES` (4097) evenly
     spaced points plus golden-section refinement around the sampled
     maximum, a lower-bound estimate, and the p-norms integrate |f''|**p
@@ -219,8 +239,18 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
     if kind == "lp_f2":
         if p is None or not 1.0 <= p < math.inf:
             raise ParameterError(f"lp_f2 needs a finite p >= 1, got {p!r}")
-        g = lambda x: abs(ft.f2(x)) ** p  # noqa: E731
         cuts = _cuts(ft.f1, a, b)
+        closed = getattr(ft.f2, "integral", None)  # as `integrate` takes it
+        if cuts is not None and type(closed) is tuple and len(closed) == 2:
+            try:
+                ends = _backend.root_enclosure(*_backend.abs_pow_integral(closed, p, cuts), p)
+            except OverflowError:
+                ends = None
+            if ends:
+                est = _Enclosed(kind, ends[1], "exact", p=p)
+                est.lower = ends[0]
+                return est
+        g = lambda x: abs(ft.f2(x)) ** p  # noqa: E731
         est = None
         # |f''|**p is smooth up to a root of f'' unless p is fractional.
         if cuts is not None and not float(p).is_integer():

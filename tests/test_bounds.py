@@ -353,7 +353,7 @@ def test_cerone_dragomir_oracle_norms(corpus, rng):
             cert = bound_cerone_dragomir(ft, iv, case, **kwargs)
             assert holds(actual, cert.bound_total), (ft.id, case)
             assert cert.params["norm"] > 0.0
-            assert cert.params["norm_method"] == ("quadrature" if case == "lp" else "exact")
+            assert cert.params["norm_method"] == "exact"
             assert "norm_samples" not in cert.params
 
 
@@ -394,9 +394,10 @@ def test_zero_norm_needs_f2_to_vanish():
     for case, kind in (("inf", r"exact sup_f2 136636372\.4"), ("l1", "exact l1_f2 ")):
         with pytest.raises(ParameterError, match=f"norm=0.0 must be finite and >= the {kind}"):
             bound_cerone_dragomir(ft, UNIT, case, norm=0.0)
-    # a supplied Lp norm is checked against the Lp quadrature, which cannot
-    # meet the oracle's absolute tolerance on this f'' (ROADMAP item 3)
-    with pytest.raises(IntegrationError):
+    # the Lp norm at an integer p is exact too; GK15 could not meet the
+    # oracle's absolute tolerance on this f'' and raised IntegrationError
+    with pytest.raises(ParameterError, match="norm=0.0 must be finite and >= the lower end "
+                                             r"of the exact lp_f2 4\d{7}\."):
         bound_cerone_dragomir(ft, UNIT, "lp", norm=0.0, p=2.0)
 
 
@@ -435,36 +436,48 @@ def _supplied_certificate(ft, iv, which, p, supplied=None):
 # one ulp below a sampled sup is refused
 @example(inputs=("power:2", True, 0.0, 1.0), which="ostrowski", p=2.0, supplied=None,
          scale=1.0, ulps=-1)
+# the exact Lp norm 2.0 of f'' = 2 on [0, 1] lies inside the enclosure
+@example(inputs=("power:2", False, 0.0, 1.0), which="lp", p=2.0, supplied=2.0, scale=1.0,
+         ulps=0)
+# one ulp below the enclosure's lower end is refused
+@example(inputs=("reciprocal", False, 0.5, 2.0), which="lp", p=3.0, supplied=None, scale=1.0,
+         ulps=-1)
 def test_supplied_norm_is_admitted_from_the_estimate_up(inputs, which, p, supplied, scale, ulps):
-    """A supplied norm below the package's estimate of the same norm is
-    refused. The estimate itself, or any finite value above it, is recorded
-    as supplied and gives a bound no smaller than the default certificate's.
-    Without a drawn value the supplied one is the estimate times ``scale``,
-    moved by ``ulps`` units in the last place."""
+    """A supplied norm below the least the package admits for the same norm
+    is refused: the estimate, or for an exact Lp norm, whose estimate is the
+    upper end of an enclosure, the enclosure's lower end. The least, or any
+    finite value above it, is recorded as supplied, and from the estimate
+    up it gives a bound no smaller than the default certificate's. Without
+    a drawn value the supplied one is the least times ``scale``, moved by
+    ``ulps`` units in the last place."""
     spec, plain, a, b = inputs
     ft = plain_callables(CORPUS[spec][0]) if plain else CORPUS[spec][0]
     iv = Interval(a, b)
     try:
-        est = estimate_norm(ft, iv, NORM_OF[which], p=p if which == "lp" else None).value
+        norm = estimate_norm(ft, iv, NORM_OF[which], p=p if which == "lp" else None)
     except IntegrationError:
         # an Lp quadrature that misses the oracle's absolute tolerance
         # (ROADMAP item 3) fails with a supplied norm too
         with pytest.raises(IntegrationError):
             _supplied_certificate(ft, iv, which, p, supplied or 1.0)
         return
+    est = norm.value
+    least = getattr(norm, "lower", est)
+    assert least <= est
     if supplied is None:
-        supplied = est * scale
+        supplied = least * scale
         for _ in range(abs(ulps)):
             supplied = math.nextafter(supplied, math.copysign(math.inf, ulps))
-    if supplied < est:
+    if supplied < least:
         with pytest.raises(ParameterError,
-                           match=f"must be finite and >= the .* {re.escape(repr(est))}$"):
+                           match=f"must be finite and >= the .* {re.escape(repr(least))}$"):
             _supplied_certificate(ft, iv, which, p, supplied)
         return
     cert = _supplied_certificate(ft, iv, which, p, supplied)
     assert cert.params["norm_method"] == "supplied"
     assert "norm_samples" not in cert.params
-    assert cert.bound_total >= _supplied_certificate(ft, iv, which, p).bound_total
+    if supplied >= est:
+        assert cert.bound_total >= _supplied_certificate(ft, iv, which, p).bound_total
 
 
 # ------------------------------------------------------------- certificates

@@ -345,6 +345,27 @@ def test_exp_composite_at_n_4_overflows_its_own_bound(capsys):
     assert "bound inf" in err and "refined" not in err
 
 
+@pytest.mark.parametrize("spec, a, b, p, exact", [
+    ("reciprocal", "0.25", "1.9453125", "3",
+     lambda a, b: a ** -8 - b ** -8),  # f'' = 2 x**-3
+    ("poly:3,-2,1,0,5,-1", "0.5853024595704177", "1.4489322816493633", "2",
+     lambda a, b: mpmath.quad(lambda x: (60 * x ** 3 - 24 * x ** 2 + 6 * x) ** 2, [a, b])),
+])
+def test_registry_lp_norms_need_no_gk15_tolerance(capsys, spec, a, b, p, exact):
+    """Valid cerone_dragomir lp certificates that exited 2 because GK15
+    could not meet tol=1e-12 on |f''|**p: the norm is exact, the upper end
+    of an enclosure of the 50-digit norm."""
+    code, out, err = run_cli(capsys, "certify", "--function", spec, "--a", a, "--b", b,
+                             "--family", "cerone_dragomir", "--case", "lp", "--p", p,
+                             "--format", "json")
+    assert code == EXIT_OK, err
+    params = json.loads(out)["params"]
+    assert params["norm_method"] == "exact"
+    with mpmath.workdps(50):
+        norm = exact(mpmath.mpf(a), mpmath.mpf(b)) ** (1 / mpmath.mpf(p))
+        assert norm <= params["norm"] <= norm * (1 + 1e-13)
+
+
 def test_composite_refuses_more_than_2_53_subintervals(capsys):
     """n above 2**53 is bad input, refused before any node is computed."""
     code, out, err = run_cli(capsys, "composite", "--function", "exp", "--a", "0", "--b", "1",

@@ -171,14 +171,16 @@ def test_lp_of_power4_split_at_its_root():
     assert abs(est.value ** p - exact) <= max(1e-12, 1e-13 * exact)
 
 
+# poly:1,0,0,0 is x**3, whose Lp norm power:3 now takes in closed form
 @pytest.mark.parametrize("spec, a, b, was", [
-    ("power:3", -1.063582099269285, 2.693652948290751, 42),
+    ("poly:1,0,0,0", -1.063582099269285, 2.693652948290751, 42),
     ("poly:3,-2,1,0,5,-1", -0.2695131561192441, 0.13824918091716223, 32),
 ])
 def test_lp_graded_towards_a_simple_root(monkeypatch, spec, a, b, was):
     """|f''|**1.5 ~ |x|**1.5 at the root 0 of f'': with the root only a
     breakpoint, GK15 halved towards it into ``was`` segments (~0.3 ms); the
-    graded quarters next to it need a few, and keep the value."""
+    graded quarters next to it need a few, and keep the value. A poly at a
+    fractional p has no closed form, so its Lp norm runs this path."""
     from quadcert import oracle
 
     segments = []
@@ -197,13 +199,16 @@ def test_lp_graded_towards_a_simple_root(monkeypatch, spec, a, b, was):
 
 
 def test_lp_falls_back_to_the_cuts_alone():
-    """|12 x^2|**2.5 on [-0.203, 2.05] reaches ~4e5, where rounding in the
+    """|12 x^2|**2.5 on [-0.203, 2.39] reaches ~4e4, where rounding in the
     graded quarters cannot meet the absolute tolerance 1e-12; the cuts
-    alone can, and give the norm."""
+    alone can, and give the norm. x**4 is taken as a poly, which has no
+    closed form at a fractional p (power:4 has one). Its f'' rounds
+    differently from power:4's, whose graded quarters failed on [-0.203,
+    2.05], where the poly's do not."""
     from quadcert import oracle
     from quadcert.errors import IntegrationError
 
-    ft, a, b, p = parse_function_spec("power:4"), -0.203, 2.05, 2.5
+    ft, a, b, p = parse_function_spec("poly:1,0,0,0,0"), -0.203, 2.39, 2.5
     g = lambda x: abs(ft.f2(x)) ** p  # noqa: E731
     cuts = oracle._cuts(ft.f1, a, b)
     h, points = oracle._graded_at_roots(g, ft.f2, cuts)
@@ -211,7 +216,7 @@ def test_lp_falls_back_to_the_cuts_alone():
         oracle.integrate(h, a, b, points=points)
     est = estimate_norm(ft, Interval(a, b), "lp_f2", p=p)
     assert est.value == oracle.integrate(g, a, b, points=cuts).value ** (1.0 / p)
-    exact = mp_lp_pow("power:4", a, b, p)
+    exact = mp_lp_pow("poly:1,0,0,0,0", a, b, p)
     assert abs(est.value ** p - exact) <= 1e-13 * exact
 
 
@@ -291,6 +296,110 @@ def test_exact_hypotheses_match_mpmath(case, p, q):
         assert margin >= -(degree + 1) * 2.0 ** -47
     else:
         assert margin < -EPS
+
+
+# Registry functions for the closed-form Lp norms, with the ranges the left
+# end is drawn from: every kind, f'' = c*x**e with e fractional, negative
+# (reciprocal, neglog), 0 (power:2), an integer across 0 and 0 with c = 0
+# (power:1), and polys, whose closed form needs an integer p.
+LP_SPECS = {"exp": (-20.0, 20.0), "reciprocal": (1e-3, 1e3), "neglog": (1e-3, 1e3),
+            "power:2.5": (1e-3, 1e3), "power:0.3": (1e-3, 1e3), "power:2": (-10.0, 10.0),
+            "power:3": (-10.0, 10.0), "power:4": (-10.0, 10.0), "power:1": (-10.0, 10.0),
+            "poly:3,-2,1,0,5,-1": (-2.0, 2.0), "poly:1,0,-1,0,0": (-2.0, 2.0)}
+
+
+@st.composite
+def lp_cases(draw):
+    """(spec, a, b, p): b - a from the whole range down to 1e-12 max(|a|, 1);
+    an integer p for a poly, any p in [1, 8] otherwise."""
+    spec = draw(st.sampled_from(sorted(LP_SPECS)))
+    lo, hi = LP_SPECS[spec]
+    a = draw(st.floats(lo, hi))
+    least = 1e-12 * max(abs(a), 1.0)
+    width = draw(st.sampled_from((None, 1e-3, 1e-6, 1e-9, 1e-12)))
+    if width is None:
+        b = draw(st.floats(a + least, hi + 1.0))
+    else:
+        b = a + width * max(abs(a), 1.0)
+    integer = st.integers(1, 8).map(float)
+    p = draw(integer if spec.startswith("poly") else integer | st.floats(1.0, 8.0))
+    return spec, a, b, p
+
+
+def mp_abs_pow_integral(ft, a, b, p):
+    """The integral of |f''|**p at 50 digits, for the f'' that the
+    evaluator computes: its ``integral`` arguments, c and e of c*x**e or the
+    poly's coefficients, taken as exact."""
+    fn, args = ft.f2.integral
+    a, b, p = mp.mpf(a), mp.mpf(b), mp.mpf(p)
+    if fn is _backend._exp_integral:
+        return (mp.exp(p * b) - mp.exp(p * a)) / p
+    if fn is _backend._pow_integral:
+        coef, expo = mp.mpf(args[0]), mp.mpf(args[1])
+        if coef == 0:
+            return mp.mpf(0)
+        k = expo * p + 1
+
+        def part(lo, hi):  # the integral of x**(k-1) over [lo, hi] in [0, inf)
+            return mp.log(hi / lo) if k == 0 else (hi ** k - lo ** k) / k
+
+        if a >= 0:
+            total = part(a, b)
+        elif b <= 0:
+            total = part(-b, -a)
+        else:
+            total = part(mp.mpf(0), -a) + part(mp.mpf(0), b)
+        return abs(coef) ** p * total
+    h = [mp.mpf(c) for c in args[0]]
+    power = [mp.mpf(1)]
+    for _ in range(int(p)):
+        power = _pmul(power, h)
+    n = len(power)
+    antiderivative = [c / (n - i) for i, c in enumerate(power)] + [mp.mpf(0)]
+    pts = _breaks(_real_roots(h), a, b)
+    return mp.fsum(abs(mp.polyval(antiderivative, v) - mp.polyval(antiderivative, u))
+                   for u, v in zip(pts, pts[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lp_cases())
+# the reciprocal witness: GK15 could not meet its absolute tolerance 1e-12
+@example(case=("reciprocal", 0.25, 1.9453125, 3.0))
+# a quintic at p = 2, which GK15 could not integrate either
+@example(case=("poly:3,-2,1,0,5,-1", 0.5853024595704177, 1.4489322816493633, 2.0))
+# across the root 0 of f'' = 12 x**2, as two positive halves
+@example(case=("power:4", -1.9355325986415317, 1.9208803349134878, 3.0))
+def test_lp_norms_in_closed_form_enclose_mpmath(case):
+    """A registry f'' has its Lp norm in closed form: the integral of
+    |f''|**p is within its reported bound of the 50-digit value, and the
+    norm, the upper end of an enclosure, is at least the exact norm and
+    above it by a small multiple of that bound plus the rounding of the
+    root. The lower end is at most the exact norm. Where the form cannot
+    vouch for its value, only at a tiny left end, GK15 runs instead."""
+    from quadcert import oracle
+
+    spec, a, b, p = case
+    ft, iv = parse_function_spec(spec), Interval(a, b)
+    cuts = oracle._cuts(ft.f1, a, b)
+    try:
+        value, bound = _backend.abs_pow_integral(ft.f2.integral, p, cuts)
+    except OverflowError:
+        value = bound = math.nan
+    est = estimate_norm(ft, iv, "lp_f2", p=p)
+    if not math.isfinite(value):
+        # c*x**e on one side of 0 with an end near it, as 0 < a < 1e-6:
+        # a**k leaves the normal range, or expm1 of k log1p((b - a)/a)
+        # overflows, so the form cannot vouch, and GK15 runs
+        near = a if a > 0.0 else -b
+        assert est.method == "quadrature" and 0.0 < near < 1e-6, (case, value)
+        return
+    assert est.method == "exact", (case, value, bound)
+    exact = mp_abs_pow_integral(ft, a, b, p)
+    assert abs(value - exact) <= bound, (case, value, bound, exact)
+    norm = exact ** (1 / mp.mpf(p))
+    assert est.lower <= norm <= est.value, (case, est, norm)
+    root = (p + 8 + abs(mp.log(exact))) * EPS * exact if exact else 0
+    assert mp.mpf(est.value) ** p - exact <= 4 * (bound + root), (case, est, exact)
 
 
 def test_exact_flag_differs_from_the_grid_only_where_the_grid_is_wrong():
