@@ -68,10 +68,17 @@ def _poly_derivative(coeffs):
 
 
 def spec_string(kind, params):
-    """Registry id of a function: "exp", "power:2.5", "poly:1,0,-3"."""
+    """Registry id of a function: "exp", "power:2.5", "poly:1,0,-3". Each
+    param is its shortest round-trip form, ``repr``, less a trailing ".0",
+    so parsing the id gives the same params bit for bit."""
     if not params:
         return kind
-    return kind + ":" + ",".join(format(v, "g") for v in params)
+    return kind + ":" + ",".join(map(_param_string, params))
+
+
+def _param_string(v):
+    r = repr(v)
+    return r[:-2] if r.endswith(".0") else r
 
 
 def _powerlike(coef, expo, lo, hi, overflow):

@@ -5,6 +5,7 @@ at interior points), so derivatives are analytic, never numeric: finite
 differences would contaminate the bounds with truncation error.
 """
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -15,6 +16,8 @@ BUILTIN_IDS = ("power", "reciprocal", "neglog", "exp", "poly")
 
 _CONVEXITY_TOL = 1e-12
 _CONVEXITY_GRID = 101
+# distinct (spec, builder) pairs `parse_function_spec` keeps built
+_SPEC_CACHE_SIZE = 128
 
 
 def record_base(name, fields):
@@ -107,7 +110,24 @@ def register_builtin(func_id: str, params=()) -> FunctionTriple:
 
 
 def parse_function_spec(spec: str) -> FunctionTriple:
-    """Parse a CLI function spec: "power:2.5", "reciprocal", "poly:1,0,-3"."""
+    """Parse a CLI function spec: "power:2.5", "reciprocal", "poly:1,0,-3".
+
+    The triple is built once per spec and shared by every caller that
+    parses that spec (a bounded number of recent specs stay cached), so
+    set no attributes on its evaluators.
+    """
+    if not isinstance(spec, str):
+        raise ParameterError(f"function spec must be a str, got {type(spec).__name__}")
+    return _parse_cached(spec, _backend.make_func)
+
+
+@functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _parse_cached(spec, builder):
+    """`parse_function_spec`'s triple. The key holds ``builder``, the
+    ``_backend.make_func`` that `register_builtin` calls, so evaluators made
+    while it is replaced (by a wrapper that counts calls, say) are never
+    returned once it is restored. A failing spec is not cached and raises
+    on every call."""
     name, _, tail = spec.strip().partition(":")
     if tail:
         try:

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadcert import _backend
+from quadcert import _backend, functions
 from quadcert.bounds import (HolderPair, bound_cerone_dragomir, bound_convex, bound_holder,
                              bound_ostrowski, bound_power_mean)
 from quadcert.composite import Partition, composite_midpoint
@@ -209,10 +209,54 @@ def test_only_exp_shares_columns():
 
 def test_parse_leaves_no_reference_cycles():
     """Evaluators and their column form are freed by reference counting:
-    parsing leaves nothing for the cyclic collector."""
+    building a triple and dropping it leaves nothing for the cyclic
+    collector. The cache is cleared first, so the parse builds anew, and
+    again after it, so the new triple is dropped."""
+    functions._parse_cached.cache_clear()
     gc.collect()
     parse_function_spec("power:2.5")
+    functions._parse_cached.cache_clear()
+    register_builtin("poly", [1.0, 0.0, -3.0])
     assert gc.collect() == 0
+
+
+def test_parse_caches_per_builder(monkeypatch):
+    """One triple per spec, and a triple built while ``make_func`` is
+    replaced is not returned once it is restored: plain wrappers lack the
+    registry evaluators' exact answers, so sharing them would make later
+    callers sample."""
+    plain = parse_function_spec("exp")
+    assert parse_function_spec("exp") is plain
+    plain_make_func = _backend.make_func
+    made = []
+
+    def wrapped_make_func(*args):
+        fn = plain_make_func(*args)
+        made.append(lambda x: fn(x))
+        return made[-1]
+
+    monkeypatch.setattr(_backend, "make_func", wrapped_make_func)
+    wrapped = parse_function_spec("exp")
+    assert [wrapped.f, wrapped.f1, wrapped.f2] == made
+    assert parse_function_spec("exp") is wrapped
+    monkeypatch.undo()
+    assert parse_function_spec("exp") is plain
+    assert hasattr(plain.f, "integral")
+
+
+def _bits(values):
+    return [float.hex(v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_id_round_trips_params(coeffs, expo):
+    """An id parses back to the same params, bit for bit."""
+    poly = parse_function_spec(register_builtin("poly", coeffs).id)
+    assert _bits(poly.f.integral[1][0]) == _bits(coeffs)
+    power = parse_function_spec(register_builtin("power", [expo]).id)
+    assert _bits(power.f.batch[1]) == _bits([1.0, expo])
 
 
 def test_no_domain_restriction_for_integer_powers_and_poly():
@@ -249,10 +293,16 @@ def test_parse_function_spec():
     assert parse_function_spec("power:2.5").id == "power:2.5"
     assert parse_function_spec("poly:1,0,-3").id == "poly:1,0,-3"
     assert parse_function_spec("reciprocal").id == "reciprocal"
-    with pytest.raises(ParameterError):
-        parse_function_spec("power:abc")
-    with pytest.raises(ParameterError):  # the registry spells it "poly" only
-        parse_function_spec("polynomial:1,0")
+    # an id keeps every digit of its params, and integers print bare
+    assert parse_function_spec("power:2.50000001").id == "power:2.50000001"
+    assert parse_function_spec("power:1234567").id == "power:1234567"
+    assert register_builtin("poly", [3, -2, 1, 0, 5, -1]).id == "poly:3,-2,1,0,5,-1"
+    # the registry spells it "poly" only; a failing spec is not cached, so
+    # it raises on every call
+    for spec in ("power:abc", "polynomial:1,0", None, 5, ["exp"], b"exp"):
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                parse_function_spec(spec)
 
 
 def test_convexity_check():
