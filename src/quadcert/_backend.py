@@ -2,8 +2,11 @@
 Gauss-Kronrod integrator, in pure Python.
 """
 
+import functools
 import math
 import operator
+import sys
+from bisect import bisect_left, bisect_right
 from itertools import pairwise, repeat
 
 from .errors import DomainError, IntegrationError
@@ -27,6 +30,10 @@ _NAN = (math.nan, math.nan)
 # The largest p * (number of coefficients) of a poly whose |poly|**p
 # `_poly_abs_pow` expands: some p**2 n**2 / 2 products build the power.
 _POLY_POWER_TERMS = 64
+# Polynomials whose cuts over the real line (`_real_cuts`) and whose
+# convexity terms (`_convexity_terms`) are kept: a spec's f, f' and f'' and
+# its P for a few q each take one.
+_POLY_CACHE_SIZE = 256
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]. Abscissae are symmetric,
 # so only the nonnegative half is stored; the Gauss weights belong to the
@@ -511,16 +518,17 @@ def _poly_mul(p, r):
 def _poly_convex(a, b, q, h):
     """|h|**q (q >= 1) is convex on [a, b] iff P = (q-1) h'**2 + h h'' >= 0
     there: (|h|**q)'' = q |h|**(q-2) P off the roots of h, where |h|**q has
-    its minimum 0. P is checked at its own monotone cuts, with an allowance
-    for the rounding of its evaluation proportional to the same expression
-    in |coefficients| and |x|. Where that scale is below 2**-969, the float
-    value of P may have underflowed (to -0.0, or with its allowance to 0),
-    so its sign is decided exactly. None when a value is not finite."""
+    its minimum 0. P is formed from h', h'', h'**2 and h h'', which are
+    kept per h (`_convexity_terms`), and checked at its own monotone cuts,
+    with an allowance for the rounding of its evaluation proportional to
+    the same expression in |coefficients| and |x|. Where that scale is
+    below 2**-969, the float value of P may have underflowed (to -0.0, or
+    with its allowance to 0), so its sign is decided exactly. None when a
+    value is not finite."""
     if len(h) < 3:  # h'' = 0, so P = (q-1) h'**2 >= 0
         return True
-    h1 = _poly_derivative(h)
-    h2 = _poly_derivative(h1)
-    poly = [(q - 1.0) * s + c for s, c in zip(_poly_mul(h1, h1), _poly_mul(h, h2))]
+    h1, h2, square, cross = _convexity_terms(tuple(h))
+    poly = tuple((q - 1.0) * s + c for s, c in zip(square, cross))
     for x in _monotone_cuts(a, b, poly):
         u, v, w = _horner(h, x), _horner(h1, x), _horner(h2, x)
         value = (q - 1.0) * v * v + u * w
@@ -537,6 +545,14 @@ def _poly_convex(a, b, q, h):
             elif value < -len(h) * 2.0 ** -49 * scale:
                 return False
     return True
+
+
+@functools.lru_cache(maxsize=_POLY_CACHE_SIZE)
+def _convexity_terms(h):
+    """h', h'', h'**2 and h h'' of the polynomial h, for `_poly_convex`."""
+    h1 = _poly_derivative(h)
+    h2 = _poly_derivative(h1)
+    return tuple(h1), tuple(h2), tuple(_poly_mul(h1, h1)), tuple(_poly_mul(h, h2))
 
 
 def _exact_p_negative(h, x, q):
@@ -560,26 +576,49 @@ def _horner(coeffs, x):
 
 
 def _monotone_cuts(a, b, coeffs):
-    """Sorted points of [a, b], a and b included, between consecutive ones of
-    which the polynomial ``coeffs`` (highest degree first) is monotone.
-
-    The cuts of the derivative split [a, b] into pieces on which the
-    derivative is monotone, so it changes sign at most once on each: inside,
-    bisected to a bracket of two adjacent floats that both become cuts, or
-    at an end where it is exactly 0, which stays a cut. It is evaluated in
-    floats, so "monotone" holds up to its rounding inside a bracket.
+    """Sorted, distinct points of [a, b], a and b included, between
+    consecutive ones of which the polynomial ``coeffs`` (highest degree
+    first) is monotone: a, the polynomial's cuts over the real line that
+    lie strictly inside (a, b), and b. The cuts are isolated once per
+    polynomial (`_real_cuts`) and clipped to [a, b] on each call.
     """
-    if len(coeffs) < 3:
-        return [a, b]
+    cuts = _real_cuts(tuple(coeffs))
+    return [a, *cuts[bisect_right(cuts, a):bisect_left(cuts, b)], b]
+
+
+@functools.lru_cache(maxsize=_POLY_CACHE_SIZE)
+def _real_cuts(coeffs):
+    """The interior monotone cuts of the polynomial ``coeffs`` over the
+    real line, sorted and distinct: its derivative's sign changes and the
+    cuts of the derivative where the derivative is exactly 0.
+
+    The derivative's own cuts, and its root bound R (Cauchy's, 1 plus the
+    largest |coefficient| over the leading one's), split [-R, R] into
+    pieces on which the derivative is monotone, so it changes sign at most
+    once on each: inside, bisected to a bracket of two adjacent floats that
+    both become cuts, or at a cut where it is exactly 0, which stays a cut.
+    It is evaluated in floats, so "monotone" holds up to its rounding
+    inside a bracket. Near a root where the float derivative is 0 at, or
+    changes sign across, more than one float, the bracket found is one of
+    those, fixed by where bisection starts from R. Non-finite coefficients,
+    or a constant derivative, give no cuts.
+    """
     deriv = _poly_derivative(coeffs)
-    cuts = [a]
-    for lo, hi in pairwise(_monotone_cuts(a, b, deriv)):
+    while len(deriv) > 1 and deriv[0] == 0.0:
+        deriv = deriv[1:]
+    if len(deriv) < 2 or not all(map(math.isfinite, (*coeffs, *deriv))):
+        return ()
+    # a bound that overflows is beyond every float root
+    r = min(1.0 + max(map(abs, deriv[1:])) / abs(deriv[0]), sys.float_info.max)
+    ends = [-r, *(c for c in _real_cuts(tuple(deriv)) if -r < c < r), r]
+    cuts = []
+    for lo, hi in pairwise(ends):
         dlo, dhi = _horner(deriv, lo), _horner(deriv, hi)
         if dlo < 0.0 < dhi or dhi < 0.0 < dlo:
             cuts += _bisect_sign_change(deriv, lo, hi, dlo < 0.0)
-        if dhi == 0.0 or hi == b:
+        if dhi == 0.0 and hi < r:
             cuts.append(hi)
-    return cuts
+    return tuple(sorted(set(cuts)))
 
 
 def _bisect_sign_change(coeffs, lo, hi, neg_lo):

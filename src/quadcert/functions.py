@@ -16,8 +16,14 @@ BUILTIN_IDS = ("power", "reciprocal", "neglog", "exp", "poly")
 
 _CONVEXITY_TOL = 1e-12
 _CONVEXITY_GRID = 101
-# distinct (spec, builder) pairs `parse_function_spec` keeps built
+# distinct specs `parse_function_spec` keeps built, per builder
 _SPEC_CACHE_SIZE = 128
+# `_backend.make_func` as imported, the builder of `_parse_cached`'s
+# triples; held in a tuple, so that rebinding every module attribute that
+# is `make_func` (as a call-counting tracer does) leaves it alone
+_BUILDER = (_backend.make_func,)
+# {builder: {spec: triple}} for the replaced `make_func` of the last parse
+_replaced = {}
 
 
 def record_base(name, fields):
@@ -118,16 +124,30 @@ def parse_function_spec(spec: str) -> FunctionTriple:
     """
     if not isinstance(spec, str):
         raise ParameterError(f"function spec must be a str, got {type(spec).__name__}")
-    return _parse_cached(spec, _backend.make_func)
+    builder = _backend.make_func
+    if builder is _BUILDER[0]:
+        if _replaced:
+            _replaced.clear()
+        return _parse_cached(spec)
+    # `make_func` is replaced (by a wrapper that counts calls, say): its
+    # triples are kept apart, and dropped at the first parse under another
+    # builder, so none of them is returned, or kept, after it is restored
+    triples = _replaced.get(builder)
+    if triples is None:
+        _replaced.clear()
+        triples = _replaced[builder] = {}
+    ft = triples.get(spec)
+    if ft is None:
+        if len(triples) >= _SPEC_CACHE_SIZE:
+            triples.clear()
+        ft = triples[spec] = _parse_cached.__wrapped__(spec)
+    return ft
 
 
 @functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)
-def _parse_cached(spec, builder):
-    """`parse_function_spec`'s triple. The key holds ``builder``, the
-    ``_backend.make_func`` that `register_builtin` calls, so evaluators made
-    while it is replaced (by a wrapper that counts calls, say) are never
-    returned once it is restored. A failing spec is not cached and raises
-    on every call."""
+def _parse_cached(spec):
+    """`parse_function_spec`'s triple, built by `_backend.make_func` as
+    imported. A failing spec is not cached and raises on every call."""
     name, _, tail = spec.strip().partition(":")
     if tail:
         try:

@@ -244,6 +244,33 @@ def test_parse_caches_per_builder(monkeypatch):
     assert hasattr(plain.f, "integral")
 
 
+def test_parse_drops_a_replaced_builders_triples(monkeypatch):
+    """A triple built while ``make_func`` is replaced does not outlive the
+    replacement: the first parse after the restore drops it, so the cache
+    holds only the restored builder's triple. The replacement is bound
+    wherever the package holds ``make_func``, as a call-counting tracer
+    binds its wrapper; the cache's own record of the builder is not such a
+    binding."""
+    functions._parse_cached.cache_clear()
+    plain_make_func = _backend.make_func
+
+    def wrapped_make_func(*args):
+        fn = plain_make_func(*args)
+        return lambda x: fn(x)
+
+    for module in (_backend, functions):
+        for name, value in list(vars(module).items()):
+            if value is plain_make_func:
+                monkeypatch.setattr(module, name, wrapped_make_func)
+    wrapped = parse_function_spec("power:3")
+    assert not hasattr(wrapped.f, "integral")
+    monkeypatch.undo()
+    restored = parse_function_spec("power:3")
+    assert hasattr(restored.f, "integral")
+    assert functions._parse_cached.cache_info().currsize == 1
+    assert not functions._replaced
+
+
 def _bits(values):
     return [float.hex(v) for v in values]
 
