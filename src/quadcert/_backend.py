@@ -592,9 +592,9 @@ def _real_cuts(coeffs):
     real line, sorted and distinct: its derivative's sign changes and the
     cuts of the derivative where the derivative is exactly 0.
 
-    The derivative's own cuts, and its root bound R (Cauchy's, 1 plus the
-    largest |coefficient| over the leading one's), split [-R, R] into
-    pieces on which the derivative is monotone, so it changes sign at most
+    The derivative's own cuts, and R, twice its root bound (Cauchy's, 1
+    plus the largest |coefficient| over the leading one's), split [-R, R]
+    into pieces on which the derivative is monotone, so it changes sign at most
     once on each: inside, bisected to a bracket of two adjacent floats that
     both become cuts, or at a cut where it is exactly 0, which stays a cut.
     It is evaluated in floats, so "monotone" holds up to its rounding
@@ -608,8 +608,11 @@ def _real_cuts(coeffs):
         deriv = deriv[1:]
     if len(deriv) < 2 or not all(map(math.isfinite, (*coeffs, *deriv))):
         return ()
-    # a bound that overflows is beyond every float root
-    r = min(1.0 + max(map(abs, deriv[1:])) / abs(deriv[0]), sys.float_info.max)
+    # twice the bound: rounding cannot bring it below a root, and at ±r the
+    # leading term is at least twice the rest, so the float sign there is
+    # the exact one unless the leading coefficient is subnormal; a bound
+    # that overflows is beyond every float root
+    r = min(2.0 * (1.0 + max(map(abs, deriv[1:])) / abs(deriv[0])), sys.float_info.max)
     ends = [-r, *(c for c in _real_cuts(tuple(deriv)) if -r < c < r), r]
     cuts = []
     for lo, hi in pairwise(ends):

@@ -36,9 +36,14 @@ def per_interval_cuts(a, b, coeffs):
 
 @st.composite
 def random_polys(draw):
-    """Degree 2-7, coefficients in [-3, 3], the leading one at least 0.25."""
+    """Degree 2-7, coefficients in [-3, 3], the leading one at least 0.25;
+    at times each coefficient is scaled by its own power of two, up to
+    2**60 either way, so that their ratios, and the root bounds, are far
+    from 1."""
     coeffs = [draw(st.floats(-3.0, 3.0)) for _ in range(draw(st.integers(3, 8)))]
     coeffs[0] = math.copysign(max(abs(coeffs[0]), 0.25), coeffs[0])
+    if draw(st.booleans()):
+        coeffs = [math.ldexp(c, draw(st.integers(-60, 60))) for c in coeffs]
     return coeffs
 
 
@@ -59,9 +64,12 @@ polys = random_polys() | clustered_polys()
 
 @st.composite
 def nested_intervals(draw):
-    """A <= a < b <= B in [-4, 4], and at times a or b at A or B."""
+    """A <= a < b <= B in [-4, 4], at times scaled by a power of two up to
+    2**60 to reach the roots of ill-scaled polys, and at times a or b at A
+    or B."""
+    scale = math.ldexp(1.0, draw(st.sampled_from((0, 0, 20, 40, 60))))
     ends = sorted(draw(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4, unique=True)))
-    A, a, b, B = ends
+    A, a, b, B = (scale * e for e in ends)
     if draw(st.booleans()):
         a = A
     if draw(st.booleans()):
@@ -155,6 +163,9 @@ def test_each_cut_is_a_zero_or_a_sign_flip(coeffs):
 @settings(max_examples=200, deadline=None)
 @given(coeffs=polys, ends=nested_intervals())
 @example(coeffs=[3.0, -2.0, 1.0, 0.0, 5.0, -1.0], ends=(-1.5, -1.2, 1.1, 1.5))
+# the derivative 3 x**2 - 3 * 2**53 x - 3 * 2**53 has a root just above
+# 2**53 + 1, its Cauchy bound, which rounds down to 2**53
+@example(coeffs=[1.0, -3.0 * 2**52, -3.0 * 2**53, 0.0], ends=(0.0, 0.0, 1.5 * 2**53, 1.5 * 2**53))
 def test_clean_cuts_are_the_per_interval_cuts(coeffs, ends):
     """Where rounding leaves no choice (`_clean`), the cuts are those of the
     recursion run on [a, b] itself."""
