@@ -24,7 +24,7 @@ from . import bounds, composite, kernel, means, oracle
 from .bounds import HolderPair
 from .composite import Partition, XI_POLICIES
 from .errors import DomainError, IntegrationError, ParameterError
-from .functions import Interval, parse_function_spec
+from .functions import Interval, parse_function_spec, require_domain
 from .kernel import KernelSpec
 
 EXIT_OK = 0
@@ -184,6 +184,7 @@ def _cmd_composite(args):
     ns = _nonempty(args.n, "--n")
     ft = parse_function_spec(args.function)
     iv = Interval(args.a, args.b)
+    require_domain(ft, iv)  # before the reference, which would fail at the domain's end
     reference = oracle.integrate(ft.f, iv.a, iv.b, args.tol).value
     # the named rules fix the intermediate points
     policy = {"midpoint": "midpoint", "perturbed_trapezoid": "right"}.get(args.rule, args.xi_policy)

@@ -270,6 +270,12 @@ class Partition:
         return hash((self._nodes, self._xi))
 
     def __repr__(self):
+        """A stored ``(a, b, n)`` reads as the `uniform` call that builds it,
+        without computing a node; given nodes and points read in full."""
+        if _is_uniform(self._nodes):
+            policy, seed = self._xi
+            return (f"Partition.uniform({', '.join(map(repr, self._nodes))}, "
+                    f"xi_policy={policy!r}, seed={seed or 0!r})")
         return f"Partition(nodes={self.nodes!r}, xi={self.xi!r})"
 
     def __post_init__(self):
@@ -372,7 +378,14 @@ def _span(nodes):
     return Interval(*_nodes_of(nodes, 0, 1), *_nodes_of(nodes, n, n + 1))
 
 
-def _block_columns(ft, part):
+def _telescopes(part):
+    """Whether a row's f' corrections telescope to one: a stored uniform
+    ``(a, b, n)``, n >= 2, with every point at the right node."""
+    nodes = part._nodes
+    return part._xi == ("right", None) and _is_uniform(nodes) and nodes[2] >= 2
+
+
+def _block_columns(ft, part, per_subinterval=False):
     """(values, bounds) per block of subintervals of ``part``: lists of the
     rule value and the remainder bound of each subinterval, in partition
     order. Per subinterval [lo, hi] with intermediate point xi:
@@ -380,6 +393,18 @@ def _block_columns(ft, part):
               - h/2 * (xi - (lo+3hi)/4) * [f'(xi) - f'(lo+hi-xi)]
       bound = [(hi-xi)^3 + (xi-mid)^3] * (|f''(lo)| + |f''(hi)|) / 6
     where the mirror lo+hi-xi of xi = hi is lo itself (`rules.mirror_points`).
+
+    On a stored uniform ``(a, b, n)`` with every point at the right node and
+    n >= 2 (`_telescopes`), unless ``per_subinterval``, the corrections
+    h^2/8 * (f'(hi) - f'(lo)) of equal subintervals telescope: each value is
+    the trapezoid term 0.5 * (hi - lo) * (f(hi) + f(lo)), and a last entry,
+    ([-c], []), is the row's one correction, a value without a bound,
+      c = 0.125 * h * h * (f'(x_n) - f'(x_0)),  h = (b - a) / n,
+    with x_0 and x_n the end nodes `_nodes_of` gives. f' runs at those two
+    nodes only, x_n then x_0, in the blocks that hold them and in the order
+    of the columns it runs in otherwise, so any error raised is one that
+    the per-subinterval form raises too, unless that form fails first at
+    an interior node's f'.
 
     Each evaluator runs as one column per block (`_backend.column`); the
     points of a policy partition, and the nodes of a stored ``(a, b, n)``,
@@ -393,9 +418,9 @@ def _block_columns(ft, part):
       its difference is +0.0: the value is h/2 * 2f(xi), with the
       correction kept only where that is a zero (`rules.mirrored_totals`);
     - in a block where every xi is hi (the right policy), each node is the
-      xi of one subinterval and the mirror of the next, so f and f' run
-      over the nodes, and the last one is carried into the next block,
-      n + 1 points in all;
+      xi of one subinterval and the mirror of the next, so f runs over the
+      nodes, and the last one is carried into the next block, n + 1 points
+      in all, and so does f' where the corrections do not telescope;
     - otherwise over the n points and their n mirrors.
 
     f'' is evaluated once per node. Where f' or f'' carries the ``batch`` of
@@ -415,8 +440,11 @@ def _block_columns(ft, part):
     """
     span = _span(part._nodes)
     require_domain(ft, span)
+    n = _subintervals(part._nodes)
+    telescoped = not per_subinterval and _telescopes(part)
     f1_is_f, f2_is_f = same_column(ft.f, ft.f1), same_column(ft.f, ft.f2)
     g_last = carry = None
+    done = 0
     for lows, xs, mirrored in _blocks(part._nodes, part._xi):
         highs = lows[1:]
         within = (lows[0], lows[-1])
@@ -428,14 +456,23 @@ def _block_columns(ft, part):
             fx = column(ft.f, highs, within)
             fm = column(ft.f, lows[:1], within) if carry is None else [carry[0]]
             fm += fx[:-1]
-            if f1_is_f:
-                dx, dm = fx, fm
+            if telescoped:
+                # f' at x_n, then at x_0, in the blocks that hold them
+                if (done := done + len(highs)) == n:
+                    d_n = fx[-1] if f1_is_f else column(ft.f1, highs[-1:], within)[0]
+                if carry is None:
+                    d_0 = fm[0] if f1_is_f else column(ft.f1, lows[:1], within)[0]
+                carry = fx[-1], None
+                values = [0.5 * (hi - lo) * (u + v) for lo, hi, u, v in zip(lows, highs, fx, fm)]
             else:
-                dx = column(ft.f1, highs, within)
-                dm = column(ft.f1, lows[:1], within) if carry is None else [carry[1]]
-                dm += dx[:-1]
-            carry = fx[-1], dx[-1]
-            values = two_point_totals(lows, highs, xs, fx, fm, dx, dm)
+                if f1_is_f:
+                    dx, dm = fx, fm
+                else:
+                    dx = column(ft.f1, highs, within)
+                    dm = column(ft.f1, lows[:1], within) if carry is None else [carry[1]]
+                    dm += dx[:-1]
+                carry = fx[-1], dx[-1]
+                values = two_point_totals(lows, highs, xs, fx, fm, dx, dm)
         else:
             carry = None
             if not mirrored:
@@ -465,8 +502,12 @@ def _block_columns(ft, part):
                       else _mirrored_bounds(highs, xs, g) if mirrored
                       else convex_bounds(lows, highs, xs, g))
         except OverflowError:
-            raise overflow_error("composite bound", span, n=_subintervals(part._nodes)) from None
+            raise overflow_error("composite bound", span, n=n) from None
         yield values, bounds
+    if telescoped:
+        a, b, _ = part._nodes
+        h = (b - a) / n
+        yield [-(0.125 * h * h * (d_n - d_0))], []
 
 
 def _total(floats):
@@ -507,26 +548,25 @@ def _exact_parts(column):
     return parts
 
 
-def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResult:
-    """Two-point rule with derivative correction summed over the partition;
-    the per-subinterval formulas, and how each block of subintervals is
-    computed, are those of `_block_columns`.
+def _sums(ft, part, per_subinterval):
+    """(approx, remainder_bound, fault) of a row: math.fsum of its values
+    and of its bounds (`_block_columns`), each inf where it overflows, and
+    the DomainError naming its first subinterval whose value or bound is
+    not finite, or None. Raises what is raised while a block is computed.
 
     Each block's values and bounds are reduced as soon as they are
     computed, so a row of any n holds one block's work, and its result its
     two sums. The values of all blocks run through one math.fsum, and each
     block's bounds become their exact parts (`_exact_parts`), summed once
     at the end, so both sums are bit for bit math.fsum of the whole column.
-    Raises DomainError when a value or bound is not finite, naming the
-    first such subinterval, or, when every entry is finite, when a sum
-    overflows; an error raised while a block is computed comes first.
     """
-    bound_parts, fault = [], None
+    bound_parts, fault, raised = [], None, None
 
     def block_values():
-        nonlocal fault
+        nonlocal fault, raised
         try:
-            for start, (values, bounds) in zip(count(0, _BLOCK), _block_columns(ft, part)):
+            for start, (values, bounds) in zip(count(0, _BLOCK),
+                                               _block_columns(ft, part, per_subinterval)):
                 bound_parts.extend(parts := _exact_parts(bounds))
                 # parts[0] is not finite where a bound is not, or they overflow
                 if fault is None and not math.isfinite(sum(values) + parts[0]):
@@ -535,15 +575,35 @@ def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResul
         except (OverflowError, ValueError) as error:
             # It comes first. Kept from math.fsum, which would take it for
             # its own: DomainError and ParameterError are ValueErrors.
-            fault = error
+            raised = error
 
     blocks = block_values()
     approx = _total(chain.from_iterable(blocks))
     for _ in blocks:  # an overflow stops math.fsum; the later blocks still run
         pass
+    if raised is not None:
+        raise raised
+    return approx, _total(bound_parts), fault
+
+
+def composite_generalized(ft: FunctionTriple, part: Partition) -> CompositeResult:
+    """Two-point rule with derivative correction summed over the partition;
+    the per-subinterval formulas, and how each block of subintervals is
+    computed, are those of `_block_columns`, and the sums those of `_sums`.
+
+    Raises DomainError when a value or bound is not finite, naming the
+    first such subinterval, or, when every entry is finite, when a sum
+    overflows; an error raised while a block is computed comes first. A
+    row whose corrections telescope and that fails one of these checks is
+    computed again per subinterval, so it fails as that form does; where
+    that form is finite throughout, its sums are returned.
+    """
+    approx, total, fault = _sums(ft, part, False)
+    finite = fault is None and math.isfinite(approx) and math.isfinite(total)
+    if not finite and _telescopes(part):
+        approx, total, fault = _sums(ft, part, True)
     if fault is not None:
         raise fault
-    total = _total(bound_parts)
     if not (math.isfinite(approx) and math.isfinite(total)):
         span = _span(part._nodes)
         raise DomainError(
@@ -567,7 +627,10 @@ def composite_perturbed_trapezoid(ft: FunctionTriple, nodes) -> CompositeResult:
 
     Equivalent per subinterval to the trapezoid value corrected by
     h^2/8 times the first-derivative jump, with remainder bound
-    h^3/48 * (|f''(lo)| + |f''(hi)|).
+    h^3/48 * (|f''(lo)| + |f''(hi)|). The nodes are given, so the
+    correction is computed per subinterval, with f' at every node; on
+    ``Partition.uniform(a, b, n, "right")``, n >= 2, `composite_generalized`
+    telescopes it to one end correction instead (`_block_columns`).
     """
     return composite_generalized(ft, Partition._of_policy(_floats(nodes), "right"))
 

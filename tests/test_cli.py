@@ -203,6 +203,22 @@ def test_sweep_skips_degenerate_pairs(capsys):
     assert len(rows) == 2  # header + the single valid (a, b) pair
 
 
+@pytest.mark.parametrize("spec", ["reciprocal", "neglog", "power:-1"])
+def test_composite_checks_the_domain_before_its_reference(capsys, monkeypatch, spec):
+    """[0, 1] is not inside (0, inf): composite says so, as certify does,
+    before its reference integral, which could only fail at 0 (GK15 at a
+    pole, after spending its time)."""
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference ran before the domain check")
+
+    monkeypatch.setattr(quadcert.cli.oracle, "integrate", no_reference)
+    code, out, err = run_cli(capsys, "composite", "--function", spec, "--a", "0", "--b", "1",
+                             "--n", "3")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: interval [0.0, 1.0] not inside domain (0.0, inf) of {spec}\n"
+    assert "Traceback" not in err
+
+
 def test_usage_errors(capsys):
     cases = [
         ("certify", "--function", "sine", "--a", "0", "--b", "1", "--x", "1",

@@ -383,6 +383,30 @@ def _reference_kernel(ft, part):
     return math.fsum(values), math.fsum(bounds), tuple(values), tuple(bounds)
 
 
+def _telescoped_reference(ft, part):
+    """The rule of a stored uniform (a, b, n) right row, n >= 2, with its
+    corrections telescoped: (approx, remainder_bound, values, bounds), where
+    values is the trapezoid column followed by the row's one correction
+    -h^2/8 * (f'(x_n) - f'(x_0)), h = (b - a) / n, and bounds is the
+    per-subinterval loop's."""
+    a, b, n = part._nodes
+    nodes = part.nodes
+    values = [0.5 * (hi - lo) * (ft.f(hi) + ft.f(lo)) for lo, hi in zip(nodes, nodes[1:])]
+    h = (b - a) / n
+    values.append(-(0.125 * h * h * (ft.f1(nodes[-1]) - ft.f1(nodes[0]))))
+    bounds = _reference_kernel(ft, part)[3]
+    return math.fsum(values), math.fsum(bounds), tuple(values), bounds
+
+
+def _row_reference(ft, part):
+    """The telescoped reference of a stored uniform right row with n >= 2,
+    and the per-subinterval loop of every other row."""
+    uniform_right = part._xi == ("right", None) and isinstance(part._nodes[-1], int)
+    if uniform_right and part._nodes[-1] >= 2:
+        return _telescoped_reference(ft, part)
+    return _reference_kernel(ft, part)
+
+
 def _bits(values):
     return tuple(map(float.hex, values))
 
@@ -407,8 +431,10 @@ def _wrapped(nodes, policy):
 @pytest.mark.parametrize("xi_policy", ["midpoint", "right", "random"])
 def test_kernel_matches_per_subinterval_reference(corpus, rng, xi_policy, n):
     """Column-wise partitions and sums are bit-identical to the loop, also
-    across block boundaries. On [0.1, 0.7] at n = 3, (n * a) / n is not a
-    and (n * b) / n is not b, so the end nodes must come from the formula."""
+    across block boundaries, and those of a stored uniform right row with
+    n >= 2 to the telescoped reference; the wrappers' given nodes keep the
+    loop. On [0.1, 0.7] at n = 3, (n * a) / n is not a and (n * b) / n is
+    not b, so the end nodes must come from the formula."""
     spans = [(ft, random_interval(rng, lo + 0.05, hi - 0.05))
              for ft, lo, hi in corpus + [(SINE, -3.0, 3.0)]]
     for ft, iv in spans + [(SINE, Interval(0.1, 0.7))]:
@@ -417,14 +443,14 @@ def test_kernel_matches_per_subinterval_reference(corpus, rng, xi_policy, n):
         nodes, xi = _reference_uniform(iv.a, iv.b, n, xi_policy, seed)
         assert _bits(part.nodes) == _bits(nodes)
         assert _bits(part.xi) == _bits(xi)
-        rows = [(part, composite_generalized(ft, part))]
+        loop = _reference_kernel(ft, part)
+        rows = [(part, composite_generalized(ft, part), _row_reference(ft, part))]
         if xi_policy == "midpoint":
-            rows.append((_wrapped(part.nodes, xi_policy), composite_midpoint(ft, part.nodes)))
+            rows.append((_wrapped(part.nodes, xi_policy), composite_midpoint(ft, part.nodes), loop))
         elif xi_policy == "right":
             rows.append((_wrapped(part.nodes, xi_policy),
-                         composite_perturbed_trapezoid(ft, part.nodes)))
-        approx, bound, values, bounds = _reference_kernel(ft, part)
-        for row, res in rows:
+                         composite_perturbed_trapezoid(ft, part.nodes), loop))
+        for row, res, (approx, bound, values, bounds) in rows:
             assert _bits((res.approx, res.remainder_bound)) == _bits((approx, bound))
             columns = _columns(ft, row)
             assert _bits(columns[0]) == _bits(values)
@@ -434,12 +460,14 @@ def test_kernel_matches_per_subinterval_reference(corpus, rng, xi_policy, n):
 @pytest.mark.parametrize("xi_policy", XI_POLICIES)
 def test_block_columns_read_as_the_reference(xi_policy):
     """The kernel yields its columns one block of at most ``_BLOCK``
-    subintervals at a time, bit for bit the reference loop's; a result
-    holds its two sums and no column."""
+    subintervals at a time, bit for bit the reference's, and a right row
+    its one correction last, a value without a bound; a result holds its
+    two sums and no column."""
     ft = register_builtin("exp")
     part = Partition.uniform(0.5, 2.0, 2 * _BLOCK + 3, xi_policy, seed=5)
     sizes = [(len(values), len(bounds)) for values, bounds in composite._block_columns(ft, part)]
-    assert sizes == [(_BLOCK, _BLOCK), (_BLOCK, _BLOCK), (3, 3)]
+    correction = [(1, 0)] if xi_policy == "right" else []
+    assert sizes == [(_BLOCK, _BLOCK), (_BLOCK, _BLOCK), (3, 3)] + correction
     res = composite_generalized(ft, part)
     assert composite.CompositeResult.__slots__ == ("_approx", "_remainder_bound")
     assert not hasattr(res, "values") and not hasattr(res, "bounds")
@@ -459,8 +487,8 @@ def test_right_blocks_among_other_blocks_match_the_reference():
 
 def _assert_matches_reference(ft, part, *results):
     """The kernel's columns over ``part``, and the sums of ``results``, are
-    bit for bit the reference loop's."""
-    approx, bound, values, bounds = _reference_kernel(ft, part)
+    bit for bit the reference's (`_row_reference`)."""
+    approx, bound, values, bounds = _row_reference(ft, part)
     columns = _columns(ft, part)
     assert _bits(columns[0]) == _bits(values) and _bits(columns[1]) == _bits(bounds)
     for res in results:
@@ -622,6 +650,28 @@ def test_uniform_partition_holds_no_nodes(xi_policy):
     assert part._nodes == (0.5, 2.0, 10**6)
 
 
+@pytest.mark.parametrize("args,kwargs", [
+    ((-1.0, 1.0, 2**48), {}),
+    ((-0.0, 1e-300, 7, "random"), {"seed": 5}),
+    ((0.1, 0.7, 3, "right"), {"seed": 9}),
+    ((0.5, 2.0, 10**6, "random"), {}),
+])
+def test_uniform_repr_reads_back(monkeypatch, args, kwargs):
+    """A stored (a, b, n) reads as the call that builds it, computing no
+    node, so at any n, and evaluates back to an equal partition. The
+    partition is built here, so that no report of a failure reprs it."""
+    def no_nodes(*args):
+        raise AssertionError("repr computed nodes")
+
+    part = Partition.uniform(*args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(composite, "_nodes_of", no_nodes)
+        text = repr(part)
+    assert text.startswith("Partition.uniform(") and len(text) < 120
+    read_back = eval(text, {"Partition": Partition}) == part
+    assert read_back
+
+
 @pytest.mark.parametrize("module", ["array", "dataclasses"])
 def test_cli_import_leaves_out(module):
     """Modules each cold CLI process would pay to load. A composite result
@@ -659,14 +709,15 @@ def test_each_point_evaluated_once(n):
     midpoint rows, where each mirror is its own xi, n + 1 on right rows,
     where each node is the xi of one subinterval and the mirror of the
     next, and 2n otherwise. f' runs as often, but not on midpoint rows,
-    where its difference is 0."""
+    where its difference is 0, and at the two end nodes only on a stored
+    uniform right row, whose corrections telescope (n + 1 = 2 at n = 1)."""
     ft, calls = _counted(register_builtin("exp"))
     rows = [
         (lambda: composite_midpoint(ft, Partition.uniform(0.0, 1.0, n).nodes), n, 0),
         (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n)), n, 0),
         (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes),
          n + 1, n + 1),
-        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "right")), n + 1, n + 1),
+        (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "right")), n + 1, 2),
         (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)),
          2 * n, 2 * n),
     ]
@@ -680,7 +731,8 @@ def test_each_point_evaluated_once(n):
 def test_columns_cover_each_point_once(monkeypatch, n):
     """The registry evaluators run as columns: f over n points on midpoint
     rows, n+1 on right rows and 2n otherwise; f' over none on midpoint
-    rows, n+1 on right rows and 2n otherwise; f'' over the n+1 nodes.
+    rows, n+1 on right rows with given nodes, the two end nodes on a stored
+    uniform right row and 2n otherwise; f'' over the n+1 nodes.
     exp's f' and f'' carry f's ``batch``, so f's column serves for them
     over its points: f' runs on no row, and f'' not on right rows. power:3
     shares no column."""
@@ -701,6 +753,8 @@ def test_columns_cover_each_point_once(monkeypatch, n):
              (n, 0, n + 1), (n, 0, n + 1)),
             (lambda: composite_perturbed_trapezoid(ft, Partition.uniform(0.0, 1.0, n).nodes),
              (n + 1, n + 1, n + 1), (n + 1, 0, 0)),
+            (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "right")),
+             (n + 1, 2, n + 1), (n + 1, 0, 0)),
             (lambda: composite_generalized(ft, Partition.uniform(0.0, 1.0, n, "random", 1)),
              (2 * n, 2 * n, n + 1), (2 * n, 0, n + 1)),
         ]
@@ -725,6 +779,184 @@ def test_midpoint_rows_do_not_need_f1():
     assert composite_midpoint(ft, nodes) == composite_midpoint(SINE, nodes)
     with pytest.raises(DomainError, match=r"^f' fails at x=0\.125$"):
         composite_perturbed_trapezoid(ft, nodes)
+
+
+def test_uniform_right_rows_call_f1_at_the_two_end_nodes():
+    """A stored uniform right row telescopes its corrections: over three
+    blocks, a plain f' runs at x_n and x_0 only, where given nodes run it
+    at all n + 1, and f at every node either way."""
+    n = 10**4
+    ft, calls = _counted(SINE)
+    part = Partition.uniform(-1.0, 2.0, n, "right")
+    composite_generalized(ft, part)
+    assert calls == {"f": n + 1, "f1": 2, "f2": n + 1}
+    calls.update(f=0, f1=0, f2=0)
+    composite_perturbed_trapezoid(ft, part.nodes)
+    assert calls == {"f": n + 1, "f1": n + 1, "f2": n + 1}
+
+
+def _f1_fails_inside(lo, hi):
+    """SINE with an f' that raises everywhere but at lo and hi."""
+    def f1(x):
+        if x in (lo, hi):
+            return math.cos(x)
+        raise DomainError(f"f' fails at x={x!r}")
+    return SINE._replace(f1=f1)
+
+
+@pytest.mark.parametrize("n", [8, 2 * _BLOCK + 3])
+def test_right_row_failing_only_at_interior_f1_returns(n):
+    """A stored uniform right row needs f' at its end nodes only, so one
+    whose f' fails at interior nodes alone returns the sums of an f' that
+    does not; given nodes still raise its error."""
+    part = Partition.uniform(0.0, 1.0, n, "right")
+    ft = _f1_fails_inside(0.0, 1.0)
+    assert composite_generalized(ft, part) == composite_generalized(SINE, part)
+    with pytest.raises(DomainError, match=r"^f' fails at x="):
+        composite_perturbed_trapezoid(ft, part.nodes)
+
+
+def _outcome(call):
+    """The bits of a row's sums, or the type and message of its error."""
+    try:
+        res = call()
+        return _bits((res.approx, res.remainder_bound))
+    except (DomainError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+def _at(point, value, g):
+    """g, but ``value`` at ``point``: a number, or an exception to raise."""
+    def at(x):
+        if x != point:
+            return g(x)
+        if isinstance(value, Exception):
+            raise value
+        return value
+    return at
+
+
+@pytest.mark.parametrize("n", [8, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("name,failing", [
+    # f' not finite, or raising, at an end node
+    ("f1", lambda x_0, x_n, mid: (x_n, math.inf)),
+    ("f1", lambda x_0, x_n, mid: (x_0, math.nan)),
+    ("f1", lambda x_0, x_n, mid: (x_n, DomainError("f' fails at x_n"))),
+    ("f1", lambda x_0, x_n, mid: (x_0, DomainError("f' fails at x_0"))),
+    # f or f'' at an interior node
+    ("f", lambda x_0, x_n, mid: (mid, math.inf)),
+    ("f", lambda x_0, x_n, mid: (mid, DomainError("f fails inside"))),
+    ("f2", lambda x_0, x_n, mid: (mid, math.nan)),
+    ("f2", lambda x_0, x_n, mid: (mid, DomainError("f'' fails inside"))),
+])
+def test_telescoped_rows_fail_as_given_nodes_do(n, name, failing):
+    """Where no f' fails at an interior node, a stored uniform right row
+    fails as the same nodes given in full, whose corrections are computed
+    per subinterval: with the error class and message of theirs. A row
+    whose telescoped sums are not finite is computed again per
+    subinterval."""
+    part = Partition.uniform(0.0, 1.0, n, "right")
+    nodes = part.nodes
+    point, value = failing(nodes[0], nodes[-1], nodes[n // 2])
+    ft = SINE._replace(**{name: _at(point, value, getattr(SINE, name))})
+    outcome = _outcome(lambda: composite_generalized(ft, part))
+    assert outcome == _outcome(lambda: composite_perturbed_trapezoid(ft, nodes))
+    assert outcome[0] in (DomainError, ParameterError)
+
+
+def test_telescoped_overflow_returns_the_per_subinterval_sums():
+    """f' = 8e307 x runs from -1.2e308 to 1.2e308 on [-1.5, 1.5], so
+    f'(x_n) - f'(x_0) overflows, while each subinterval's difference and the
+    sums are finite: the row returns the per-subinterval sums."""
+    ft = register_builtin("poly", [4e307, 0.0, 0.0])
+    part = Partition.uniform(-1.5, 1.5, 4, "right")
+    res = composite_generalized(ft, part)
+    approx, bound = _reference_kernel(ft, part)[:2]
+    assert _bits((res.approx, res.remainder_bound)) == _bits((approx, bound))
+    assert math.isinf(_telescoped_reference(ft, part)[0])
+
+
+# The rule's referee for the polynomial registry: f of each spec as float
+# coefficients, highest degree first.
+_REFEREE_SPECS = {"power:2": (1.0, 0.0, 0.0), "power:3": (1.0, 0.0, 0.0, 0.0),
+                  "power:4": (1.0, 0.0, 0.0, 0.0, 0.0),
+                  "poly:3,-2,1,0,5,-1": (3.0, -2.0, 1.0, 0.0, 5.0, -1.0)}
+_U = Fraction(1, 2**53)
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _U / (1 - k * _U)
+
+
+def _horner(coeffs, x):
+    acc = Fraction(0)
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(coeffs):
+    d = len(coeffs) - 1
+    return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def _exact_rule(spec, part):
+    """The rule of a uniform right row in exact arithmetic on its float
+    nodes, per subinterval as stated, with f and f' exact:
+    (rule, exact integral over [x_0, x_n], rounding bound of the
+    telescoped float approx about the rule).
+
+    The bound adds, with u = 2**-53 and F, F' the sums |c_i| |x|**i of f
+    and f', each exact:
+    - per trapezoid term (hi - lo)/2 * (F(lo) + F(hi)) * (e + gamma_4): e =
+      gamma_2d bounds the error of f and f' at x relative to F and F'
+      (Horner over degree d; math.pow within 1 ulp and a product), and the
+      term rounds hi - lo, the sum and the product;
+    - for the one correction h^2/8 * (F'(x_0) + F'(x_n)) * (e + gamma_8): h =
+      (b - a)/n rounds twice, and its products and difference four times;
+    - the gap between the rule and its telescoped form on float nodes, whose
+      widths h_i are not h: max |h_i^2 - h^2| / 8 * sum |f'(x_i+1) - f'(x_i)|.
+    The caller adds u |approx| for math.fsum, which rounds once.
+    """
+    coeffs = [Fraction(c) for c in _REFEREE_SPECS[spec]]
+    deriv = _derivative(coeffs)
+    d = len(coeffs) - 1
+    a, b, n = map(Fraction, part._nodes)
+    h = (b - a) / n
+    xs = [Fraction(x) for x in part.nodes]
+    f = [_horner(coeffs, x) for x in xs]
+    f1 = [_horner(deriv, x) for x in xs]
+    scale = [_horner([abs(c) for c in coeffs], abs(x)) for x in xs]
+    scale1 = [_horner([abs(c) for c in deriv], abs(x)) for x in xs]
+    widths = [hi - lo for lo, hi in zip(xs, xs[1:])]
+    rule = sum(w / 2 * (u + v) - w * w / 8 * (dv - du)
+               for w, u, v, du, dv in zip(widths, f, f[1:], f1, f1[1:]))
+    antiderivative = [c / (d + 1 - i) for i, c in enumerate(coeffs)] + [Fraction(0)]
+    integral = _horner(antiderivative, xs[-1]) - _horner(antiderivative, xs[0])
+    e = _gamma(2 * d)
+    gap = (max(abs(w * w - h * h) for w in widths) / 8
+           * sum(abs(dv - du) for du, dv in zip(f1, f1[1:])))
+    rounding = (sum(w / 2 * (s + t) for w, s, t in zip(widths, scale, scale[1:])) * (e + _gamma(4))
+                + h * h / 8 * (scale1[0] + scale1[-1]) * (e + _gamma(8)))
+    return rule, integral, rounding + gap
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(sorted(_REFEREE_SPECS)), a=st.floats(-2.0, 2.0),
+       width=st.one_of(st.floats(1e-6, 2.0), st.floats(2.0**-20, 2.0**-10)), n=st.integers(2, 64))
+@example(spec="power:2", a=1.8471158237695384, width=0.0054162091673882, n=2)
+@example(spec="poly:3,-2,1,0,5,-1", a=-0.9, width=2.2, n=64)
+def test_telescoped_rows_are_the_exact_rule_within_rounding(spec, a, width, n):
+    """The telescoped approx of a uniform right row is within the rounding
+    bound of `_exact_rule` of the rule computed exactly on the same float
+    nodes, by a `fractions.Fraction` referee for power:2, 3, 4 and a
+    quintic poly, plus u |approx| for the rounding of math.fsum; the bound
+    is exact, computed in Fractions too."""
+    part = Partition.uniform(a, a + width, n, "right")
+    res = composite_generalized(parse_function_spec(spec), part)
+    rule, _, bound = _exact_rule(spec, part)
+    assert abs(Fraction(res.approx) - rule) <= bound + abs(Fraction(res.approx)) * _U
 
 
 def test_midpoint_zero_values_keep_their_sign():
