@@ -8,10 +8,20 @@ numeric checkers for the special-means inequalities the certificates imply.
 The weight behind them is public through `kernel_lp_moment` and
 `identity_residual`; README.md documents every name in `__all__`.
 
+The composite rules and the special means are applications of the
+certificate, and most processes call neither: their names (`Partition`,
+`CompositeResult`, `composite_generalized`, `composite_midpoint`,
+`composite_perturbed_trapezoid`, `check_proposition`, `PropositionReport`,
+`mean_value` and `means_chain_check`) import `quadcert.composite` or
+`quadcert.means` on first use. Each access reads the module's current
+binding.
+
 Everything runs in pure Python on the standard library, including the
 numeric core (registry function evaluation and the adaptive Gauss-Kronrod
 oracle); `backend_name` reports it as "python".
 """
+
+import sys
 
 from ._backend import backend_name
 from .bounds import (
@@ -23,13 +33,6 @@ from .bounds import (
     bound_ostrowski,
     bound_power_mean,
 )
-from .composite import (
-    CompositeResult,
-    Partition,
-    composite_generalized,
-    composite_midpoint,
-    composite_perturbed_trapezoid,
-)
 from .errors import DomainError, IntegrationError, ParameterError, QuadcertError
 from .functions import (
     FunctionTriple,
@@ -38,7 +41,6 @@ from .functions import (
     register_builtin,
 )
 from .kernel import KernelSpec, identity_residual, kernel_lp_moment
-from .means import PropositionReport, check_proposition, mean_value, means_chain_check
 from .oracle import NormEstimate, QuadratureEstimate, estimate_norm, integrate
 from .rules import (
     RuleValue,
@@ -89,3 +91,27 @@ __all__ = [
     "register_builtin",
     "trapezoid_rule",
 ]
+
+# Public names served from a module imported on first use. There is no
+# cache: a name rebound on its module is seen at the next access.
+_LAZY = {
+    **dict.fromkeys(("CompositeResult", "Partition", "composite_generalized",
+                     "composite_midpoint", "composite_perturbed_trapezoid"),
+                    f"{__name__}.composite"),
+    **dict.fromkeys(("PropositionReport", "check_proposition", "mean_value",
+                     "means_chain_check"), f"{__name__}.means"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # sys.modules first: an import on every access would double its cost
+    if module not in sys.modules:
+        __import__(module)
+    return getattr(sys.modules[module], name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

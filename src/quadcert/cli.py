@@ -297,8 +297,10 @@ def _cmd_sweep(args):
                             violations += 1
                         if corrected is not None:
                             rows.append(_prop_row(corrected, "corrected"))
-    if not seen and last_error is not None:
-        raise ParameterError(f"no valid grid cells: {last_error}")
+    if not seen:
+        # with no ParameterError, every (a, b) pair was skipped for a >= b
+        cause = last_error if last_error is not None else "no --a value is below a --b value"
+        raise ParameterError(f"no valid grid cells: {cause}")
     summary = {"total": len(seen), "holds": len(seen) - violations,
                "violations": violations, "skipped_invalid": skipped}
     payload = {"rows": rows, "summary": summary}

@@ -203,6 +203,15 @@ def test_sweep_skips_degenerate_pairs(capsys):
     assert len(rows) == 2  # header + the single valid (a, b) pair
 
 
+def test_sweep_without_a_valid_pair_is_bad_input(capsys):
+    """A grid whose every (a, b) pair has a >= b checks nothing: exit 2, not
+    an empty table."""
+    code, out, err = run_cli(capsys, "sweep", "--props", "1", "--a", "1", "--b", "0.5",
+                             "--p", "2", "--format", "json")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: no valid grid cells: no --a value is below a --b value\n"
+
+
 @pytest.mark.parametrize("spec", ["reciprocal", "neglog", "power:-1"])
 def test_composite_checks_the_domain_before_its_reference(capsys, monkeypatch, spec):
     """[0, 1] is not inside (0, inf): composite says so, as certify does,
@@ -390,19 +399,39 @@ def test_composite_refuses_more_than_2_53_subintervals(capsys):
     assert err == f"error: need n <= 2**53 subintervals, got {2**60}\n"
 
 
+def _loaded_in_fresh_interpreter(statement, modules, *flags):
+    """Which of ``modules`` are in sys.modules after ``statement`` runs in a
+    fresh interpreter started with ``flags``."""
+    src = str(Path(quadcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", f"import sys; {statement}; "
+         f"print([m for m in {modules!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=env, check=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_numpy_out():
     """numpy is test-only; the exact sup norms need neither fractions nor
     decimal. The records are named tuples, so start-up skips dataclasses
     and the inspect module it pulls in; csv loads only for csv output."""
-    src = str(Path(quadcert.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     modules = ("numpy", "fractions", "decimal", "dataclasses", "inspect", "csv")
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, quadcert.cli; "
-         f"print([m for m in {modules!r} if m in sys.modules])"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _loaded_in_fresh_interpreter("import quadcert.cli", modules) == "[]"
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import quadcert", []),
+    ("import quadcert; quadcert.Partition", ["quadcert.composite", "random"]),
+    ("import quadcert; quadcert.check_proposition", ["quadcert.means"]),
+    ("import quadcert.cli", ["quadcert.composite", "quadcert.means", "random"]),
+])
+def test_composite_and_means_load_on_first_use(statement, loaded):
+    """A certificate needs neither module, so ``import quadcert`` loads
+    neither; the CLI imports both. -S keeps site's .pth files, which may
+    import random, out of the answer."""
+    modules = ("quadcert.composite", "quadcert.means", "random")
+    assert _loaded_in_fresh_interpreter(statement, modules, "-S") == repr(loaded)
 
 
 def test_json_runs_reproduce_bit_identically(capsys):

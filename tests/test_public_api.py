@@ -35,6 +35,38 @@ def test_all_lists_the_kept_names_and_each_resolves():
         assert getattr(quadcert, name) is not None, name
 
 
+def test_lazy_names_read_their_module_at_each_access(monkeypatch):
+    """The composite and means names are served from their modules with no
+    cache, so a binding rebound there, as a tracer does, is seen and its
+    restoring too."""
+    import quadcert.composite
+
+    original = quadcert.composite.composite_generalized
+    assert quadcert.composite_generalized is original
+
+    def traced(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadcert.composite, "composite_generalized", traced)
+    assert quadcert.composite_generalized is traced
+    monkeypatch.undo()
+    assert quadcert.composite_generalized is original
+
+
+def test_dir_and_star_import_give_every_public_name():
+    assert set(PUBLIC) <= set(dir(quadcert))
+    namespace = {}
+    exec("from quadcert import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == PUBLIC
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'composite_simpson'"):
+        quadcert.composite_simpson
+    assert not hasattr(quadcert, "composite_simpson")
+
+
 @pytest.mark.parametrize("module", sorted(REMOVED))
 def test_removed_names_are_gone(module):
     mod = importlib.import_module(f"quadcert.{module}")
