@@ -1,5 +1,6 @@
-"""Numeric core: registry function evaluation and the adaptive
-Gauss-Kronrod integrator, in pure Python.
+"""Numeric core: registry function evaluation, the `Exact` record of what
+each registry evaluator knows of itself, and the adaptive Gauss-Kronrod
+integrator, in pure Python.
 """
 
 import functools
@@ -8,6 +9,7 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import pairwise, repeat
+from typing import NamedTuple
 
 from .errors import DomainError, IntegrationError
 
@@ -66,6 +68,64 @@ _WG = (
 )
 
 
+class Exact(NamedTuple):
+    """What a registry evaluator g knows of itself exactly, held as
+    ``g.exact`` and read through `exact`. Each field is a pair ``(fn,
+    args)``, called with ``*args`` after the arguments shown (``batch``
+    adds g's open domain), or None where g has no such answer. No field
+    holds a reference to g, so building one leaves no reference cycle
+    behind.
+
+    - ``batch = (fast, args, lo, hi)``: ``fast(xs)`` is g over the column
+      ``xs`` through C-level math maps, which `column` runs where the column
+      lies inside the open domain (lo, hi). Evaluators whose records are
+      equal and carry a batch have equal values, and raise at the same
+      points: the record names the formula, its arguments and its domain.
+      Only exp's f, f' and f'' share one (`same_column`). None for poly.
+    - ``cuts``: ``fn(a, b)`` returns sorted points of [a, b], a and b
+      included, between consecutive ones of which g is monotone, so |g|
+      peaks at one of them. They are a and b for exp and -ln x, and for
+      c*x**e plus 0 when a < 0 < b and e > 1; for poly, `_monotone_cuts`.
+      The cuts of f' hold every root of f'' across which f'' changes sign.
+    - ``abs_pow_convex``: ``fn(a, b, q)`` says whether |g|**q, q >= 1, is
+      convex on [a, b]: for g = c*x**e iff c = 0 or k(k-1) >= 0 with k =
+      q*e, always for exp, and by `_poly_convex` for poly, which returns
+      None where its floats overflow. None for -ln x.
+    - ``integral``: ``fn(a, b)`` returns ``(value, bound)``, the integral of
+      g over [a, b] and a bound on its rounding, from `math` alone and from
+      forms that subtract no nearby quantities: e**a * expm1(b - a) for exp;
+      for c*x**e, c * a**k * expm1(k * log1p((b - a)/a)) / k where a > 0,
+      or c * log1p((b - a)/a) for k = 0, with x -> -x where b < 0 and c *
+      (b**k - a**k) / k across 0; for -ln x, (b - a)(1 - ln b) - a *
+      log1p((b - a)/a); for poly, (b - a) * sum c_m/m * sum_j a**j
+      b**(m-1-j).
+    - ``abs_pow``: ``fn(cuts, p)`` returns ``(value, bound)`` for the
+      integral of |g|**p, p >= 1, over [cuts[0], cuts[-1]], where ``cuts``
+      hold every sign change of g, as the cuts of f' do for g = f''. exp
+      and c*x**e have a form at every p, poly at an integer p
+      (`_poly_abs_pow`). None for -ln x.
+
+    The last two bound their rounding with each libm call within
+    `_LIBM_ULPS` ulp. Where a form cannot vouch for its value (an endpoint
+    outside the domain, a result below the normal range), it returns NaN,
+    and where the value leaves the float range, inf or OverflowError: the
+    oracle then runs GK15.
+    """
+
+    batch: tuple | None
+    cuts: tuple
+    abs_pow_convex: tuple | None
+    integral: tuple
+    abs_pow: tuple | None
+
+
+def exact(g):
+    """The `Exact` record of the evaluator ``g``, or None for any callable
+    without one, whatever else it carries as ``exact``."""
+    record = getattr(g, "exact", None)
+    return record if type(record) is Exact else None
+
+
 def _poly_derivative(coeffs):
     """Differentiate a coefficient list (highest degree first)."""
     n = len(coeffs) - 1
@@ -102,20 +162,21 @@ def _powerlike(coef, expo, lo, hi, overflow):
             raise overflow(x)
         return r
 
-    fn.batch = (_pow_column, (coef, expo), lo, hi)
-    # x**e for e > 1 (an integer where x < 0 is in the domain) turns at 0
-    # when e is even and has a root of its derivative there when e is odd:
-    # the cut keeps every root of f'' among the cuts of f'.
-    fn.cuts = (_zero_cut if expo > 1.0 else _ends, ())
-    fn.abs_pow_convex = (_power_convex, (0.0 if coef == 0.0 else expo,))
     # rk = (e + 1) - k, exactly (Fast2Sum), for the closed form's k = e + 1
     k = expo + 1.0
     rk = 1.0 - (k - expo) if abs(expo) >= 1.0 else expo - (k - 1.0)
-    fn.integral = (_pow_integral, (coef, expo, k, rk, lo))
+    # x**e for e > 1 (an integer where x < 0 is in the domain) turns at 0
+    # when e is even and has a root of its derivative there when e is odd:
+    # the cut keeps every root of f'' among the cuts of f'.
+    fn.exact = Exact((_pow_column, (coef, expo), lo, hi),
+                     (_zero_cut if expo > 1.0 else _ends, ()),
+                     (_power_convex, (0.0 if coef == 0.0 else expo,)),
+                     (_pow_integral, (coef, expo, k, rk, lo)),
+                     (_powerlike_abs_pow, (coef, expo, lo)))
     return fn
 
 
-# Closed-form integrals, the ``integral`` attributes of `make_func`. Each
+# Closed-form integrals, the ``integral`` fields of `Exact`. Each
 # returns ``(value, bound)``: the integral over [a, b] and a bound on its
 # rounding, (units + 2) * u * size. ``size`` is the sum of the magnitudes
 # of the value's terms, and ``units`` counts, to first order, their
@@ -263,15 +324,17 @@ def _two_product(x, y):
     return prod, ((xh * yh - prod) + xh * yl + xl * yh) + xl * yl
 
 
-# The Lp forms, for `abs_pow_integral`: the integral of |g|**p, p >= 1,
-# under the contract of the closed-form integrals above.
+# The Lp forms, the ``abs_pow`` fields of `Exact`: the integral of |g|**p,
+# p >= 1, over [cuts[0], cuts[-1]], under the contract of the closed-form
+# integrals above.
 
-def _exp_abs_pow(a, b, p):
+def _exp_abs_pow(cuts, p):
     """e**(p b) - e**(p a) over p, as e**(p a) * expm1(p (b - a)) / p. The
     rounding r1 of p a moves e**(p a) by a relative |r1|, to first order.
     The argument of expm1 errs by r2 + p r0, the roundings of p d and of
     d = b - a, which expm1 turns into a relative error of that times
     e**y / expm1(y)."""
+    a, b = cuts[0], cuts[-1]
     pa, r1 = _two_product(p, a)
     d = b - a
     big, small = (b, -a) if abs(b) >= abs(a) else (-a, b)
@@ -286,7 +349,7 @@ def _exp_abs_pow(a, b, p):
     return value, units * _U * value
 
 
-def _powerlike_abs_pow(a, b, p, coef, expo, _k, _rk, lo):
+def _powerlike_abs_pow(cuts, p, coef, expo, lo):
     """|coef|**p * |x|**q with q = expo * p, on one side of 0 (mirrored
     where b < 0) as the integral of s**(k-1), k = q + 1, over [s0, s1],
     anchored at the end where s**k is larger: for k <= 0 by `_pow_positive`
@@ -296,10 +359,11 @@ def _powerlike_abs_pow(a, b, p, coef, expo, _k, _rk, lo):
     sum of the two positive halves, (|a|**k + b**k) / k.
 
     The rounding of q (Dekker) and of q + 1 (Fast2Sum) is carried in rk,
-    as `_powerlike` carries the rounding of its k; g's own k and rk are
-    unused. The mean of ln s that rk multiplies (see `_pow_positive`) is
-    over [s0, s1], and across 0 over [0, max(|a|, b)], where the domain
-    holds 0, so expo is an integer >= 0 and k >= 1."""
+    as `_powerlike` carries the rounding of its k. The mean of ln s that rk
+    multiplies (see `_pow_positive`) is over [s0, s1], and across 0 over
+    [0, max(|a|, b)], where the domain holds 0, so expo is an integer >= 0
+    and k >= 1."""
+    a, b = cuts[0], cuts[-1]
     if not lo < a:
         return _NAN
     if coef == 0.0:
@@ -409,24 +473,6 @@ def _shifted(coeffs, m):
         for j in range(1, i + 1):
             s[j] += num * s[j - 1]
     return [c / (1 << (k + mu * j)) for j, c in enumerate(s)]
-
-
-def abs_pow_integral(integral, p, cuts):
-    """The integral of |g|**p, p >= 1, over [cuts[0], cuts[-1]] for the
-    registry evaluator g whose closed form is ``integral`` = (fn, args),
-    under the contract of the closed-form integrals: ``(value, bound)``,
-    NaN where a form cannot vouch for its value, and inf or OverflowError
-    beyond the float range. ``cuts`` are g's sign pieces, the cuts of f'
-    for g = f''. exp and c*x**e have a form at every p, poly at an integer
-    p (`_poly_abs_pow`); any other integral has none."""
-    fn, args = integral
-    if fn is _exp_integral:
-        return _exp_abs_pow(cuts[0], cuts[-1], p)
-    if fn is _pow_integral:
-        return _powerlike_abs_pow(cuts[0], cuts[-1], p, *args)
-    if fn is _poly_integral:
-        return _poly_abs_pow(cuts, p, *args)
-    return _NAN
 
 
 def root_enclosure(value, bound, p):
@@ -649,15 +695,15 @@ def column(fn, xs, within):
     kernel knows of a validated block.
 
     Registry evaluators of power, reciprocal, neglog and exp carry a
-    ``batch`` attribute ``(fast, args, lo, hi)``; their column runs through
-    C-level math maps when [x_lo, x_hi] lies inside the open domain
-    (lo, hi), a test of the two ends. Otherwise, when the fast column
-    overflows, and for any callable without ``batch``, the scalar
-    evaluator runs point by point and raises its own DomainError.
+    ``batch`` in their record; their column runs through C-level math maps
+    when [x_lo, x_hi] lies inside its open domain (lo, hi), a test of the
+    two ends. Otherwise, when the fast column overflows, and for any other
+    callable, the scalar evaluator runs point by point and raises its own
+    DomainError.
     """
-    batch = getattr(fn, "batch", None)
-    if batch is not None and xs:
-        fast, args, lo, hi = batch
+    record = exact(fn)
+    if record is not None and record.batch is not None and xs:
+        fast, args, lo, hi = record.batch
         if lo < within[0] and within[1] < hi:
             try:
                 return fast(xs, *args)
@@ -667,10 +713,12 @@ def column(fn, xs, within):
 
 
 def same_column(f, g):
-    """Whether ``g``'s column is ``f``'s over the same points: both carry an
-    equal ``batch``, so their values are equal (`make_func`)."""
-    batch = getattr(f, "batch", None)
-    return batch is not None and batch == getattr(g, "batch", None)
+    """Whether ``g``'s column is ``f``'s over the same points: ``f``'s
+    record carries a ``batch`` and equals ``g``'s, so their values are
+    equal (`Exact`). Equal records without one need not be: poly:-0's f
+    and f' compare equal, and return -0.0 and 0.0."""
+    record = exact(f)
+    return record is not None and record.batch is not None and record == exact(g)
 
 
 def make_func(kind, params, deriv, lo, hi):
@@ -683,41 +731,8 @@ def make_func(kind, params, deriv, lo, hi):
     coefficient, so none of this is checked again here. The returned
     callable raises DomainError outside the domain, and where the value
     overflows the float range, rather than raising OverflowError or
-    returning a non-finite value. For every kind but poly it also carries
-    the ``batch`` tuple that `column` runs. Evaluators with equal ``batch``
-    have equal values, and raise at the same points: the batch names the
-    formula, its arguments and its domain. Only exp's f, f' and f'' share
-    one, so the composite kernel evaluates f's column once for all three
-    where they run over the same points (`same_column`). Every evaluator g
-    but neglog's f carries two exact answers about g on a concrete [a, b]:
-
-    - ``cuts = (points, args)``: ``points(a, b, *args)`` returns sorted
-      points of [a, b], a and b included, between consecutive ones of which
-      g is monotone, so |g| peaks at one of them. They are a and b for exp
-      and c*x**e, plus 0 when a < 0 < b and e > 1, and the cuts of
-      `_monotone_cuts` for poly. The cuts of f' hold every root of f''
-      across which f'' changes sign.
-    - ``abs_pow_convex = (test, args)``: ``test(a, b, q, *args)`` says
-      whether |g|**q, q >= 1, is convex on [a, b]: for g = c*x**e iff c = 0
-      or k(k-1) >= 0 with k = q*e, always for exp, and by `_poly_convex`
-      for poly, which returns None where its floats overflow.
-
-    Every evaluator g also carries ``integral = (fn, args)``:
-    ``fn(a, b, *args)`` returns ``(value, bound)``, the integral of
-    g over [a, b] and a bound on its rounding, from `math` alone and from
-    forms that subtract no nearby quantities: e**a * expm1(b - a) for exp;
-    for c*x**e, c * a**k * expm1(k * log1p((b - a)/a)) / k where a > 0, or
-    c * log1p((b - a)/a) for k = 0, with x -> -x where b < 0 and c *
-    (b**k - a**k) / k across 0; for -ln x, (b - a)(1 - ln b) - a *
-    log1p((b - a)/a); for poly, (b - a) * sum c_m/m * sum_j a**j
-    b**(m-1-j). The bound assumes each libm call within `_LIBM_ULPS` ulp.
-    Where a form cannot vouch for its value (an endpoint outside the
-    domain, a result below the normal range), it returns NaN, and where
-    the value leaves the float range, inf or OverflowError:
-    `oracle.integrate` then runs GK15.
-
-    No tuple holds a reference to the callable, so building one leaves no
-    reference cycle behind.
+    returning a non-finite value. It carries one attribute, ``exact``, its
+    `Exact` record.
     """
     def overflow(x):
         name = ("f", "f'", "f''")[deriv] + " of " + spec_string(kind, params)
@@ -735,8 +750,9 @@ def make_func(kind, params, deriv, lo, hi):
                     raise DomainError(f"x={x!r} outside the open domain ({_lo!r}, {_hi!r})")
                 return -math.log(x)
 
-            fn.batch = (_neglog_column, (), lo, hi)
-            fn.integral = (_neglog_integral, ())
+            # -ln x is monotone; |-ln x|**q, which turns at 1, has no test or form
+            fn.exact = Exact((_neglog_column, (), lo, hi), (_ends, ()), None,
+                             (_neglog_integral, ()), None)
             return fn
         coef, expo = ((-1.0, -1.0), (1.0, -2.0))[deriv - 1]
         return _powerlike(coef, expo, lo, hi, overflow)
@@ -750,10 +766,8 @@ def make_func(kind, params, deriv, lo, hi):
             except OverflowError:
                 raise overflow(x) from None
 
-        fn.batch = (_exp_column, (), lo, hi)
-        fn.cuts = (_ends, ())
-        fn.abs_pow_convex = (_always_convex, ())
-        fn.integral = (_exp_integral, ())
+        fn.exact = Exact((_exp_column, (), lo, hi), (_ends, ()), (_always_convex, ()),
+                         (_exp_integral, ()), (_exp_abs_pow, ()))
         return fn
     # poly
     coeffs = params
@@ -773,9 +787,8 @@ def make_func(kind, params, deriv, lo, hi):
         return acc
 
     args = (tuple(coeffs),)
-    fn.cuts = (_monotone_cuts, args)
-    fn.abs_pow_convex = (_poly_convex, args)
-    fn.integral = (_poly_integral, args)
+    fn.exact = Exact(None, (_monotone_cuts, args), (_poly_convex, args), (_poly_integral, args),
+                     (_poly_abs_pow, args))
     return fn
 
 

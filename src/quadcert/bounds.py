@@ -11,7 +11,7 @@ import math
 
 from . import oracle
 from .errors import ParameterError
-from .functions import (  # noqa: F401  (grid_midpoint_convex stays importable from here)
+from .functions import (  # noqa: F401  (perfbench/test_qcbench.py reads grid_midpoint_convex here)
     FunctionTriple, Interval, abs_f2_convexity, grid_midpoint_convex, record_base,
     require_domain)
 from .kernel import KernelSpec, convex_bounds, kernel_lp_moment, overflow_error

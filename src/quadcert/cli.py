@@ -367,7 +367,7 @@ def build_parser():
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--p-values", dest="p_values", type=_float_list, default=[2.0],
-                    help='p-logarithmic exponents, e.g. "-2,0.5,2"')
+                    help="p-logarithmic exponents, e.g. --p-values=-2,0.5,2")
     add_format(sp)
     sp.set_defaults(handler=_cmd_means)
 

@@ -423,8 +423,8 @@ def _block_columns(ft, part, per_subinterval=False):
       in all, and so does f' where the corrections do not telescope;
     - otherwise over the n points and their n mirrors.
 
-    f'' is evaluated once per node. Where f' or f'' carries the ``batch`` of
-    f, their values are equal (`_backend.make_func`), so f's column serves
+    f'' is evaluated once per node. Where f' or f'' shares f's column
+    (`_backend.same_column`), their values are equal, so f's column serves
     for them over the same points: f' everywhere, f'' at the nodes of a
     right block (exp's three). f's column runs first, so an error is still
     raised as f's. Each block skips the work its shape makes exactly

@@ -185,13 +185,14 @@ def grid_midpoint_convex(g, a, b):
 def abs_f2_convexity(ft: FunctionTriple, iv: Interval, q: float = 1.0) -> tuple:
     """Whether |f''|**q (q >= 1) is convex on the interval, and how that was
     found: ``(convex, samples)``. For a registry f'' the answer is exact
-    (its ``abs_pow_convex`` test, see `_backend.make_func`) and samples is
-    None; otherwise `grid_midpoint_convex` samples 101 points, a heuristic,
-    and samples is 101.
+    (the ``abs_pow_convex`` test of its `_backend.Exact` record) and
+    samples is None; otherwise, as for any callable without a record,
+    `grid_midpoint_convex` samples 101 points, a heuristic, and samples is
+    101.
     """
-    test = getattr(ft.f2, "abs_pow_convex", None)
-    if test is not None:
-        convex = test[0](iv.a, iv.b, q, *test[1])
+    record = _backend.exact(ft.f2)
+    if record is not None and record.abs_pow_convex is not None:
+        convex = record.abs_pow_convex[0](iv.a, iv.b, q, *record.abs_pow_convex[1])
         if convex is not None:
             return convex, None
     return grid_midpoint_convex(lambda x: abs(ft.f2(x)) ** q, iv.a, iv.b), _CONVEXITY_GRID

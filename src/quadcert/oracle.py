@@ -67,13 +67,14 @@ def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL, *,
               points=None) -> QuadratureEstimate:
     """Integral of g over [a, b].
 
-    A g that carries a closed form, every registry evaluator (its
-    ``integral``, a ``(fn, args)`` tuple, see `_backend.make_func`), is
-    integrated by it, with 0 subdivisions: the error estimate is then a
-    bound on the closed form's rounding, counted over its terms, which
-    ``tol`` does not bind. Where the closed form cannot vouch for a finite
-    value, as beyond the float range, g runs GK15 like any other callable,
-    as does a g whose ``integral`` is anything but a pair, such as a method.
+    A registry evaluator, whose `_backend.Exact` record (read by
+    `_backend.exact`) holds its closed form, is integrated by that form,
+    with 0 subdivisions: the error estimate is then a bound on the closed
+    form's rounding, counted over its terms, which ``tol`` does not bind.
+    Where the closed form cannot vouch for a finite value, as beyond the
+    float range, g runs GK15 like any other callable, as does any callable
+    without a record, whatever attributes it carries, such as an
+    ``integral`` method.
 
     Otherwise the integral is adaptive bisection, at least one segment. The
     per-segment error estimate is the nested Gauss/Kronrod rule
@@ -88,15 +89,14 @@ def integrate(g, a: float, b: float, tol: float = DEFAULT_TOL, *,
     if not tol >= 1e-14:
         raise ParameterError(
             f"tol={tol!r} must be at least 1e-14, the finest tolerance double precision resolves")
-    closed = getattr(g, "integral", None)
-    if type(closed) is tuple and len(closed) == 2:
+    record = _backend.exact(g)
+    if record is not None:
         try:
-            value, bound = closed[0](a, b, *closed[1])
+            value, bound = record.integral[0](a, b, *record.integral[1])
         except OverflowError:
-            pass
-        else:
-            if math.isfinite(value) and bound < math.inf:
-                return QuadratureEstimate(value, bound, 0)
+            value = bound = math.inf
+        if math.isfinite(value) and bound < math.inf:
+            return QuadratureEstimate(value, bound, 0)
     value, err, nseg = _backend.adaptive_quad(g, a, b, tol, points)
     return QuadratureEstimate(value, err, nseg)
 
@@ -142,8 +142,8 @@ def _sampled_sup(g, a, b):
 
 def _cuts(g, a, b):
     """Monotone cuts of g on [a, b] for a registry evaluator, else None."""
-    cuts = getattr(g, "cuts", None)
-    return None if cuts is None else cuts[0](a, b, *cuts[1])
+    record = _backend.exact(g)
+    return None if record is None else record.cuts[0](a, b, *record.cuts[1])
 
 
 def _graded_at_roots(g, f2, cuts):
@@ -194,14 +194,14 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
                   p: float | None = None) -> NormEstimate:
     """Estimate a derivative norm over the interval.
 
-    For registry evaluators, which carry monotone ``cuts`` (see
-    `_backend.make_func`):
+    For registry evaluators, whose `_backend.Exact` record (read by
+    `_backend.exact`) holds their monotone ``cuts``:
       sup_f1 / sup_f2: exact, the largest |g| at the cuts of g.
       l1_f2: exact, the total variation of f' over its cuts,
         sum |f'(c_{i+1}) - f'(c_i)|.
       lp_f2 (finite p >= 1): exact, rounded up. The integral of |f''|**p
         in closed form over the cuts of f', which hold every sign change
-        of f'', with a bound on its rounding (`_backend.abs_pow_integral`),
+        of f'', with a bound on its rounding (the ``abs_pow`` of its record),
         and the 1/p root of its upper end, widened for the rounding of the
         root (`_backend.root_enclosure`); the estimate carries the lower
         end of that enclosure too, for `bounds._admit_norm`. For exp and
@@ -210,10 +210,10 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
         |f''|**p adaptively between the same cuts, graded towards each
         root (see `_graded_at_roots`), as does a closed form that cannot
         vouch for its value, and its method is "quadrature".
-    For any other callable, sup norms sample `SUP_SAMPLES` (4097) evenly
-    spaced points plus golden-section refinement around the sampled
-    maximum, a lower-bound estimate, and the p-norms integrate |f''|**p
-    straight across [a, b].
+    For any callable without a record, whatever attributes it carries,
+    sup norms sample `SUP_SAMPLES` (4097) evenly spaced points plus
+    golden-section refinement around the sampled maximum, a lower-bound
+    estimate, and the p-norms integrate |f''|**p straight across [a, b].
     """
     require_domain(ft, iv)
     if kind not in NORM_KINDS:
@@ -240,10 +240,10 @@ def estimate_norm(ft: FunctionTriple, iv: Interval, kind: str,
         if p is None or not 1.0 <= p < math.inf:
             raise ParameterError(f"lp_f2 needs a finite p >= 1, got {p!r}")
         cuts = _cuts(ft.f1, a, b)
-        closed = getattr(ft.f2, "integral", None)  # as `integrate` takes it
-        if cuts is not None and type(closed) is tuple and len(closed) == 2:
+        record = _backend.exact(ft.f2)
+        if cuts is not None and record is not None and record.abs_pow is not None:
             try:
-                ends = _backend.root_enclosure(*_backend.abs_pow_integral(closed, p, cuts), p)
+                ends = _backend.root_enclosure(*record.abs_pow[0](cuts, p, *record.abs_pow[1]), p)
             except OverflowError:
                 ends = None
             if ends:

@@ -122,6 +122,30 @@ def test_means(capsys):
         "harmonic", "geometric", "logarithmic", "identric", "arithmetic"]
 
 
+def test_values_that_start_with_a_dash_take_the_equals_form(capsys, monkeypatch):
+    """argparse reads "-1e-3" or "-2,0.5,2" after an option as an option of
+    its own, so a value that starts with "-" goes as --flag=value, which the
+    help text shows."""
+    code, out, _ = run_cli(capsys, "certify", "--function", "exp", "--a=-1e-3", "--b", "1",
+                           "--x", "0.5", "--family", "convex", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["a"] == -1e-3
+    for argv in (["certify", "--function", "exp", "--a", "-1e-3", "--b", "1", "--x", "0.5",
+                  "--family", "convex"],
+                 ["means", "--a", "1", "--b", "2", "--p-values", "-2,0.5,2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "means", "--a", "1", "--b", "2", "--p-values=-2,0.5,2",
+                           "--format", "json")
+    assert code == EXIT_OK
+    monkeypatch.setenv("COLUMNS", "200")  # no help line wraps at a hyphen
+    with pytest.raises(SystemExit):
+        main(["means", "--help"])
+    assert "--p-values=-2,0.5,2" in capsys.readouterr().out
+
+
 def test_props_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "props", "--prop", "1", "--p", "2",
                            "--a", "1", "--b", "2", "--format", "json")

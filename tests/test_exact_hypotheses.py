@@ -341,13 +341,13 @@ def lp_cases(draw):
 
 def mp_abs_pow_integral(ft, a, b, p):
     """The integral of |f''|**p at 50 digits, for the f'' that the
-    evaluator computes: its ``integral`` arguments, c and e of c*x**e or the
-    poly's coefficients, taken as exact."""
-    fn, args = ft.f2.integral
+    evaluator computes: the ``abs_pow`` arguments of its record, c and e of
+    c*x**e or the poly's coefficients, taken as exact."""
+    fn, args = _backend.exact(ft.f2).abs_pow
     a, b, p = mp.mpf(a), mp.mpf(b), mp.mpf(p)
-    if fn is _backend._exp_integral:
+    if fn is _backend._exp_abs_pow:
         return (mp.exp(p * b) - mp.exp(p * a)) / p
-    if fn is _backend._pow_integral:
+    if fn is _backend._powerlike_abs_pow:
         coef, expo = mp.mpf(args[0]), mp.mpf(args[1])
         if coef == 0:
             return mp.mpf(0)
@@ -394,8 +394,9 @@ def test_lp_norms_in_closed_form_enclose_mpmath(case):
     spec, a, b, p = case
     ft, iv = parse_function_spec(spec), Interval(a, b)
     cuts = oracle._cuts(ft.f1, a, b)
+    form, args = _backend.exact(ft.f2).abs_pow
     try:
-        value, bound = _backend.abs_pow_integral(ft.f2.integral, p, cuts)
+        value, bound = form(cuts, p, *args)
     except OverflowError:
         value = bound = math.nan
     est = estimate_norm(ft, iv, "lp_f2", p=p)
@@ -455,7 +456,7 @@ def test_cuts_are_monotone_cuts(spec):
     ft = parse_function_spec(spec)
     a, b = (-0.7, 1.3) if ft.domain_lo < 0 else (0.2, 1.3)
     for deriv, (g, kind) in enumerate(((ft.f1, "sup_f1"), (ft.f2, "sup_f2"))):
-        points, args = g.cuts
+        points, args = _backend.exact(g).cuts
         cuts = points(a, b, *args)
         assert cuts[0] == a and cuts[-1] == b and cuts == sorted(set(cuts))
         for lo, hi in zip(cuts, cuts[1:]):
@@ -469,7 +470,11 @@ def test_cuts_are_monotone_cuts(spec):
             sup = estimate_norm(ft, Interval(a, b), kind).value
             assert sup == max(abs(g(a)), abs(g(b)))
     if ft.domain_lo < 0 and spec != "exp" and spec != "power:2":
-        assert ft.f2(0.0) == 0.0 and 0.0 in ft.f1.cuts[0](a, b, *ft.f1.cuts[1])
+        points, args = _backend.exact(ft.f1).cuts
+        assert ft.f2(0.0) == 0.0 and 0.0 in points(a, b, *args)
+    if spec == "neglog":  # -ln x is monotone: its cuts are the ends
+        points, args = _backend.exact(ft.f).cuts
+        assert points(a, b, *args) == [a, b]
 
 
 def test_poly_cuts_are_the_extrema_only():
@@ -477,7 +482,8 @@ def test_poly_cuts_are_the_extrema_only():
     where g' is exactly 0. The other cuts of higher derivatives are dropped:
     here 0.1333..., the root of f^(4)."""
     ft = parse_function_spec("poly:3,-2,1,0,5,-1")
-    cuts = [g.cuts[0](-1.2, 1.1, *g.cuts[1]) for g in (ft.f, ft.f1)]
+    cuts = [points(-1.2, 1.1, *args)
+            for points, args in (_backend.exact(g).cuts for g in (ft.f, ft.f1))]
     assert cuts == [[-1.2, 1.1], [-1.2, 0.0, 1.1]]
     # f'' = x**3 is 0 at the cut 0 of f''' = 3x**2, with no bracket: without
     # that cut sup|f'| would be 0.75, at the ends

@@ -166,9 +166,9 @@ def test_column_special_points_at_every_position(spec):
         for special in SPECIAL_X:
             for i in range(len(base) + 1):
                 _assert_column_is_scalar_map(fn, base[:i] + [special] + base[i:])
-    assert parse_function_spec("power:1").f2.batch[1][0] == 0.0
-    assert parse_function_spec("power:2").f2.batch[1] == (2.0, 0.0)
-    assert not hasattr(parse_function_spec("poly:1,0,-3").f, "batch")
+    assert _backend.exact(parse_function_spec("power:1").f2).batch[1][0] == 0.0
+    assert _backend.exact(parse_function_spec("power:2").f2).batch[1] == (2.0, 0.0)
+    assert _backend.exact(parse_function_spec("poly:1,0,-3").f).batch is None
 
 
 DERIVATIVE_PAIRS = (("f", "f1"), ("f", "f2"), ("f1", "f2"))
@@ -241,7 +241,7 @@ def test_parse_caches_per_builder(monkeypatch):
     assert parse_function_spec("exp") is wrapped
     monkeypatch.undo()
     assert parse_function_spec("exp") is plain
-    assert hasattr(plain.f, "integral")
+    assert _backend.exact(plain.f) is not None
 
 
 def test_parse_drops_a_replaced_builders_triples(monkeypatch):
@@ -263,10 +263,10 @@ def test_parse_drops_a_replaced_builders_triples(monkeypatch):
             if value is plain_make_func:
                 monkeypatch.setattr(module, name, wrapped_make_func)
     wrapped = parse_function_spec("power:3")
-    assert not hasattr(wrapped.f, "integral")
+    assert _backend.exact(wrapped.f) is None
     monkeypatch.undo()
     restored = parse_function_spec("power:3")
-    assert hasattr(restored.f, "integral")
+    assert _backend.exact(restored.f) is not None
     assert functions._parse_cached.cache_info().currsize == 1
     assert not functions._replaced
 
@@ -281,9 +281,9 @@ def _bits(values):
 def test_id_round_trips_params(coeffs, expo):
     """An id parses back to the same params, bit for bit."""
     poly = parse_function_spec(register_builtin("poly", coeffs).id)
-    assert _bits(poly.f.integral[1][0]) == _bits(coeffs)
+    assert _bits(_backend.exact(poly.f).integral[1][0]) == _bits(coeffs)
     power = parse_function_spec(register_builtin("power", [expo]).id)
-    assert _bits(power.f.batch[1]) == _bits([1.0, expo])
+    assert _bits(_backend.exact(power.f).batch[1]) == _bits([1.0, expo])
 
 
 def test_no_domain_restriction_for_integer_powers_and_poly():

@@ -10,9 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import convex_corpus, plain_callables, random_interval
+from quadcert import _backend
+from quadcert.bounds import CD_CASES, bound_cerone_dragomir, bound_convex
+from quadcert.composite import Partition, composite_generalized
 from quadcert.errors import DomainError, IntegrationError, ParameterError
-from quadcert.functions import FunctionTriple, Interval, parse_function_spec, register_builtin
-from quadcert.oracle import SUP_SAMPLES, _golden_max, estimate_norm, integrate
+from quadcert.functions import (FunctionTriple, Interval, abs_f2_convexity, parse_function_spec,
+                                register_builtin)
+from quadcert.oracle import NORM_KINDS, SUP_SAMPLES, _golden_max, estimate_norm, integrate
 
 # GK15's corpus. The tests wrap these registry evaluators as plain
 # callables: unwrapped, they integrate in closed form and run no GK15 segment.
@@ -358,7 +362,7 @@ def test_closed_forms_match_mpmath(case):
     one a plain callable gets."""
     spec, deriv, a, b = case
     g = parse_function_spec(spec)[1 + deriv]
-    fn, args = g.integral
+    fn, args = _backend.exact(g).integral
     try:
         value, bound = fn(a, b, *args)
     except OverflowError:
@@ -408,3 +412,45 @@ def test_an_unrelated_integral_attribute_runs_gk15():
     est = integrate(Spline(), 0.0, 1.0)
     assert est.subdivisions >= 1
     assert est.value == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def _carrying(g, name, unrelated):
+    """g as a callable object whose attribute ``name`` is a list, True or a
+    method that fails the test if called: none of them an evaluator record."""
+    if unrelated == "method":
+        value = lambda self, *args: pytest.fail(f"{name} was called")  # noqa: E731
+    else:
+        value = [0.0, 1.0] if unrelated == "list" else True
+    return type("Carrier", (), {"__call__": lambda self, x: g(x), name: value})()
+
+
+def _outcomes(ft, iv):
+    """Everything the package derives from a triple's evaluators alone."""
+    nodes = [0.6, 1.1, 1.7]
+    return ([estimate_norm(ft, iv, kind, p=2.0 if kind == "lp_f2" else None)
+             for kind in NORM_KINDS],
+            abs_f2_convexity(ft, iv, 2.0),
+            bound_convex(ft, iv, 1.5),
+            [bound_cerone_dragomir(ft, iv, case, p=2.0 if case == "lp" else None)
+             for case in CD_CASES],
+            [_backend.column(g, nodes, (nodes[0], nodes[-1])) for g in ft[1:4]],
+            composite_generalized(ft, Partition.uniform(iv.a, iv.b, 8, "random", seed=3)))
+
+
+@pytest.mark.parametrize("unrelated", ["list", "true", "method"])
+@pytest.mark.parametrize("name", ["batch", "cuts", "abs_pow_convex", "integral"])
+def test_unrelated_evaluator_attributes_leave_a_plain_callable(name, unrelated):
+    """Only an `_backend.Exact` record held as ``exact`` is read: evaluators
+    whose ``batch``, ``cuts``, ``abs_pow_convex`` or ``integral`` is a list,
+    True or a method get from every estimator, certificate and column what
+    bare wrappers of the same evaluators get."""
+    reg = parse_function_spec("power:2.5")
+    iv = Interval(0.5, 2.0)
+    bare = FunctionTriple("wrapped", *(lambda x, g=g: g(x) for g in reg[1:4]),
+                          reg.domain_lo, reg.domain_hi)
+    carrying = bare._replace(f=_carrying(reg.f, name, unrelated),
+                             f1=_carrying(reg.f1, name, unrelated),
+                             f2=_carrying(reg.f2, name, unrelated))
+    expected = _outcomes(bare, iv)
+    assert expected[0][0].method == "sampled" and expected[1][1] is not None
+    assert _outcomes(carrying, iv) == expected
